@@ -24,9 +24,10 @@ class LatencyRecorder:
     ``capacity`` samples so a long-lived service reports *current*
     latency in O(1) memory instead of growing with traffic.  ``count``/
     ``mean`` cover the full lifetime; ``p50``/``p99`` are nearest-rank
-    percentiles over the retained window.  Samples are recorded by the
-    single-request paths (``BatchExecutor.handle`` and the async
-    ``BatchExecutor.submit``) — the whole-batch drains time themselves.
+    percentiles over the retained window.  Samples are recorded per
+    request by ``BatchExecutor.handle`` and the async
+    ``BatchExecutor.submit``; every batch drain goes through one of the
+    two, so a processes-mode batch records one sample per request too.
     """
 
     def __init__(self, capacity: int = 4096) -> None:

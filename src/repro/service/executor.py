@@ -18,8 +18,8 @@ the warm-path layers a long-lived service wants:
   service benchmark) and are marked ``cached=True``;
 * in-flight coalescing: concurrent identical requests (same cache key)
   wait on one execution instead of all running before the cache
-  populates — single-flight in the threaded drain, batch-level dedup in
-  the process drain.
+  populates — single-flight in the threaded drain, a follower list per
+  in-flight key on the process path.
 
 Three drain modes:
 
@@ -37,19 +37,21 @@ Three drain modes:
     CPU-bound realizer runs truly in parallel, one core per worker.
     Results funnel back through the parent's deterministic response
     cache, so a drained batch is field-identical to the sequential
-    drain.  A worker that dies mid-request (OOM-killed, crashed) fails
-    that request with a typed ``WORKER_CRASHED`` error and the drain
-    recovers on a fresh pool — one bad request cannot wedge the batch.
-    Requests and responses cross the boundary as compact wire envelopes
-    (``to_wire``/``from_wire``), not pickled dataclasses.
-    ``benchmarks/bench_multiprocess.py`` records the process-vs-thread
-    drain ratio.
+    drain.  A worker that dies mid-request (OOM-killed, crashed) breaks
+    the pool under every in-flight request; the victims retry one at a
+    time on fresh pools, so a deterministic crasher earns a typed
+    ``WORKER_CRASHED`` error while its co-victims complete — one bad
+    request cannot wedge the batch.  Requests and responses cross the
+    boundary as compact wire envelopes (``to_wire``/``from_wire``), not
+    pickled dataclasses.  ``benchmarks/bench_multiprocess.py`` records
+    the process-vs-thread drain ratio.
 
-Beyond batch drains, ``mode="processes"`` executors expose an
-asynchronous :meth:`BatchExecutor.submit` (future per request, same
-cache/coalescing/crash semantics), which :func:`serve` uses to *stream*:
-requests are submitted as their lines arrive and responses are emitted,
-in input order, as futures complete.
+Every ``mode="processes"`` request goes through one asynchronous path,
+:meth:`BatchExecutor.submit` (a future per request): :meth:`run`
+submits a whole batch and gathers the futures in input order, and
+:func:`serve` uses it to *stream* — requests are submitted as their
+lines arrive and responses are emitted, in input order, as futures
+complete.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
@@ -445,6 +447,24 @@ def _resolve_future(out: "Future", response: RealizationResponse) -> None:
             pass
 
 
+def _closed_response(request: RealizationRequest) -> RealizationResponse:
+    return error_response(
+        request.request_id,
+        request.kind,
+        "executor closed while this request was in flight",
+    )
+
+
+def _transport_failure(
+    request: RealizationRequest, exc: Exception
+) -> RealizationResponse:
+    return error_response(
+        request.request_id,
+        request.kind,
+        f"process drain failure: {type(exc).__name__}: {exc}",
+    )
+
+
 def _engine_columnar_metrics():
     """Registry collector: columnar-engine counters at scrape time.
 
@@ -549,8 +569,8 @@ class BatchExecutor:
     mode / workers:
         ``"sequential"``, ``"threads"`` or ``"processes"`` (+ worker
         count) for :meth:`run`.  The process pool spins up lazily on the
-        first multi-request :meth:`run` and persists, warm, until
-        :meth:`close`.
+        first processes-mode :meth:`run` or :meth:`submit` and persists,
+        warm, until :meth:`close`.
     retry_policy:
         How pool-break victims are retried (defaults to
         :class:`~repro.service.robustness.RetryPolicy`'s two total
@@ -654,6 +674,11 @@ class BatchExecutor:
         self._watch_lock = threading.Lock()
         self._dispatch: Dict[Future, _WatchEntry] = {}
         self._watchdog_stop: Optional[threading.Event] = None
+        # Crash-recovery lane: pool-break victims queue here and retry
+        # one at a time (see _retry_async).
+        self._retry_lock = threading.Lock()
+        self._retry_queue: "deque[tuple]" = deque()
+        self._retry_busy = False
         self.latency = LatencyRecorder()
         # The unified metrics registry is the single source of truth for
         # the executor's counters: the attributes below ARE registry
@@ -730,11 +755,12 @@ class BatchExecutor:
         self.metrics.register_collector("circuit_breaker", self._breaker_metrics)
         self.metrics.register_collector("engine_columnar", _engine_columnar_metrics)
         # Durability: with a journal attached, every request is written
-        # at admission and completion (handle, submit, and the batch
-        # processes drain all funnel through it); duplicate submissions
-        # carrying an idempotency_key are answered from the journal's
-        # completed record without re-executing.  None (default) keeps
-        # the hot path journal-free — a single attribute check.
+        # at admission and completion (handle and submit, which the
+        # processes-mode run() goes through, both funnel through it);
+        # duplicate submissions carrying an idempotency_key are answered
+        # from the journal's completed record without re-executing.
+        # None (default) keeps the hot path journal-free — a single
+        # attribute check.
         self.journal = journal
         if journal is not None:
             if journal.fsync_observer is None:
@@ -906,7 +932,7 @@ class BatchExecutor:
         with self._pool_lock:
             if self._closed:
                 return
-        self._note_pool_break(pool)
+        self._note_pool_break(pool, crashed=False)
         procs = getattr(pool, "_processes", None)
         if procs:
             for proc in list(procs.values()):
@@ -917,12 +943,16 @@ class BatchExecutor:
         else:  # pragma: no cover - no visible worker table: retire it
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _note_pool_break(self, pool: Optional[ProcessPoolExecutor]) -> None:
+    def _note_pool_break(
+        self, pool: Optional[ProcessPoolExecutor], crashed: bool = True
+    ) -> None:
         """Flag ``pool`` broken (identity-guarded) and feed the breaker.
 
-        The breaker records one failure per *pool break*, not one per
-        victim: the first caller to flip the broken flag wins, so a
-        crash that fails five in-flight futures costs one breaker count.
+        The breaker and ``worker_crashes`` record one failure per *pool
+        break*, not one per victim: the first caller to flip the broken
+        flag wins, so a crash that fails five in-flight futures costs
+        one breaker count and one crash.  The watchdog's kills pass
+        ``crashed=False`` — ``worker_timeouts`` already counts them.
         """
         fresh_break = False
         with self._pool_lock:
@@ -934,7 +964,12 @@ class BatchExecutor:
             ):
                 self._process_pool_broken = True
                 fresh_break = True
-        if fresh_break and self.breaker is not None:
+        if not fresh_break:
+            return
+        if crashed:
+            with self._cache_lock:
+                self.worker_crashes.inc()
+        if self.breaker is not None:
             self.breaker.record_failure()
 
     # ---------------------------------------------------------------- #
@@ -964,18 +999,7 @@ class BatchExecutor:
                     )
                 runner = self._degraded_pool
         if closed:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                ),
-                resubmit_followers=False,
-                span=span,
-            )
+            self._finish_closed(request, key, out, span)
             return
         with self._cache_lock:
             self.degraded_handled.inc()
@@ -1090,8 +1114,8 @@ class BatchExecutor:
 
         ``coalesced`` hits (the request waited on an identical in-flight
         execution) are counted separately from direct cache hits — the
-        two counters are disjoint, matching the process drain's
-        accounting.
+        two counters are disjoint, as in :meth:`_finish_async`, which
+        counts the process path's followers.
         """
         with self._cache_lock:
             hit = self._response_cache.get(key)
@@ -1341,22 +1365,24 @@ class BatchExecutor:
         return self.handle(parsed)
 
     # ---------------------------------------------------------------- #
-    # Asynchronous single requests (the streaming serve front end)     #
+    # The process path: asynchronous single requests                  #
     # ---------------------------------------------------------------- #
 
     def submit(self, request: RealizationRequest) -> "Future":
         """One request, asynchronously: a ``Future[RealizationResponse]``.
 
-        The streaming ``serve --mode processes`` front end submits each
-        request as its line arrives and emits responses as the futures
-        complete.  Semantics mirror :meth:`handle` /
-        :meth:`_run_processes`: validation failures and cache hits
-        resolve immediately; identical concurrent requests coalesce onto
-        one in-flight execution (followers resolve to ``cached=True``
+        The one path every processes-mode request takes: :meth:`run`
+        submits a batch and gathers the futures, and the streaming serve
+        front ends submit each request as its line arrives and emit
+        responses as the futures complete.  Semantics mirror
+        :meth:`handle`: validation failures and cache hits resolve
+        immediately; identical concurrent requests coalesce onto one
+        in-flight execution (followers resolve to ``cached=True``
         copies; failures are never shared — each follower then gets its
-        own attempt); a crashed worker earns its request a typed
-        ``WORKER_CRASHED`` error after one retry on a fresh pool.  In
-        ``sequential``/``threads`` mode the request executes in the
+        own attempt); the victims of a pool break retry one at a time
+        on fresh pools (:meth:`_retry_async`), so a crashing worker
+        earns only its own request a typed ``WORKER_CRASHED`` error.
+        In ``sequential``/``threads`` mode the request executes in the
         calling thread and an already-completed future comes back.
         """
         out: Future = Future()
@@ -1453,14 +1479,17 @@ class BatchExecutor:
         attempt: int = 1,
         deadline: Optional[float] = None,
         span: Optional[Span] = None,
-    ) -> None:
+    ) -> Optional["Future"]:
         """Ship one leader job to the worker pool (wire-encoded).
 
-        ``attempt`` is 1-based; pool breaks resubmit with ``attempt+1``
-        until ``retry_policy.max_attempts``, pausing the policy's
-        backoff between attempts.  With tracing on, ``span`` rides
+        ``attempt`` is 1-based; a pool break queues the job for attempt
+        ``attempt+1`` (:meth:`_retry_async`) until
+        ``retry_policy.max_attempts``.  With tracing on, ``span`` rides
         along: its context ships in the wire envelope so the worker's
-        subtree comes back attached to the response.
+        subtree comes back attached to the response — from the second
+        attempt on, under that attempt's own ``crash_recovery`` span.
+        Returns the pool future, or ``None`` if the job was answered
+        (or handed to the degraded runner) without reaching the pool.
         """
         if deadline is None and request.deadline_ms is not None:
             # Follower resubmissions arrive without their leader's
@@ -1479,11 +1508,12 @@ class BatchExecutor:
                 ),
                 span=span,
             )
-            return
+            return None
         if self.breaker is not None and not self.breaker.allow():
             self._dispatch_degraded(request, key, out, deadline, span)
-            return
+            return None
         pool = None
+        attempt_span = span
         try:
             # _ensure_process_pool re-checks the closed flag under the
             # pool lock, so a crash retry (or follower resubmission)
@@ -1491,79 +1521,139 @@ class BatchExecutor:
             # below instead of rebuilding a pool nothing would ever
             # shut down.
             pool = self._ensure_process_pool()
+            if span is not None and attempt > 1:
+                attempt_span = span.child("crash_recovery", attempt=attempt)
             future = pool.submit(
                 _process_worker_run_wire,
                 request.to_wire(
-                    trace=span.context() if span is not None else None
+                    trace=attempt_span.context()
+                    if attempt_span is not None
+                    else None
                 ),
                 deadline,
             )
         except _ExecutorClosed:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                ),
-                resubmit_followers=False,
-                span=span,
-            )
-            return
+            self._finish_closed(request, key, out, span)
+            return None
         except BrokenExecutor:
             # The pool broke under a concurrent submission before its
-            # crasher's callback flagged it; retry on a fresh pool like
-            # the batch drain instead of failing an innocent request.
-            # Same pool-identity guard as _async_done: only flag the
-            # pool this submission actually used, never a healthy
-            # replacement another thread already built.
-            self._note_pool_break(pool)
-            with self._cache_lock:  # same accounting as the other paths
-                self.worker_crashes.inc()
-            if span is not None:
-                span.child(
-                    "crash_recovery", attempt=attempt, timed_out=False
-                ).finish()
-            if attempt < self.retry_policy.max_attempts:
-                self._retry_async(request, key, out, attempt + 1, deadline, span)
-            else:
-                self._finish_async(
-                    request,
-                    key,
-                    out,
-                    error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker process died while executing this request",
-                        code="WORKER_CRASHED",
-                    ),
-                    span=span,
-                )
-            return
-        except Exception as exc:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                ),
-                span=span,
+            # crasher's callback flagged it: a victim like any other.
+            self._on_pool_break(
+                request, key, out, attempt, pool, deadline, span,
+                attempt_span, timed_out=False,
             )
-            return
+            return None
+        except Exception as exc:
+            if attempt_span is not span:
+                attempt_span.finish()
+            self._finish_async(
+                request, key, out, _transport_failure(request, exc), span=span
+            )
+            return None
         # Watch before wiring the completion callback: the callback's
         # _watch_pop must always find (and clear) the entry, even when
         # the future completed before we got here.
         self._watch(future, pool, deadline)
         future.add_done_callback(
             lambda done: self._async_done(
-                done, request, key, out, attempt, pool, deadline, span
+                done, request, key, out, attempt, pool, deadline, span,
+                attempt_span,
             )
         )
+        return future
+
+    def _async_done(
+        self, future, request, key, out, attempt, pool, deadline, span=None,
+        attempt_span=None,
+    ) -> None:
+        """Completion hook (runs on the pool's callback thread).
+
+        ``attempt_span`` is the span whose context the worker received:
+        ``span`` itself on the first attempt, the retry's own
+        ``crash_recovery`` child after that.
+        """
+        timed_out = self._watch_pop(future)
+        resubmit_followers = True
+        try:
+            wire = future.result()
+            response = RealizationResponse.from_wire(wire)
+            if attempt_span is not None:
+                columns = RealizationResponse.wire_spans(wire)
+                if columns is not None:
+                    attempt_span.adopt(decode_span_columns(columns))
+            if self.breaker is not None:
+                self.breaker.record_success()
+        except (BrokenExecutor, CancelledError):
+            # The dead worker broke the whole pool.  CancelledError (a
+            # concurrent pool replacement cancels its pending futures)
+            # is a BaseException: without catching it here the response
+            # future would never resolve and a streaming client would
+            # hang forever.
+            with self._pool_lock:
+                closed = self._closed
+            if not closed:
+                self._on_pool_break(
+                    request, key, out, attempt, pool, deadline, span,
+                    attempt_span, timed_out,
+                )
+                return
+            # close() cancelled the in-flight work; don't resurrect a
+            # fresh pool for it (see _finish_closed).
+            response = _closed_response(request)
+            resubmit_followers = False
+        except Exception as exc:  # transport/pickling failure
+            response = _transport_failure(request, exc)
+        if attempt_span is not span:
+            attempt_span.finish(timed_out=False)
+        self._finish_async(
+            request, key, out, response,
+            resubmit_followers=resubmit_followers, span=span,
+        )
+
+    def _on_pool_break(
+        self, request, key, out, attempt, pool, deadline, span, attempt_span,
+        timed_out: bool,
+    ) -> None:
+        """One victim of a pool break: flag the pool, trace the break,
+        then queue a retry or answer with a typed error.
+
+        The watchdog's culprit (``timed_out``) gets ``WORKER_TIMEOUT``
+        and no retry — it would hang again; its co-victims arrive with
+        ``timed_out=False`` and retry like crash victims.  A request
+        still breaking pools after ``retry_policy.max_attempts`` is the
+        (deterministic) crasher: ``WORKER_CRASHED``.
+        """
+        # Only flag the pool this job actually ran on (see
+        # _note_pool_break): several victims of one crash race through
+        # here, and a stale flag would tear down the healthy replacement
+        # pool (cancelling innocent retries into spurious
+        # WORKER_CRASHED responses).
+        self._note_pool_break(pool)
+        if attempt_span is not span:
+            attempt_span.finish(timed_out=timed_out)
+        elif span is not None:
+            span.child(
+                "crash_recovery", attempt=attempt, timed_out=timed_out
+            ).finish()
+        if timed_out:
+            response = error_response(
+                request.request_id,
+                request.kind,
+                "worker exceeded its wall-clock bound and was killed "
+                "by the watchdog",
+                code="WORKER_TIMEOUT",
+            )
+        elif attempt < self.retry_policy.max_attempts:
+            self._retry_async(request, key, out, attempt + 1, deadline, span)
+            return
+        else:
+            response = error_response(
+                request.request_id,
+                request.kind,
+                "worker process died while executing this request",
+                code="WORKER_CRASHED",
+            )
+        self._finish_async(request, key, out, response, span=span)
 
     def _retry_async(
         self,
@@ -1574,107 +1664,47 @@ class BatchExecutor:
         deadline: Optional[float],
         span: Optional[Span] = None,
     ) -> None:
-        """Resubmit after the policy's backoff (timer thread, so pool
-        callback threads never sleep)."""
+        """Queue a pool-break victim for its next attempt.
+
+        Retries run one at a time, first in first out: the next one is
+        sent only after the previous retry's pool future completes.  A
+        crash fails every in-flight request at once, and retrying them
+        all together would let the deterministic crasher break the fresh
+        pool under its co-victims again; one at a time, its retry breaks
+        a pool that runs nothing else of theirs.  (A retry that hangs
+        holds the lane until the watchdog kills it.)
+        """
         with self._cache_lock:
             self.retries.inc()
-        delay = self.retry_policy.delay_sec(attempt)
-        if delay <= 0:
-            self._submit_async(request, key, out, attempt, deadline, span)
-            return
+        with self._retry_lock:
+            self._retry_queue.append((request, key, out, attempt, deadline, span))
+            if self._retry_busy:
+                return
+            self._retry_busy = True
+        self._next_retry()
+
+    def _next_retry(self, _previous: Optional["Future"] = None) -> None:
+        """Hand the retry lane to the job at the head of the queue, or
+        free the lane when it is empty.  The job is sent after the
+        policy's backoff, on a timer thread so pool callback threads
+        never sleep."""
+        with self._retry_lock:
+            if not self._retry_queue:
+                self._retry_busy = False
+                return
+            job = self._retry_queue.popleft()
         timer = threading.Timer(
-            delay,
-            self._submit_async,
-            args=(request, key, out, attempt, deadline, span),
+            self.retry_policy.delay_sec(job[3]), self._send_retry, args=job
         )
         timer.daemon = True
         timer.start()
 
-    def _async_done(
-        self, future, request, key, out, attempt, pool, deadline, span=None
-    ) -> None:
-        """Completion hook (runs on the pool's callback thread)."""
-        timed_out = self._watch_pop(future)
-        try:
-            wire = future.result()
-            response = RealizationResponse.from_wire(wire)
-            if span is not None:
-                columns = RealizationResponse.wire_spans(wire)
-                if columns is not None:
-                    span.adopt(decode_span_columns(columns))
-            if self.breaker is not None:
-                self.breaker.record_success()
-        except (BrokenExecutor, CancelledError):
-            # The dead worker broke the whole pool; mirror the batch
-            # drain's recovery — retries on a fresh pool under the
-            # policy, then a typed failure for the (deterministic)
-            # crasher.  CancelledError (a concurrent pool replacement
-            # cancels its pending futures) is a BaseException: without
-            # catching it here the response future would never resolve
-            # and a streaming client would hang forever.
-            with self._pool_lock:
-                closed = self._closed
-            if closed:
-                # close() cancelled the in-flight work; don't resurrect
-                # a fresh pool for it — and don't resubmit coalesced
-                # followers either (they would rebuild a pool that
-                # nothing ever shuts down again).
-                self._finish_async(
-                    request,
-                    key,
-                    out,
-                    error_response(
-                        request.request_id,
-                        request.kind,
-                        "executor closed while this request was in flight",
-                    ),
-                    resubmit_followers=False,
-                    span=span,
-                )
-                return
-            # Only flag the pool this future actually ran on (see
-            # _note_pool_break): several victims of one crash race
-            # through here, and a stale flag would tear down the healthy
-            # replacement pool (cancelling innocent retries into
-            # spurious WORKER_CRASHED responses).
-            self._note_pool_break(pool)
-            if span is not None:
-                span.child(
-                    "crash_recovery", attempt=attempt, timed_out=timed_out
-                ).finish()
-            if timed_out:
-                # The watchdog killed this job's worker: the culprit is
-                # *this* request — no retry (it would hang again), a
-                # typed timeout instead.  Co-victims arrive here with
-                # timed_out=False and retry normally.
-                response = error_response(
-                    request.request_id,
-                    request.kind,
-                    "worker exceeded its wall-clock bound and was killed "
-                    "by the watchdog",
-                    code="WORKER_TIMEOUT",
-                )
-            else:
-                with self._cache_lock:
-                    self.worker_crashes.inc()
-                if attempt < self.retry_policy.max_attempts:
-                    self._retry_async(
-                        request, key, out, attempt + 1, deadline, span
-                    )
-                    return
-                response = error_response(
-                    request.request_id,
-                    request.kind,
-                    "worker process died while executing this request",
-                    code="WORKER_CRASHED",
-                )
-        except Exception as exc:  # transport/pickling failure
-            response = error_response(
-                request.request_id,
-                request.kind,
-                f"process drain failure: {type(exc).__name__}: {exc}",
-            )
-        self._finish_async(request, key, out, response, span=span)
+    def _send_retry(self, *job) -> None:
+        future = self._submit_async(*job)
+        if future is None:  # answered without reaching the pool
+            self._next_retry()
+        else:
+            future.add_done_callback(self._next_retry)
 
     def _finish_async(
         self,
@@ -1746,370 +1776,48 @@ class BatchExecutor:
                         ),
                     )
                 return
-            # Failures are never shared (matching the batch drain): each
-            # coalesced follower gets its own independent attempt.  The
-            # retry runs with key=None — fully detached from the
-            # in-flight table, so an orphan completion can never pop
-            # (and steal) the follower list of a *newer* leader that
-            # registered the same key in the meantime.  The detached run
-            # skips the response cache; by determinism a follower of a
-            # failed leader almost always fails too, and errors are
-            # never cached anyway.
+            # Failures are never shared (as with handle()'s
+            # single-flight): each coalesced follower gets its own
+            # independent attempt.  The retry runs with key=None — fully
+            # detached from the in-flight table, so an orphan completion
+            # can never pop (and steal) the follower list of a *newer*
+            # leader that registered the same key in the meantime.  The
+            # detached run skips the response cache; by determinism a
+            # follower of a failed leader almost always fails too, and
+            # errors are never cached anyway.
             for follower_request, follower_out in followers:
                 self._submit_async(follower_request, None, follower_out)
+
+    def _finish_closed(self, request, key, out, span=None) -> None:
+        """Resolve a job that ``close()`` cut off with the closed
+        envelope.  Its followers get the same envelope instead of their
+        own attempt, which would rebuild a pool that nothing ever shuts
+        down again."""
+        self._finish_async(
+            request, key, out, _closed_response(request),
+            resubmit_followers=False, span=span,
+        )
 
     # ---------------------------------------------------------------- #
     # Batches                                                          #
     # ---------------------------------------------------------------- #
 
     def run(self, requests: Iterable[RealizationRequest]) -> List[RealizationResponse]:
-        """Drain a batch, preserving request order in the responses."""
+        """Drain a batch, preserving request order in the responses.
+
+        In ``processes`` mode every request goes through :meth:`submit`
+        — the same cache, coalescing, crash-recovery, journal and
+        tracing path the serve front ends stream through — and the
+        futures are gathered in input order.
+        """
         batch = list(requests)
-        if len(batch) > 1:
-            if self.mode == "threads":
-                with ThreadPoolExecutor(max_workers=self.workers) as tpe:
-                    return list(tpe.map(self.handle, batch))
-            if self.mode == "processes":
-                return self._run_processes(batch)
+        if self.mode == "processes":
+            futures = [self.submit(request) for request in batch]
+            return [future.result() for future in futures]
+        if self.mode == "threads" and len(batch) > 1:
+            with ThreadPoolExecutor(max_workers=self.workers) as tpe:
+                return list(tpe.map(self.handle, batch))
         return [self.handle(request) for request in batch]
-
-    def _run_processes(
-        self, batch: List[RealizationRequest]
-    ) -> List[RealizationResponse]:
-        """Journal-aware batch drain: admitted records land before the
-        batch crosses the process boundary, completions after, and
-        duplicate idempotent submissions never reach the pool at all."""
-        if self.journal is None:
-            return self._run_processes_core(batch)
-        responses: List[Optional[RealizationResponse]] = [None] * len(batch)
-        fresh: List[RealizationRequest] = []
-        fresh_idx: List[int] = []
-        seqs: List[int] = []
-        for i, request in enumerate(batch):
-            replayed = self._journal_replay(request)
-            if replayed is not None:
-                responses[i] = replayed
-                continue
-            seqs.append(self._journal_admit(request))
-            fresh.append(request)
-            fresh_idx.append(i)
-        if fresh:
-            for i, seq, response in zip(
-                fresh_idx, seqs, self._run_processes_core(fresh)
-            ):
-                self.journal.append_completed(seq, response)
-                responses[i] = response
-        return responses  # type: ignore[return-value]
-
-    def _run_processes_core(
-        self, batch: List[RealizationRequest]
-    ) -> List[RealizationResponse]:
-        """Drain across the persistent worker processes.
-
-        The parent validates, serves cache hits, and coalesces identical
-        requests (one submission per distinct cache key); only misses
-        cross the process boundary.  Results re-enter the shared
-        response cache, so a process drain is field-identical to a
-        sequential one.
-        """
-        self._reopen()  # public entry re-opens after close()
-        responses: List[Optional[RealizationResponse]] = [None] * len(batch)
-        jobs: List[Tuple[List[int], RealizationRequest]] = []
-        job_keys: List[Optional[RealizationRequest]] = []
-        by_key: Dict[RealizationRequest, int] = {}
-        for i, request in enumerate(batch):
-            try:
-                request.validate()
-            except ServiceError as exc:
-                responses[i] = error_response(
-                    request.request_id, request.kind, str(exc)
-                )
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                continue
-            key = request.cache_key() if self.cache_responses else None
-            if key is not None:
-                hit = self._cache_lookup(key, request)
-                if hit is not None:
-                    responses[i] = hit
-                    continue
-                j = by_key.get(key)
-                if j is not None:  # coalesce onto the in-flight submission
-                    jobs[j][0].append(i)
-                    continue
-                by_key[key] = len(jobs)
-            jobs.append(([i], request))
-            job_keys.append(key)
-
-        outcomes = self._submit_process_jobs(jobs)
-
-        retries: List[Tuple[List[int], RealizationRequest]] = []
-        for (indices, request), key, response in zip(jobs, job_keys, outcomes):
-            lead = indices[0]
-            responses[lead] = dataclasses.replace(
-                response, request_id=batch[lead].request_id
-            )
-            if response.verdict == "ERROR":
-                # Mirror the threaded single-flight semantics: an ERROR
-                # is never cached, so coalesced duplicates get their own
-                # real attempt instead of a copy of the failure.
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                    self._note_code_locked(response)
-                for i in indices[1:]:
-                    retries.append(([i], batch[i]))
-                continue
-            with self._cache_lock:
-                self.requests_handled.inc(len(indices))
-                self.requests_by_kind.labels(kind=request.kind).inc(
-                    len(indices)
-                )
-                self.coalesced_hits.inc(len(indices) - 1)
-                if key is not None:
-                    self._cache_store_locked(key, response)
-            for i in indices[1:]:
-                responses[i] = dataclasses.replace(
-                    response,
-                    request_id=batch[i].request_id,
-                    cached=True,
-                    elapsed_sec=0.0,
-                )
-        if retries:
-            for (indices, request), response in zip(
-                retries, self._submit_process_jobs(retries)
-            ):
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                    if self.cache_responses and response.verdict != "ERROR":
-                        self._cache_store_locked(request.cache_key(), response)
-                    self._note_code_locked(response)
-                responses[indices[0]] = dataclasses.replace(
-                    response, request_id=request.request_id
-                )
-        return responses  # type: ignore[return-value]
-
-    def _submit_process_jobs(
-        self, jobs: List[Tuple[List[int], RealizationRequest]]
-    ) -> List[RealizationResponse]:
-        """Submit jobs to the worker pool; recover from worker crashes.
-
-        A dead worker breaks the whole ``ProcessPoolExecutor``, failing
-        every in-flight future — so crash recovery retries the failed
-        jobs *serially* on a fresh pool: a deterministic crasher then
-        breaks only its own submission (and earns a typed
-        ``WORKER_CRASHED`` error), while its innocent co-victims
-        complete normally.
-        """
-        if not jobs:
-            return []
-        deadlines = [self._deadline_for(request) for _, request in jobs]
-        spans = [self._start_span(request) for _, request in jobs]
-        outcomes = self._run_process_jobs(jobs, deadlines, spans)
-        for span, outcome in zip(spans, outcomes):
-            if span is not None:
-                self._finish_span(span, outcome)
-        return outcomes
-
-    def _run_process_jobs(
-        self,
-        jobs: List[Tuple[List[int], RealizationRequest]],
-        deadlines: List[Optional[float]],
-        spans: List[Optional[Span]],
-    ) -> List[RealizationResponse]:
-        """The drain behind :meth:`_submit_process_jobs` (spans already
-        opened by the caller, which finishes them with the outcomes)."""
-        if self.breaker is not None and not self.breaker.allow():
-            # Breaker open: run the whole batch in-parent.  _execute is
-            # the same deterministic path the workers run, so responses
-            # stay field-identical — just slower (sequential).
-            with self._cache_lock:
-                self.degraded_handled.inc(len(jobs))
-            return [
-                self._execute(request, deadline, span=span)
-                for (_, request), deadline, span in zip(
-                    jobs, deadlines, spans
-                )
-            ]
-        try:
-            pool = self._ensure_process_pool()
-        except _ExecutorClosed:
-            return [
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                )
-                for _, request in jobs
-            ]
-        futures: List[Optional[Future]] = []
-        for (_, request), deadline, span in zip(jobs, deadlines, spans):
-            if deadline is not None and time.monotonic() >= deadline:
-                futures.append(None)  # expired before dispatch
-                continue
-            future = pool.submit(
-                _process_worker_run_wire,
-                request.to_wire(
-                    trace=span.context() if span is not None else None
-                ),
-                deadline,
-            )
-            self._watch(future, pool, deadline)
-            futures.append(future)
-        outcomes: List[Optional[RealizationResponse]] = [None] * len(jobs)
-        retry: List[int] = []
-        for j, future in enumerate(futures):
-            request = jobs[j][1]
-            if future is None:
-                outcomes[j] = error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired before dispatch",
-                    code="DEADLINE_EXCEEDED",
-                )
-                continue
-            try:
-                wire = future.result()
-                outcomes[j] = RealizationResponse.from_wire(wire)
-                if spans[j] is not None:
-                    columns = RealizationResponse.wire_spans(wire)
-                    if columns is not None:
-                        spans[j].adopt(decode_span_columns(columns))
-                self._watch_pop(future)
-                if self.breaker is not None:
-                    self.breaker.record_success()
-            except BrokenExecutor:
-                timed_out = self._watch_pop(future)
-                # Pool-identity guard (see _note_pool_break): never flag
-                # a replacement pool another thread already built.
-                self._note_pool_break(pool)
-                if spans[j] is not None:
-                    spans[j].child(
-                        "crash_recovery", attempt=1, timed_out=timed_out
-                    ).finish()
-                if timed_out:
-                    # Watchdog kill: this job is the culprit — typed
-                    # timeout, no retry (it would hang again).
-                    outcomes[j] = error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker exceeded its wall-clock bound and was "
-                        "killed by the watchdog",
-                        code="WORKER_TIMEOUT",
-                    )
-                else:
-                    retry.append(j)
-            except Exception as exc:  # transport/pickling failure
-                self._watch_pop(future)
-                outcomes[j] = error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                )
-        if retry:
-            with self._cache_lock:
-                self.worker_crashes.inc()
-        for j in retry:
-            outcomes[j] = self._retry_process_job(
-                jobs[j][1], deadlines[j], spans[j]
-            )
-        return outcomes  # type: ignore[return-value]
-
-    def _retry_process_job(
-        self,
-        request: RealizationRequest,
-        deadline: Optional[float],
-        span: Optional[Span] = None,
-    ) -> RealizationResponse:
-        """Serial crash recovery for one batch job, under the policy.
-
-        Attempts 2..max_attempts on fresh pools with the policy's
-        backoff between them; a deterministic crasher exhausts the
-        attempts and earns the typed ``WORKER_CRASHED``, a watchdog
-        victim stops early with ``WORKER_TIMEOUT``.  With tracing on,
-        each attempt is a ``crash_recovery`` child of ``span`` and the
-        retried worker's subtree lands under that attempt's span.
-        """
-        for attempt in range(2, self.retry_policy.max_attempts + 1):
-            with self._cache_lock:
-                self.retries.inc()
-            delay = self.retry_policy.delay_sec(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            if deadline is not None and time.monotonic() >= deadline:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired during crash recovery",
-                    code="DEADLINE_EXCEEDED",
-                )
-            try:
-                pool = self._ensure_process_pool()
-            except _ExecutorClosed:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                )
-            attempt_span = (
-                span.child("crash_recovery", attempt=attempt)
-                if span is not None
-                else None
-            )
-            future = pool.submit(
-                _process_worker_run_wire,
-                request.to_wire(
-                    trace=attempt_span.context()
-                    if attempt_span is not None
-                    else None
-                ),
-                deadline,
-            )
-            self._watch(future, pool, deadline)
-            try:
-                wire = future.result()
-                response = RealizationResponse.from_wire(wire)
-                if attempt_span is not None:
-                    columns = RealizationResponse.wire_spans(wire)
-                    if columns is not None:
-                        attempt_span.adopt(decode_span_columns(columns))
-                    attempt_span.finish(timed_out=False)
-                self._watch_pop(future)
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return response
-            except BrokenExecutor:
-                timed_out = self._watch_pop(future)
-                self._note_pool_break(pool)
-                if attempt_span is not None:
-                    attempt_span.finish(timed_out=timed_out)
-                if timed_out:
-                    return error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker exceeded its wall-clock bound and was "
-                        "killed by the watchdog",
-                        code="WORKER_TIMEOUT",
-                    )
-                with self._cache_lock:
-                    self.worker_crashes.inc()
-            except Exception as exc:
-                self._watch_pop(future)
-                if attempt_span is not None:
-                    attempt_span.finish()
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                )
-        return error_response(
-            request.request_id,
-            request.kind,
-            "worker process died while executing this request",
-            code="WORKER_CRASHED",
-        )
 
     def stats(self) -> Dict[str, Any]:
         """The counters — live, or the frozen close-time snapshot.

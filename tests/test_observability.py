@@ -444,6 +444,62 @@ class TestProcessTracing:
         for root in roots:
             assert root.find("worker") is not None
 
+    def test_single_request_batch_runs_in_a_pool_worker(self):
+        tracer = Tracer()
+        executor = BatchExecutor(
+            mode="processes", workers=2, pool=NetworkPool(), tracer=tracer
+        )
+        try:
+            (response,) = executor.run([req(request_id="solo")])
+        finally:
+            executor.close()
+        assert response.verdict == "REALIZED"
+        (root,) = tracer.drain()
+        worker = root.find("worker")
+        assert worker is not None and worker.parent_id == root.span_id
+        assert worker.tags["pid"] != root.tags["pid"]
+
+    def test_retried_worker_subtree_nests_under_its_attempt(self, monkeypatch):
+        # The crasher breaks the pool while the slow co-victim is in
+        # flight; the co-victim's retry runs on a fresh pool.
+        plan = FaultPlan([
+            FaultRule(action="crash", request_ids=("boom",)),
+            FaultRule(action="slow", request_ids=("victim",), delay_ms=300),
+        ])
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        faults.clear()
+        tracer = Tracer()
+        executor = BatchExecutor(
+            mode="processes", workers=2, pool=NetworkPool(), tracer=tracer,
+            cache_responses=False,
+        )
+        try:
+            futures = [
+                executor.submit(req(request_id="boom", seed=99)),
+                executor.submit(req(request_id="victim", seed=5)),
+            ]
+            out = [future.result(timeout=120) for future in futures]
+        finally:
+            executor.close()
+            faults.clear()
+        assert out[0].error_code == "WORKER_CRASHED"
+        assert out[1].verdict == "REALIZED"
+        roots = {root.tags["request_id"]: root for root in tracer.drain()}
+        victim = roots["victim"]
+        attempts = {
+            span.tags["attempt"]: span
+            for span in victim.children
+            if span.name == "crash_recovery"
+        }
+        assert attempts[1].tags["timed_out"] is False
+        assert attempts[1].children == []
+        retried = attempts[2]
+        assert [s.name for s in retried.walk()] == [
+            "crash_recovery", "worker", "pool.lease", "run", "rounds",
+        ]
+        assert retried.find("worker").parent_id == retried.span_id
+        assert victim.find("worker") is retried.find("worker")
+
     def test_crash_recovery_spans_typed(self, monkeypatch):
         plan = FaultPlan([FaultRule(action="crash", request_ids=("boom",))])
         monkeypatch.setenv(faults.ENV_VAR, plan.to_json())

@@ -429,9 +429,10 @@ class TestWordCacheBound:
     def test_shared_caches_evict_oldest_beyond_limit(self, monkeypatch):
         import repro.ncc.message as message_module
 
-        int_cache, scalar_cache = message_module.word_caches(48)
-        int_cache.clear()
-        int_cache.update({i: 1 for i in range(10)})
+        # Private caches: the shared ones hold whatever earlier tests
+        # left behind, and a stale scalar_cache would be trimmed too.
+        int_cache = {i: 1 for i in range(10)}
+        monkeypatch.setattr(message_module, "_WORD_CACHES", {48: (int_cache, {})})
         monkeypatch.setattr(message_module, "_WORD_CACHE_LIMIT", 8)
         before = message_module.word_cache_evictions(48)
         again_int, _ = message_module.word_caches(48)

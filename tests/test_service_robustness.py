@@ -442,6 +442,55 @@ class TestWatchdog:
             make_executor(watchdog_interval=0)
 
 
+CO_VICTIMS = ("v1", "v2", "v3")
+
+
+def crash_among_slow_co_victims(monkeypatch):
+    """A crasher submitted first, then three innocents slowed enough to
+    still be in flight when the crash breaks the pool."""
+    install_plan(
+        monkeypatch,
+        FaultRule(action="crash", request_ids=("boom",)),
+        FaultRule(action="slow", request_ids=CO_VICTIMS, delay_ms=300),
+    )
+    return [req(request_id="boom", seed=99)] + [
+        req(request_id=rid, seed=40 + i) for i, rid in enumerate(CO_VICTIMS)
+    ]
+
+
+class TestCrashRecoveryLane:
+    @pytest.mark.parametrize("entry", ["submit", "run"])
+    def test_crasher_breaks_only_its_own_retry(self, monkeypatch, entry):
+        batch = crash_among_slow_co_victims(monkeypatch)
+        with make_executor(cache_responses=False) as executor:
+            if entry == "submit":
+                futures = [executor.submit(request) for request in batch]
+                out = [future.result(timeout=120) for future in futures]
+            else:
+                out = executor.run(batch)
+            stats = executor.stats()
+        by_id = {r.request_id: r for r in out}
+        assert by_id["boom"].error_code == "WORKER_CRASHED"
+        for rid in CO_VICTIMS:
+            assert by_id[rid].verdict == "REALIZED", by_id[rid]
+        # One count per pool break: the first crash, then the crasher's
+        # own retry — which ran with no co-victim beside it.
+        assert stats["worker_crashes"] == 2
+        assert stats["breaker"]["failures_total"] == 2
+
+    def test_watchdog_kill_is_not_a_crash(self, monkeypatch):
+        install_plan(monkeypatch,
+                     FaultRule(action="hang", request_ids=("stuck",)))
+        with make_executor(cache_responses=False) as executor:
+            response = executor.submit(
+                req(request_id="stuck", seed=9, deadline_ms=300)
+            ).result(timeout=60)
+            stats = executor.stats()
+        assert response.error_code == "WORKER_TIMEOUT"
+        assert stats["worker_timeouts"] == 1
+        assert stats["worker_crashes"] == 0
+
+
 class TestBreakerDegrade:
     def test_open_degrade_probe_close_cycle(self, monkeypatch):
         install_plan(monkeypatch,

@@ -337,6 +337,53 @@ class TestSocketServe:
         assert (handled, errors) == (3, 1)
         assert executor.stats()["worker_crashes"] >= 1
 
+    def test_crash_among_pipelined_co_victims_spares_them(self, monkeypatch):
+        """A crash breaks the pool under three slow pipelined requests:
+        retried one at a time, every co-victim completes and only the
+        crasher's own retry breaks a second pool."""
+        co_victims = ("v1", "v2", "v3")
+        plan = FaultPlan([
+            FaultRule(action="crash", request_ids=("boom",)),
+            FaultRule(action="slow", request_ids=co_victims, delay_ms=300),
+        ])
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        faults.clear()
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                                 cache_responses=False, mode="processes",
+                                 workers=2)
+        lines = [line("boom", seed=99)] + [
+            line(rid, seed=i) for i, rid in enumerate(co_victims)
+        ]
+        try:
+            # Prime the pool before any socket exists (see above).
+            assert executor.submit(
+                req_of(line("prime", seed=77))
+            ).result(timeout=120).verdict == "REALIZED"
+
+            async def scenario():
+                server = await SocketServer(executor, port=0, window=8).start()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                for text in lines:  # pipelined: all four in flight at once
+                    await send(writer, text)
+                rows = [await recv(reader, timeout=120) for _ in lines]
+                await close(writer)
+                server.drain()
+                await server.wait_done()
+                return rows
+
+            rows = run(scenario(), timeout=300)
+            stats = executor.stats()
+        finally:
+            faults.clear()
+            executor.close()
+        assert [r["request_id"] for r in rows] == ["boom", *co_victims]
+        assert rows[0]["error_code"] == "WORKER_CRASHED"
+        for row in rows[1:]:
+            assert row["verdict"] == "REALIZED", row
+        assert stats["worker_crashes"] == 2
+
     def test_window_validation_matches_stdio_rule(self):
         executor = _BlockingExecutor()
         for bad in (0, -1, True, 2.5):
