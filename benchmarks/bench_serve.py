@@ -7,8 +7,8 @@ times, deterministic shuffle) is driven through three front ends, each
 on a *fresh* executor (so every mode pays the same cache misses):
 
 ``serve_direct``
-    The in-process baseline: ``executor.handle()`` per request on the
-    calling thread — no sockets, no event loop.  This is the ceiling the
+    The in-process baseline: a blocking ``executor.handle()`` per
+    request — no sockets, no event loop.  This is the ceiling the
     socket stack is measured against.
 
 ``serve_closed_loop``

@@ -18,18 +18,19 @@ the warm-path layers a long-lived service wants:
   service benchmark) and are marked ``cached=True``;
 * in-flight coalescing: concurrent identical requests (same cache key)
   wait on one execution instead of all running before the cache
-  populates — single-flight in the threaded drain, a follower list per
-  in-flight key on the process path.
+  populates — a follower list per in-flight key, resolved when the
+  leader's execution completes, in every mode.
 
-Three drain modes:
+Three drain modes; they differ only in where a cache miss executes:
 
 ``sequential`` (default)
-    One request at a time in the calling thread.
+    One request at a time, on the executor's in-parent lane: a single
+    thread.
 
 ``threads``
-    A ``ThreadPoolExecutor`` sharing the pool and caches.  Request
-    handling is pure Python, so threads buy overlap (and coalescing
-    pressure relief), not parallel speedup.
+    The in-parent lane grows to ``workers`` threads sharing the pool
+    and caches.  Request handling is pure Python, so threads buy
+    overlap (and coalescing pressure relief), not parallel speedup.
 
 ``processes``
     A ``ProcessPoolExecutor`` of persistent workers, each owning its
@@ -46,12 +47,15 @@ Three drain modes:
     pickled dataclasses.  ``benchmarks/bench_multiprocess.py`` records
     the process-vs-thread drain ratio.
 
-Every ``mode="processes"`` request goes through one asynchronous path,
-:meth:`BatchExecutor.submit` (a future per request): :meth:`run`
-submits a whole batch and gathers the futures in input order, and
-:func:`serve` uses it to *stream* — requests are submitted as their
-lines arrive and responses are emitted, in input order, as futures
-complete.
+Every request, in every mode, goes through one core,
+``BatchExecutor._submit`` (a future per request).  Validation failures,
+cache hits and journal replays resolve at once, in the caller's thread;
+a miss goes to the lane or the worker pool and resolves when it
+completes.  :meth:`BatchExecutor.handle` blocks on that future;
+:meth:`BatchExecutor.run` submits a whole batch and gathers the futures
+in input order (sequential mode handles one request at a time); and the
+serve front ends *stream* — requests are submitted as their lines
+arrive and responses are emitted, in input order, as futures complete.
 """
 
 from __future__ import annotations
@@ -568,9 +572,10 @@ class BatchExecutor:
         regeneration per request (the benchmark's cold mode).
     mode / workers:
         ``"sequential"``, ``"threads"`` or ``"processes"`` (+ worker
-        count) for :meth:`run`.  The process pool spins up lazily on the
-        first processes-mode :meth:`run` or :meth:`submit` and persists,
-        warm, until :meth:`close`.
+        count): where misses execute — the in-parent lane (one thread
+        for sequential, ``workers`` threads for threads) or a pool of
+        ``workers`` processes.  Lane and pool spin up lazily on the
+        first miss and persist, warm, until :meth:`close`.
     retry_policy:
         How pool-break victims are retried (defaults to
         :class:`~repro.service.robustness.RetryPolicy`'s two total
@@ -642,12 +647,10 @@ class BatchExecutor:
         self._response_cache: "OrderedDict[RealizationRequest, RealizationResponse]" = (
             OrderedDict()
         )
-        # One lock guards the cache, the in-flight tables and the counters
-        # (threads mode + the async submit path).
+        # One lock guards the cache, the follower table and the counters.
         self._cache_lock = threading.Lock()
-        self._in_flight: Dict[RealizationRequest, threading.Event] = {}
-        # submit(): key -> followers awaiting the in-flight execution.
-        self._in_flight_async: Dict[
+        # In-flight key -> followers awaiting the leader's execution.
+        self._followers: Dict[
             RealizationRequest, List[Tuple[RealizationRequest, Future]]
         ] = {}
         # Guards process-pool creation/replacement and the closed flag:
@@ -663,10 +666,11 @@ class BatchExecutor:
         self._stats_snapshot: Optional[Dict[str, Any]] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_pool_broken = False
-        # Degraded-mode runner (breaker open): a single thread executing
-        # requests in-parent so the async paths never block their
-        # callers.  Built lazily, torn down by close().
-        self._degraded_pool: Optional[ThreadPoolExecutor] = None
+        # The in-parent lane: the threads that execute misses in
+        # sequential/threads mode, and processes-mode work while the
+        # breaker is open, so no caller of _submit ever blocks on a run.
+        # Built lazily, torn down by close().
+        self._lane: Optional[ThreadPoolExecutor] = None
         # Hung-worker watchdog: in-flight pool futures -> _WatchEntry,
         # scanned by a daemon thread that SIGKILLs pools whose workers
         # outlive their bound (the resulting BrokenProcessPool drives
@@ -755,10 +759,10 @@ class BatchExecutor:
         self.metrics.register_collector("circuit_breaker", self._breaker_metrics)
         self.metrics.register_collector("engine_columnar", _engine_columnar_metrics)
         # Durability: with a journal attached, every request is written
-        # at admission and completion (handle and submit, which the
-        # processes-mode run() goes through, both funnel through it);
-        # duplicate submissions carrying an idempotency_key are answered
-        # from the journal's completed record without re-executing.
+        # at admission and completion (every entry point funnels through
+        # _submit); duplicate submissions carrying an idempotency_key
+        # are answered from the journal's completed record without
+        # re-executing.
         # None (default) keeps the hot path journal-free — a single
         # attribute check.
         self.journal = journal
@@ -783,7 +787,7 @@ class BatchExecutor:
     # ---------------------------------------------------------------- #
 
     def close(self) -> None:
-        """Shut down the persistent process pool (idempotent).
+        """Shut down the persistent process pool and lane (idempotent).
 
         In-flight async submissions resolve with an "executor closed"
         error envelope; a later ``run``/``submit``/``handle`` re-opens
@@ -800,7 +804,7 @@ class BatchExecutor:
                 self._stats_snapshot = snapshot
             pool, self._process_pool = self._process_pool, None
             self._process_pool_broken = False
-            degraded, self._degraded_pool = self._degraded_pool, None
+            lane, self._lane = self._lane, None
         with self._watch_lock:
             stop, self._watchdog_stop = self._watchdog_stop, None
             self._dispatch.clear()
@@ -808,10 +812,10 @@ class BatchExecutor:
             stop.set()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        if degraded is not None:
-            # wait (no cancel): queued degraded jobs hold futures that
+        if lane is not None:
+            # wait (no cancel): queued lane jobs hold futures that
             # clients are blocked on; they must resolve, not vanish.
-            degraded.shutdown(wait=True)
+            lane.shutdown(wait=True)
         if self.journal is not None:
             # Durability barrier at teardown: whatever the fsync policy,
             # a closed executor leaves nothing OS-buffered.
@@ -973,10 +977,10 @@ class BatchExecutor:
             self.breaker.record_failure()
 
     # ---------------------------------------------------------------- #
-    # Degraded execution (breaker open)                                #
+    # In-parent execution: the lane                                    #
     # ---------------------------------------------------------------- #
 
-    def _dispatch_degraded(
+    def _dispatch_lane(
         self,
         request: RealizationRequest,
         key: Optional[RealizationRequest],
@@ -984,30 +988,29 @@ class BatchExecutor:
         deadline: Optional[float],
         span: Optional["Span"] = None,
     ) -> None:
-        """Breaker open: run in-parent on the single degraded thread.
+        """Run one leader job in-parent, on the lane.
 
-        Responses are deterministic, so a degraded answer is
-        field-identical to a pooled one — the cost is lost parallelism,
-        which beats feeding a pool that keeps breaking.
+        Every miss takes this path in sequential/threads mode; in
+        processes mode only while the breaker is open.  Responses are
+        deterministic, so a lane answer is field-identical to a pooled
+        one — a degraded process drain loses parallelism, which beats
+        feeding a pool that keeps breaking.
         """
+        # Submitting under the pool lock orders this job against close():
+        # either it reaches the lane before close() takes the lane (and
+        # shutdown waits for it), or it sees the closed flag.
         with self._pool_lock:
-            closed = self._closed
-            if not closed:
-                if self._degraded_pool is None:
-                    self._degraded_pool = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="executor-degraded"
+            if not self._closed:
+                if self._lane is None:
+                    self._lane = ThreadPoolExecutor(
+                        max_workers=self.workers if self.mode == "threads" else 1,
+                        thread_name_prefix="executor-lane",
                     )
-                runner = self._degraded_pool
-        if closed:
-            self._finish_closed(request, key, out, span)
-            return
-        with self._cache_lock:
-            self.degraded_handled.inc()
-        if span is not None:
-            span.tag("degraded", True)
-        runner.submit(self._run_degraded, request, key, out, deadline, span)
+                self._lane.submit(self._run_lane, request, key, out, deadline, span)
+                return
+        self._finish_closed(request, key, out, span)
 
-    def _run_degraded(
+    def _run_lane(
         self,
         request: RealizationRequest,
         key: Optional[RealizationRequest],
@@ -1060,7 +1063,8 @@ class BatchExecutor:
         ``elapsed_sec`` is measured inside the run (worker-side for the
         process drain — the monotonic clock is system-wide), so
         ``total - elapsed`` is the honest everything-before-execution
-        remainder: admission, coalescing waits, pool queueing, IPC.
+        remainder: admission, coalescing waits, lane or pool queueing,
+        IPC.
         """
         execution = 0.0
         if response is not None and response.elapsed_sec:
@@ -1107,15 +1111,13 @@ class BatchExecutor:
         self,
         key: RealizationRequest,
         request: RealizationRequest,
-        coalesced: bool = False,
     ) -> Optional[RealizationResponse]:
         """LRU lookup; on a hit, counts the request as handled and
         returns the response re-enveloped for ``request``.
 
-        ``coalesced`` hits (the request waited on an identical in-flight
-        execution) are counted separately from direct cache hits — the
-        two counters are disjoint, as in :meth:`_finish_async`, which
-        counts the process path's followers.
+        Direct cache hits are counted apart from coalesced followers
+        (:meth:`_finish_async` counts those) — the two counters are
+        disjoint.
         """
         with self._cache_lock:
             hit = self._response_cache.get(key)
@@ -1124,10 +1126,7 @@ class BatchExecutor:
             self._response_cache.move_to_end(key)
             self.requests_handled.inc()
             self.requests_by_kind.labels(kind=request.kind).inc()
-            if coalesced:
-                self.coalesced_hits.inc()
-            else:
-                self.response_cache_hits.inc()
+            self.response_cache_hits.inc()
         return dataclasses.replace(
             hit,
             request_id=request.request_id,
@@ -1262,100 +1261,19 @@ class BatchExecutor:
         request: RealizationRequest,
         session: Optional[Tuple[str, int]] = None,
     ) -> RealizationResponse:
-        """One request through the full warm path: validate, consult the
-        cache, coalesce onto an identical in-flight execution, or run.
+        """One request, blocking: :meth:`_submit` it and wait for the
+        answer.
 
-        A request carrying ``deadline_ms`` starts its wall clock here
-        (arrival), so time spent waiting on a coalesced leader counts
-        against the deadline too.
-
-        With a journal attached the request is journaled at admission
-        (before any work, tagged with its ``session`` slot when the
-        socket server supplies one) and again at completion; duplicate
-        submissions with a known ``idempotency_key`` short-circuit to
-        the journaled response.
+        The same core every entry point shares: replay a journaled
+        duplicate, validate, consult the cache, coalesce onto an
+        identical in-flight execution, or run the miss on the lane (in
+        processes mode, the worker pool).  A request carrying
+        ``deadline_ms`` starts its wall clock here.  ``session`` tags
+        the journal's admitted record with a socket session slot.
         """
-        if self.journal is not None:
-            replayed = self._journal_replay(request)
-            if replayed is not None:
-                return replayed
-            jseq = self._journal_admit(request, session)
-            # ERROR envelopes complete too: the journal records what was
-            # *answered*, not just what succeeded — a replayed session
-            # must see the same stream.  If the core raises (it returns
-            # error envelopes instead, so this means a genuine crash)
-            # the record stays incomplete and recovery re-executes it.
-            response = self._handle_core(request)
-            self.journal.append_completed(jseq, response)
-            return response
-        return self._handle_core(request)
-
-    def _handle_core(self, request: RealizationRequest) -> RealizationResponse:
         if self._closed:  # cheap unlocked read; re-opening is rare
             self._reopen()
-        started = time.perf_counter()
-        key: Optional[RealizationRequest] = None
-        leader = False
-        span = self._start_span(request)
-        response: Optional[RealizationResponse] = None
-        try:
-            try:
-                request.validate()
-            except ServiceError as exc:
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                response = error_response(
-                    request.request_id, request.kind, str(exc)
-                )
-                return response
-            deadline = self._deadline_for(request)
-            if self.cache_responses:
-                key = request.cache_key()
-                hit = self._cache_lookup(key, request)
-                if hit is not None:
-                    response = hit
-                    return hit
-                # Single-flight: exactly one thread computes a key;
-                # identical concurrent requests wait and then read
-                # the cache.  A leader that failed (ERROR responses
-                # are not cached) leaves followers to retry the
-                # election so the request still gets a real attempt.
-                while True:
-                    with self._cache_lock:
-                        flight = self._in_flight.get(key)
-                        if flight is None:
-                            self._in_flight[key] = threading.Event()
-                            leader = True
-                            break
-                    flight.wait()
-                    hit = self._cache_lookup(key, request, coalesced=True)
-                    if hit is not None:
-                        response = hit
-                        return hit
-            response = self._execute(request, deadline, span=span)
-            with self._cache_lock:
-                self.requests_handled.inc()
-                self.requests_by_kind.labels(kind=request.kind).inc()
-                self._note_code_locked(response)
-                # Cache successful computations only: an ERROR may reflect
-                # a transient environment failure (e.g. memory pressure),
-                # which must not be replayed forever for a deterministic
-                # key.
-                if key is not None and response.verdict != "ERROR":
-                    self._cache_store_locked(key, response)
-            return response
-        finally:
-            if leader:
-                with self._cache_lock:
-                    event = self._in_flight.pop(key, None)
-                if event is not None:
-                    event.set()
-            total = time.perf_counter() - started
-            self.latency.record(total)
-            self._observe_stages(total, response)
-            if span is not None:
-                self._finish_span(span, response)
+        return self._submit(request, Future(), session=session).result()
 
     def handle_dict(self, payload: Mapping[str, Any]) -> RealizationResponse:
         """Parse + handle one JSON-style request dict."""
@@ -1365,32 +1283,28 @@ class BatchExecutor:
         return self.handle(parsed)
 
     # ---------------------------------------------------------------- #
-    # The process path: asynchronous single requests                  #
+    # The request core: asynchronous single requests                   #
     # ---------------------------------------------------------------- #
 
     def submit(self, request: RealizationRequest) -> "Future":
         """One request, asynchronously: a ``Future[RealizationResponse]``.
 
-        The one path every processes-mode request takes: :meth:`run`
-        submits a batch and gathers the futures, and the streaming serve
-        front ends submit each request as its line arrives and emit
-        responses as the futures complete.  Semantics mirror
-        :meth:`handle`: validation failures and cache hits resolve
+        Validation failures, cache hits and journal replays resolve
         immediately; identical concurrent requests coalesce onto one
         in-flight execution (followers resolve to ``cached=True``
         copies; failures are never shared — each follower then gets its
         own attempt); the victims of a pool break retry one at a time
         on fresh pools (:meth:`_retry_async`), so a crashing worker
         earns only its own request a typed ``WORKER_CRASHED`` error.
-        In ``sequential``/``threads`` mode the request executes in the
-        calling thread and an already-completed future comes back.
+        In ``processes`` mode a miss's future comes back pending; in
+        ``sequential``/``threads`` mode ``submit`` waits for the lane,
+        like :meth:`handle`, and an already-completed future comes back.
         """
-        out: Future = Future()
-        if self.mode != "processes":
-            out.set_result(self.handle(request))
-            return out
         self._reopen()  # public entry re-opens after close()
-        return self._submit(request, out)
+        out = self._submit(request, Future())
+        if self.mode != "processes":
+            out.result()
+        return out
 
     def _submit(
         self,
@@ -1399,41 +1313,28 @@ class BatchExecutor:
         deadline: Optional[float] = None,
         session: Optional[Tuple[str, int]] = None,
     ) -> "Future":
-        """The :meth:`submit` body without the re-open: internal callers
-        (the streaming serve pump) must not resurrect a closed executor
-        — a racing ``close()`` resolves their futures with the closed
-        envelope instead.  ``deadline`` lets front ends stamp arrival
-        time themselves (the socket server stamps at admission); by
-        default the request's ``deadline_ms`` clock starts here."""
-        if self.journal is not None:
+        """The one request core, without the re-open: internal callers
+        (the serve front ends) must not resurrect a closed executor — a
+        racing ``close()`` resolves their futures with the closed
+        envelope instead.
+
+        Returns ``out``.  A journal replay, a validation failure or a
+        cache hit resolves it before returning, in the caller's thread;
+        a miss resolves it later, from the lane or the pool's callback
+        thread.  ``deadline`` lets front ends stamp arrival time
+        themselves (the socket server stamps at admission); by default
+        the request's ``deadline_ms`` clock starts here.
+        """
+        journal = self.journal
+        jseq = 0
+        if journal is not None:
             replayed = self._journal_replay(request)
             if replayed is not None:
                 out.set_result(replayed)
                 return out
             jseq = self._journal_admit(request, session)
-            journal = self.journal
-
-            def _journal_done(f: "Future") -> None:
-                try:  # CancelledError is a BaseException since 3.8
-                    response = f.result(timeout=0)
-                except BaseException:
-                    return  # no response answered -> stays incomplete
-                journal.append_completed(jseq, response)
-
-            out.add_done_callback(_journal_done)
         started = time.perf_counter()
         span = self._start_span(request)
-
-        def _record(f: "Future") -> None:
-            total = time.perf_counter() - started
-            self.latency.record(total)
-            try:  # CancelledError is a BaseException since 3.8
-                response = f.result(timeout=0)
-            except BaseException:
-                response = None
-            self._observe_stages(total, response)
-
-        out.add_done_callback(_record)
         try:
             request.validate()
         except ServiceError as exc:
@@ -1443,33 +1344,68 @@ class BatchExecutor:
             response = error_response(request.request_id, request.kind, str(exc))
             if span is not None:
                 self._finish_span(span, response)
-            out.set_result(response)
+            self._settle(out, started, response, journal, jseq)
             return out
-        if deadline is None:
-            deadline = self._deadline_for(request)
         key = request.cache_key() if self.cache_responses else None
         if key is not None:
             hit = self._cache_lookup(key, request)
             if hit is not None:
                 if span is not None:
                     self._finish_span(span, hit)
-                out.set_result(hit)
+                self._settle(out, started, hit, journal, jseq)
                 return out
+        # The execution machinery resolves this inner future; settling
+        # ``out`` from its callback puts the bookkeeping first.
+        pending: Future = Future()
+        pending.add_done_callback(
+            lambda done: self._settle(out, started, done.result(), journal, jseq)
+        )
+        if key is not None:
             with self._cache_lock:
-                followers = self._in_flight_async.get(key)
+                followers = self._followers.get(key)
                 if followers is not None:
-                    followers.append((request, out))
+                    followers.append((request, pending))
                     if span is not None:
                         # Followers ride their leader's execution; their
                         # own span covers admission only.
                         span.tag("coalesced", True)
                         self._finish_span(span, None)
                     return out
-                self._in_flight_async[key] = []
+                self._followers[key] = []
+        if deadline is None:
+            deadline = self._deadline_for(request)
         self._submit_async(
-            request, key, out, attempt=1, deadline=deadline, span=span
+            request, key, pending, attempt=1, deadline=deadline, span=span
         )
         return out
+
+    def _settle(
+        self,
+        out: "Future",
+        started: float,
+        response: RealizationResponse,
+        journal: Optional[RequestJournal],
+        jseq: int,
+    ) -> None:
+        """Record one answered request, then resolve its future.
+
+        The latency samples and the journal completion land *before*
+        ``out`` resolves, so whoever it wakes (:meth:`handle`, a
+        gathering :meth:`run`, the socket emitter) sees counters that
+        include this request and never a response whose completion is
+        not journaled yet.  ERROR envelopes complete too: the journal
+        records what was *answered* — a replayed session must see the
+        same stream.  A future its caller cancelled (a dead stdio
+        writer) was never answered, so its record stays incomplete.
+        """
+        total = time.perf_counter() - started
+        self.latency.record(total)
+        self._observe_stages(total, response)
+        try:
+            if journal is not None and not out.cancelled():
+                journal.append_completed(jseq, response)
+        finally:
+            _resolve_future(out, response)
 
     def _submit_async(
         self,
@@ -1480,7 +1416,9 @@ class BatchExecutor:
         deadline: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> Optional["Future"]:
-        """Ship one leader job to the worker pool (wire-encoded).
+        """Dispatch one leader job: to the lane in sequential/threads
+        mode or while the breaker is open, else to the worker pool
+        (wire-encoded).
 
         ``attempt`` is 1-based; a pool break queues the job for attempt
         ``attempt+1`` (:meth:`_retry_async`) until
@@ -1489,7 +1427,7 @@ class BatchExecutor:
         subtree comes back attached to the response — from the second
         attempt on, under that attempt's own ``crash_recovery`` span.
         Returns the pool future, or ``None`` if the job was answered
-        (or handed to the degraded runner) without reaching the pool.
+        (or handed to the lane) without reaching the pool.
         """
         if deadline is None and request.deadline_ms is not None:
             # Follower resubmissions arrive without their leader's
@@ -1509,8 +1447,16 @@ class BatchExecutor:
                 span=span,
             )
             return None
+        if self.mode != "processes":
+            self._dispatch_lane(request, key, out, deadline, span)
+            return None
         if self.breaker is not None and not self.breaker.allow():
-            self._dispatch_degraded(request, key, out, deadline, span)
+            # Breaker open: degrade to the lane.
+            with self._cache_lock:
+                self.degraded_handled.inc()
+            if span is not None:
+                span.tag("degraded", True)
+            self._dispatch_lane(request, key, out, deadline, span)
             return None
         pool = None
         attempt_span = span
@@ -1729,7 +1675,7 @@ class BatchExecutor:
         if response.verdict != "ERROR":
             with self._cache_lock:
                 if key is not None:
-                    followers = self._in_flight_async.pop(key, [])
+                    followers = self._followers.pop(key, [])
                 self.requests_handled.inc(1 + len(followers))
                 self.requests_by_kind.labels(kind=request.kind).inc(
                     1 + len(followers)
@@ -1753,7 +1699,7 @@ class BatchExecutor:
         else:
             with self._cache_lock:
                 if key is not None:
-                    followers = self._in_flight_async.pop(key, [])
+                    followers = self._followers.pop(key, [])
                 # Followers resolved here (executor closed) still count
                 # as handled — stats must agree with the number of
                 # responses actually emitted; resubmitted followers are
@@ -1776,15 +1722,14 @@ class BatchExecutor:
                         ),
                     )
                 return
-            # Failures are never shared (as with handle()'s
-            # single-flight): each coalesced follower gets its own
-            # independent attempt.  The retry runs with key=None — fully
-            # detached from the in-flight table, so an orphan completion
-            # can never pop (and steal) the follower list of a *newer*
-            # leader that registered the same key in the meantime.  The
-            # detached run skips the response cache; by determinism a
-            # follower of a failed leader almost always fails too, and
-            # errors are never cached anyway.
+            # Failures are never shared: each coalesced follower gets
+            # its own independent attempt.  The retry runs with key=None
+            # — fully detached from the follower table, so an orphan
+            # completion can never pop (and steal) the follower list of
+            # a *newer* leader that registered the same key in the
+            # meantime.  The detached run skips the response cache; by
+            # determinism a follower of a failed leader almost always
+            # fails too, and errors are never cached anyway.
             for follower_request, follower_out in followers:
                 self._submit_async(follower_request, None, follower_out)
 
@@ -1805,19 +1750,18 @@ class BatchExecutor:
     def run(self, requests: Iterable[RealizationRequest]) -> List[RealizationResponse]:
         """Drain a batch, preserving request order in the responses.
 
-        In ``processes`` mode every request goes through :meth:`submit`
-        — the same cache, coalescing, crash-recovery, journal and
-        tracing path the serve front ends stream through — and the
-        futures are gathered in input order.
+        Every request goes through the one core — the same cache,
+        coalescing, crash-recovery, journal and tracing path the serve
+        front ends stream through.  ``sequential`` handles one request
+        at a time; the other modes submit the whole batch and gather the
+        futures in input order.
         """
         batch = list(requests)
-        if self.mode == "processes":
-            futures = [self.submit(request) for request in batch]
-            return [future.result() for future in futures]
-        if self.mode == "threads" and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as tpe:
-                return list(tpe.map(self.handle, batch))
-        return [self.handle(request) for request in batch]
+        self._reopen()  # public entry re-opens after close()
+        if self.mode == "sequential":
+            return [self.handle(request) for request in batch]
+        futures = [self._submit(request, Future()) for request in batch]
+        return [future.result() for future in futures]
 
     def stats(self) -> Dict[str, Any]:
         """The counters — live, or the frozen close-time snapshot.
@@ -1902,8 +1846,9 @@ class BatchExecutor:
             response = journal.replay_idempotent(request)
             if response is None:
                 # Re-execute without re-journaling a second admission:
-                # recovery runs single-threaded before serving starts,
-                # so detaching the journal around the core is safe.
+                # recovery runs one blocking handle() at a time before
+                # serving starts, and the core reads the journal once,
+                # at admission, so detaching it around the call is safe.
                 self.journal = None
                 try:
                     response = self.handle(request)

@@ -11,6 +11,13 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   :class:`~repro.service.api.RealizationResponse` dicts.  The executor's
   cache/coalescing layers sit behind the socket unchanged, so responses
   are bit-identical to the stdio and ``run()`` paths.
+* **One admission path.**  Every request enters the executor's request
+  core (``BatchExecutor._submit``) on the event loop, in every mode.
+  Cache hits, journal replays and validation errors come back already
+  answered and are queued for emission at once, holding no window slot;
+  misses run on the executor's in-parent lane (sequential/threads) or
+  its process pool and stream back when done.  A request's
+  ``deadline_ms`` clock starts at admission.
 * **Per-connection in-order streaming.**  Every connection owns a FIFO
   of pending items; a response is written as soon as its future
   completes *and* every earlier response on that connection has been
@@ -61,7 +68,7 @@ import secrets
 import signal
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE
@@ -278,7 +285,6 @@ class SocketServer:
         self._conn_tasks: "Set[asyncio.Task]" = set()
         self._draining = False
         self._server: Optional[asyncio.base_events.Server] = None
-        self._threads: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._done: Optional[asyncio.Event] = None
         # Session resume: token -> _Session, optionally seeded from a
@@ -312,14 +318,6 @@ class SocketServer:
         registry = getattr(self.executor, "metrics", None)
         if registry is not None:
             registry.register_collector("server", self._server_metrics)
-        if self.executor.mode != "processes":
-            # handle() blocks — it must never run on the event loop.  A
-            # sequential executor keeps its semantics behind exactly one
-            # thread; a threads executor gets its own worker count.
-            workers = 1 if self.executor.mode == "sequential" else self.executor.workers
-            self._threads = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="socket-serve"
-            )
         self._server = await asyncio.start_server(
             self._client_connected, host=self.host, port=self.port
         )
@@ -329,8 +327,7 @@ class SocketServer:
     def drain(self) -> None:
         """Begin graceful shutdown (idempotent, callable from signal
         handlers): stop accepting, reject new requests, let in-flight
-        work finish and flush, then release the worker threads and wake
-        :meth:`wait_done`."""
+        work finish and flush, then wake :meth:`wait_done`."""
         if self._draining:
             return
         self._draining = True
@@ -355,8 +352,6 @@ class SocketServer:
             await asyncio.sleep(0.01)
         if self._server is not None:
             await self._server.wait_closed()
-        if self._threads is not None:
-            self._threads.shutdown(wait=True)
         assert self._done is not None
         self._done.set()
 
@@ -583,7 +578,9 @@ class SocketServer:
         rejection beyond it.  Rejected requests are never executed; the
         rejection carries a deterministic ``retry_after_ms`` hint
         (:func:`retry_after_hint`, from window occupancy) in ``detail``
-        so clients pace their resubmission."""
+        so clients pace their resubmission.  An admitted request already
+        answered by ``_submit`` goes straight to the FIFO; only a miss
+        holds a window slot until its future completes."""
         if self._draining:
             self.rejected += 1
             return self._immediate(
@@ -619,11 +616,9 @@ class SocketServer:
                 ),
                 conn,
             )
-        self._inflight += 1
-        conn.inflight += 1
         # Deadlines are stamped at admission — queue time behind the
-        # thread/process pool counts against the client's budget, like
-        # any real RPC deadline.
+        # lane or the process pool counts against the client's budget,
+        # like any real RPC deadline.
         deadline: Optional[float] = None
         if getattr(request, "deadline_ms", None) is not None:
             deadline = time.monotonic() + request.deadline_ms / 1000.0
@@ -642,28 +637,22 @@ class SocketServer:
             sidx = conn.session.next_index
             conn.session.next_index += 1
             slot = (conn.session.token, sidx)
-        if self.executor.mode == "processes":
-            # The async pool path — and deliberately the non-reopening
-            # _submit: a racing close() must resolve the future, not
-            # resurrect the pool.
-            if slot is not None:
-                cfut = self.executor._submit(
-                    request, Future(), deadline=deadline, session=slot
-                )
-            else:
-                cfut = self.executor._submit(request, Future(), deadline=deadline)
+        # Deliberately the non-reopening _submit: a racing close() must
+        # resolve the future, not resurrect the executor's lane or pool.
+        cfut = self.executor._submit(
+            request, Future(), deadline=deadline, session=slot
+        )
+        if cfut.done():
+            item: Any = cfut.result()
         else:
-            assert self._threads is not None
-            if slot is not None:
-                cfut = self._threads.submit(self.executor.handle, request, slot)
-            else:
-                cfut = self._threads.submit(self.executor.handle, request)
-        cfut.add_done_callback(lambda _f, c=conn: self._release_threadsafe(c))
-        wrapped = asyncio.wrap_future(cfut, loop=self._loop)
+            self._inflight += 1
+            conn.inflight += 1
+            cfut.add_done_callback(lambda _f, c=conn: self._release_threadsafe(c))
+            item = asyncio.wrap_future(cfut, loop=self._loop)
         if sidx is None:
-            return wrapped
+            return item
         assert conn.session is not None
-        return _Indexed(sidx, wrapped, conn.session)
+        return _Indexed(sidx, item, conn.session)
 
     def _release_threadsafe(self, conn: _Connection) -> None:
         try:

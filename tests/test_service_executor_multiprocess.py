@@ -11,6 +11,7 @@ typed ``BUDGET_EXCEEDED`` error envelope.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 
 import pytest
@@ -259,6 +260,51 @@ class TestThreadedCoalescing:
         out = executor.run(bad)
         assert all(r.verdict == "ERROR" for r in out)
         assert executor.stats()["response_cache_hits"] == 0  # errors not cached
+
+    def test_concurrent_batches_keep_every_counter_whole(self):
+        """Four batches racing through one threads-mode core (lane wider
+        than the cores, short switch interval): every answer is counted
+        once, and its latency sample lands before its future resolves."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                                 mode="threads", workers=4)
+        seeds = (1, 2, 3)
+        batches = [
+            [req(kind="tree", scenario="tree_random", n=16, seed=seeds[i % 3],
+                 request_id=f"t{t}-{i}") for i in range(12)]
+            for t in range(4)
+        ]
+        answers = [None] * len(batches)
+
+        def drain(t):
+            answers[t] = executor.run(batches[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drain, args=(t,))
+                       for t in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            stats = executor.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+        assert not any(thread.is_alive() for thread in threads)
+        rows = [r for batch in answers for r in batch]
+        total = len(rows)
+        assert total == 48
+        executions = sum(1 for r in rows if not r.cached)
+        assert stats["requests_handled"] == total
+        assert (stats["response_cache_hits"] + stats["coalesced_hits"]
+                + executions) == total
+        assert stats["latency"]["count"] == total
+        assert stats["latency_stages"]["queue_wait"]["count"] == total
+        for seed in seeds:
+            same = [r for batch, rows_ in zip(batches, answers)
+                    for q, r in zip(batch, rows_) if q.seed == seed]
+            assert len({r.fingerprint() for r in same}) == 1
 
 
 class TestRoundBudget:

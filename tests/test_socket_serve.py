@@ -99,8 +99,30 @@ class _BlockingExecutor:
             ok=True, verdict="REALIZED",
         )
 
+    def _submit(self, request, out, deadline=None, session=None):
+        threading.Thread(
+            target=lambda: out.set_result(self.handle(request)), daemon=True
+        ).start()
+        return out
+
     def stats(self):
         return {"stub": True}
+
+
+def block_execute(executor, request_id):
+    """Hold ``request_id``'s run inside the executor's ``_execute`` until
+    the returned ``release`` event is set; ``started`` fires on entry."""
+    started, release = threading.Event(), threading.Event()
+    execute = executor._execute
+
+    def blocking(request, *args, **kwargs):
+        if request.request_id == request_id:
+            started.set()
+            assert release.wait(timeout=60), "test never released the run"
+        return execute(request, *args, **kwargs)
+
+    executor._execute = blocking
+    return started, release
 
 
 class TestSocketServe:
@@ -295,6 +317,115 @@ class TestSocketServe:
         assert srv["connections"] == 1
         assert srv["handled"] == 1  # the realization; stats not yet emitted
         assert srv["rejected"] == 0 and srv["draining"] is False
+
+    def test_deadline_clock_starts_at_admission(self):
+        """A request queued behind a long miss on a sequential server
+        spends its deadline in the queue: it expires typed, instead of
+        starting a fresh clock when the lane reaches it."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        started, release = block_execute(executor, "slow")
+        late = json.dumps({
+            "request_id": "late", "kind": "tree", "scenario": "tree_random",
+            "n": 10, "seed": 2, "deadline_ms": 100,
+        })
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=8).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, line("slow", n=12, seed=1))
+            await send(writer, late)
+            while not started.is_set():
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.3)  # well past "late"'s 100 ms budget
+            release.set()
+            rows = [await recv(reader) for _ in range(2)]
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows
+
+        try:
+            rows = run(scenario())
+        finally:
+            release.set()
+            executor.close()
+        assert [r["request_id"] for r in rows] == ["slow", "late"]
+        assert rows[0]["verdict"] == "REALIZED"
+        assert (rows[1]["verdict"], rows[1].get("error_code")) == (
+            "ERROR", "DEADLINE_EXCEEDED"
+        )
+        assert executor.stats()["deadline_exceeded"] == 1
+
+    def test_queue_wait_counts_the_wait_for_the_lane(self):
+        """latency_stages splits each request's time at admission: the
+        request pipelined behind a real miss reports that wait."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        slow = json.dumps({
+            "request_id": "slow", "kind": "degree_implicit",
+            "scenario": "regular", "n": 32, "seed": 1,
+            "sort_fidelity": "full",
+        })
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=8).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write((slow + "\n" + line("next", n=12, seed=3) + "\n").encode())
+            await writer.drain()
+            rows = [await recv(reader) for _ in range(2)]
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows
+
+        try:
+            rows = run(scenario())
+            queue_wait = executor.stats()["latency_stages"]["queue_wait"]
+        finally:
+            executor.close()
+        assert [r["verdict"] for r in rows] == ["REALIZED", "REALIZED"]
+        assert queue_wait["count"] == 2
+        # Nearest-rank p99 of two samples is the larger: "next"'s wait.
+        assert queue_wait["p99_ms"] >= 0.5 * rows[0]["elapsed_sec"] * 1000.0
+
+    def test_cache_hit_does_not_wait_behind_a_miss(self):
+        """A sequential server answers a cache hit on the event loop
+        while its one lane thread is busy with another client's miss."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        assert executor.handle(req_of(line("warm", n=12, seed=5))).verdict == (
+            "REALIZED"
+        )
+        started, release = block_execute(executor, "miss")
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=8).start()
+            reader_a, writer_a = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            reader_b, writer_b = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            await send(writer_a, line("miss", n=12, seed=6))
+            while not started.is_set():
+                await asyncio.sleep(0.01)
+            await send(writer_b, line("hit", n=12, seed=5))
+            hit = await recv(reader_b, timeout=10)
+            released_before_hit = release.is_set()
+            release.set()
+            miss = await recv(reader_a)
+            await close(writer_a)
+            await close(writer_b)
+            server.drain()
+            await server.wait_done()
+            return hit, miss, released_before_hit
+
+        try:
+            hit, miss, released_before_hit = run(scenario())
+        finally:
+            release.set()
+            executor.close()
+        assert hit["request_id"] == "hit" and hit["cached"] is True
+        assert not released_before_hit
+        assert miss["request_id"] == "miss" and miss["verdict"] == "REALIZED"
 
     def test_worker_crash_mid_connection_is_typed_and_recovers(self, monkeypatch):
         plan = FaultPlan([FaultRule(action="crash", request_ids=("boom",))])
