@@ -17,20 +17,6 @@ hits both), each rep runs with GC paused, and the best rep per engine is
 reported.  The replayed metrics are asserted bit-identical between
 engines on every run — throughput numbers are only comparable because
 the work is provably the same.
-
-Since PR 10 each workload also measures the **columnar-native** round
-path: the same stream in its two wire forms — per-message object
-columns (decode builds one ``Message`` per entry, then the object lane
-delivers) versus a :class:`~repro.ncc.wire.ColumnarRoundBatch` blob
-carrying its word column (decode builds *no* objects; the columnar lane
-checks caps as counting passes and hands out lazy
-``ColumnarInbox`` slices).  Both timed regions cover the full
-wire-arrival -> delivered-inboxes trip, so the ratio
-(``columnar_speedup_vs_fast``) prices exactly what the columnar
-representation removes: per-message construction at the boundary and
-per-message size re-accounting (the word column rides the wire).  A
-``tracemalloc`` pass records each form's peak allocation over one
-replay.  All four replay modes assert bit-identical ``RoundStats``.
 """
 
 from __future__ import annotations
@@ -38,11 +24,9 @@ from __future__ import annotations
 import gc
 import random
 import time
-import tracemalloc
 
 from common import Experiment, make_net
 from repro.ncc.network import RoundPlan
-from repro.ncc.wire import ColumnarRoundBatch, _decode_messages, _encode_messages
 from repro.primitives.bbst import build_bbst
 from repro.primitives.collection import global_collect
 from repro.primitives.protocol import run_protocol
@@ -53,11 +37,6 @@ from repro.primitives.sorting import distributed_sort
 TARGET_SPEEDUP = 3.0
 #: Shape gate for EXPERIMENTS.md: robust to noisy shared machines.
 SHAPE_SPEEDUP = 2.0
-#: Columnar-native gate (PR 10): the wire->inboxes trip on columnar
-#: batches must beat the object-decode fast path by this factor on
-#: every workload.  ``run_experiments.py --check`` enforces it as a
-#: fresh-run property.
-COLUMNAR_TARGET_SPEEDUP = 1.25
 
 
 def _record(n: int, seed: int, proto_factory):
@@ -67,7 +46,7 @@ def _record(n: int, seed: int, proto_factory):
     original_deliver = net.deliver
 
     def recording_deliver(plan):
-        plans.append(list(plan._sends))
+        plans.append(list(plan.sends))
         return original_deliver(plan)
 
     net.deliver = recording_deliver
@@ -120,79 +99,13 @@ def _replay_once(n: int, seed: int, plans, engine: str):
     try:
         start = time.process_time()
         for sends in plans:
-            shell._sends = sends
+            shell.sends = sends
             deliver(shell)
         elapsed = time.process_time() - start
     finally:
         if gc_was_enabled:
             gc.enable()
     return elapsed, net.messages_delivered, net.stats()
-
-
-def _wire_forms(plans, word_bits: int):
-    """The recorded stream in both wire forms.
-
-    Objects: ``(srcs, dsts, message-columns)`` — decoding constructs one
-    ``Message`` per entry (the pre-columnar arrival path).  Columnar:
-    ``ColumnarRoundBatch`` blobs carrying the word column (sender-side
-    accounting, computed once; a shipped column is never re-sized).
-    """
-    obj_blobs = []
-    col_blobs = []
-    for sends in plans:
-        obj_blobs.append(
-            (
-                [src for src, _, _ in sends],
-                [dst for _, dst, _ in sends],
-                _encode_messages([m for _, _, m in sends]),
-            )
-        )
-        batch = ColumnarRoundBatch.from_sends(sends, keep_messages=False)
-        batch.ensure_words(word_bits)
-        col_blobs.append(batch.to_wire())
-    return obj_blobs, col_blobs
-
-
-def _replay_wire(n: int, seed: int, blobs, columnar: bool):
-    """One timed wire->inboxes replay on the fast engine.
-
-    Decode is inside the timed region for both forms — that boundary is
-    where the columnar representation's savings live.
-    """
-    net = make_net(n, seed=seed, engine="fast")
-    deliver = net.engine.deliver
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        if columnar:
-            start = time.process_time()
-            for blob in blobs:
-                deliver(
-                    RoundPlan.from_batch(ColumnarRoundBatch.from_wire(blob))
-                )
-            elapsed = time.process_time() - start
-        else:
-            shell = RoundPlan()
-            start = time.process_time()
-            for srcs, dsts, mcols in blobs:
-                shell._sends = list(zip(srcs, dsts, _decode_messages(mcols)))
-                deliver(shell)
-            elapsed = time.process_time() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return elapsed, net.messages_delivered, net.stats()
-
-
-def _peak_kb(n: int, seed: int, blobs, columnar: bool) -> int:
-    """tracemalloc peak (KiB) over one wire->inboxes replay pass."""
-    tracemalloc.start()
-    try:
-        _replay_wire(n, seed, blobs, columnar)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return round(peak / 1024)
 
 
 def measure(label: str, n: int, seed: int, proto_factory, reps: int = 9):
@@ -202,15 +115,7 @@ def measure(label: str, n: int, seed: int, proto_factory, reps: int = 9):
     are not bit-identical.
     """
     plans = _record(n, seed, proto_factory)
-    obj_blobs, col_blobs = _wire_forms(
-        plans, make_net(n, seed=seed).word_bits
-    )
-    best = {
-        "fast": float("inf"),
-        "reference": float("inf"),
-        "wire_objects": float("inf"),
-        "wire_columnar": float("inf"),
-    }
+    best = {"fast": float("inf"), "reference": float("inf")}
     messages = stats = None
 
     def note(mode, elapsed, msgs, run_stats):
@@ -226,12 +131,8 @@ def measure(label: str, n: int, seed: int, proto_factory, reps: int = 9):
     for _ in range(reps):
         for engine in ("fast", "reference"):
             note(engine, *_replay_once(n, seed, plans, engine))
-        note("wire_objects", *_replay_wire(n, seed, obj_blobs, False))
-        note("wire_columnar", *_replay_wire(n, seed, col_blobs, True))
     fast_mps = messages / best["fast"]
     ref_mps = messages / best["reference"]
-    wire_obj_mps = messages / best["wire_objects"]
-    wire_col_mps = messages / best["wire_columnar"]
     return {
         "workload": label,
         "n": n,
@@ -241,12 +142,6 @@ def measure(label: str, n: int, seed: int, proto_factory, reps: int = 9):
         "reference_msgs_per_sec": round(ref_mps),
         "speedup": round(fast_mps / ref_mps, 2),
         "target_speedup": TARGET_SPEEDUP,
-        "columnar_msgs_per_sec": round(wire_col_mps),
-        "wire_objects_msgs_per_sec": round(wire_obj_mps),
-        "columnar_speedup_vs_fast": round(wire_col_mps / wire_obj_mps, 2),
-        "columnar_target_speedup": COLUMNAR_TARGET_SPEEDUP,
-        "objects_peak_kb": _peak_kb(n, seed, obj_blobs, False),
-        "columnar_peak_kb": _peak_kb(n, seed, col_blobs, True),
     }
 
 
@@ -277,10 +172,8 @@ def bench_results(reps: int = 9):
 def experiment() -> Experiment:
     rows = []
     speedups = []
-    columnar_speedups = []
     for result in bench_results():
         speedups.append(result["speedup"])
-        columnar_speedups.append(result["columnar_speedup_vs_fast"])
         rows.append(
             [
                 result["workload"],
@@ -289,14 +182,9 @@ def experiment() -> Experiment:
                 f"{result['fast_msgs_per_sec']:,}",
                 f"{result['reference_msgs_per_sec']:,}",
                 f"{result['speedup']:.2f}x",
-                f"{result['columnar_msgs_per_sec']:,}",
-                f"{result['columnar_speedup_vs_fast']:.2f}x",
-                f"{result['objects_peak_kb']:,}/{result['columnar_peak_kb']:,}",
             ]
         )
-    shape = all(s >= SHAPE_SPEEDUP for s in speedups) and all(
-        s >= COLUMNAR_TARGET_SPEEDUP for s in columnar_speedups
-    )
+    shape = all(s >= SHAPE_SPEEDUP for s in speedups)
     hit_target = sum(1 for s in speedups if s >= TARGET_SPEEDUP)
     return Experiment(
         exp_id="X-ENG",
@@ -308,9 +196,6 @@ def experiment() -> Experiment:
             "fast msg/s",
             "ref msg/s",
             "speedup",
-            "columnar msg/s",
-            "vs obj-decode",
-            "peak KiB obj/col",
         ],
         rows=rows,
         shape_holds=shape,
@@ -319,12 +204,7 @@ def experiment() -> Experiment:
             f"paused; metrics bit-identical across engines by assertion.  "
             f"Target {TARGET_SPEEDUP:.0f}x met on {hit_target}/{len(speedups)} "
             f"cases this run (shared-machine noise moves individual runs by "
-            f"~10%); the shape gate is {SHAPE_SPEEDUP:.0f}x.  Columnar "
-            f"columns time the full wire-arrival->inboxes trip for both "
-            f"forms (object decode + object lane vs columnar decode + "
-            f"columnar lane); the gate is "
-            f"{COLUMNAR_TARGET_SPEEDUP:.2f}x, and the peak-KiB pair is "
-            f"tracemalloc's peak over one replay of each form."
+            f"~10%); the shape gate is {SHAPE_SPEEDUP:.0f}x."
         ),
     )
 
@@ -348,19 +228,3 @@ def test_engine_throughput(benchmark):
     # Loose gate for CI boxes; the full experiment reports exact numbers.
     assert elapsed_fast < elapsed_ref
 
-
-def test_columnar_replay(benchmark):
-    """Smoke-scale columnar wire replay: beats object decode, stats match."""
-    plans = _record(128, 7, _sorting_proto(128, 7))
-    obj_blobs, col_blobs = _wire_forms(plans, make_net(128, seed=7).word_bits)
-
-    def run():
-        return _replay_wire(128, 7, col_blobs, True)
-
-    _, messages, stats_col = benchmark.pedantic(run, rounds=3, iterations=1)
-    elapsed_obj, _, stats_obj = min(
-        (_replay_wire(128, 7, obj_blobs, False) for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    assert stats_col == stats_obj
-    assert messages > 0

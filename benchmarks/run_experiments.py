@@ -98,14 +98,7 @@ Two benchmarks also track *implementation* performance across PRs:
   through each engine's `deliver()` on fresh identically-seeded
   networks — isolating the round engine from protocol-side generator
   cost.  Schema: per case `{{workload, n, rounds, messages,
-  fast_msgs_per_sec, reference_msgs_per_sec, speedup,
-  columnar_msgs_per_sec, wire_objects_msgs_per_sec,
-  columnar_speedup_vs_fast, objects_peak_kb, columnar_peak_kb}}` — the
-  `columnar_*` keys (PR 10) time the wire-arrival->inboxes trip for the
-  stream's two wire forms (per-message object decode vs a
-  `ColumnarRoundBatch` blob delivered straight from its columns), and
-  `--check` gates `columnar_speedup_vs_fast >= 1.25` as a *fresh-run*
-  property on every engine case.
+  fast_msgs_per_sec, reference_msgs_per_sec, speedup, target_speedup}}`.
 - **X-PROTO** (`bench_protocol_wallclock.py` -> `BENCH_protocol.json`):
   runs the same workloads *end to end* — generator protocols, the
   `Scheduler` trampoline, and the engine together — on fresh networks,
@@ -436,11 +429,7 @@ def check_against_committed(tolerance: float = 0.15) -> int:
             os.path.join(repo_root, "BENCH_engine.json"),
             bench_engine_throughput.bench_results,
             ("rounds", "messages"),
-            (
-                "fast_msgs_per_sec",
-                "reference_msgs_per_sec",
-                "columnar_msgs_per_sec",
-            ),
+            ("fast_msgs_per_sec", "reference_msgs_per_sec"),
         ),
         (
             "protocol",
@@ -532,32 +521,6 @@ def check_against_committed(tolerance: float = 0.15) -> int:
                     )
                 else:
                     print(f"[check] {label}: {key} {old:,} -> {new:,} ok")
-
-    # The columnar-native gate is a *fresh-run* property (PR 10): on
-    # every engine case the wire->inboxes replay of the columnar form
-    # must beat the object-decode form by the published factor.  A
-    # ratio measured within one process on one machine is robust to
-    # host speed, unlike absolute msg/s.
-    columnar_gate = bench_engine_throughput.COLUMNAR_TARGET_SPEEDUP
-    for row in bench_engine_throughput.bench_results():
-        label = f"engine:{row['workload']}/{row['n']}"
-        checked += 1
-        ratio = row.get("columnar_speedup_vs_fast")
-        if ratio is None:
-            problems.append(
-                f"{label}: columnar_speedup_vs_fast missing from fresh "
-                "results (benchmark schema drifted)"
-            )
-        elif ratio < columnar_gate:
-            problems.append(
-                f"{label}: columnar replay only {ratio:.2f}x the "
-                f"object-decode fast path (gate {columnar_gate:.2f}x)"
-            )
-        else:
-            print(
-                f"[check] {label}: columnar_speedup_vs_fast "
-                f"{ratio:.2f}x >= {columnar_gate:.2f}x ok"
-            )
 
     # The tracing-overhead gate is a *fresh-run* property, not a diff
     # against the committed record: every check re-measures the serve

@@ -28,15 +28,7 @@ interchangeable engines, selected by ``NCCConfig.engine``:
       directly instead of materializing a stamped copy per message;
     * **deferred-spill queue** — receivers with a defer-mode backlog are
       tracked in a pending set, so quiescent rounds do not re-scan every
-      queue the run ever congested;
-    * **columnar-native lane** — a plan staged as a
-      :class:`~repro.ncc.wire.ColumnarRoundBatch` (recorded replays,
-      wire-fed rounds) is validated, metered and delivered straight from
-      its columns: cap checks are counting passes over the src/receiver
-      columns, word accounting one pass over the payload columns, and
-      inboxes are lazy column slices that build ``Message`` objects only
-      when touched (``Network.engine_stats()`` meters how many stayed
-      columnar).
+      queue the run ever congested.
 
 **Equivalence guarantee.**  The fast path first validates the whole plan
 without mutating any network state.  If (and only if) the round would
@@ -73,11 +65,7 @@ from repro.ncc.message import (
     word_cache_evictions,
     word_caches,
 )
-from repro.ncc.wire import (
-    ColumnarInbox,
-    materialization_counts,
-    note_delivered_columnar,
-)
+from repro.ncc.wire import materialization_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ncc.network import Network, RoundPlan
@@ -242,17 +230,7 @@ class FastEngine:
     # -------------------------------------------------------------- #
 
     def deliver(self, plan: "RoundPlan") -> Inboxes:
-        batch = plan._batch
-        if batch is not None and plan._sends is None and not self._spill_pending:
-            # Columnar-staged plan, no defer backlog anywhere: the
-            # native lane — validation and metering as column passes,
-            # inboxes as lazy column slices, zero Message construction.
-            # (A backlog needs the per-receiver FIFO merge below, which
-            # materialises anyway, so such rounds take the object lane.)
-            return self._deliver_columnar(plan, batch)
-        return self._deliver_objects(plan)
-
-    def _deliver_objects(self, plan: "RoundPlan") -> Inboxes:
+        """Validate the whole round without mutation, then deliver it."""
         net = self.net
         observer = net.round_observer
         t0 = perf_counter() if observer is not None else 0.0
@@ -521,283 +499,6 @@ class FastEngine:
                 net.rounds,
                 {"validate": t1 - t0, "deliver": perf_counter() - t1},
                 max_load,
-                net.pending_deferred(),
-            )
-        return inboxes
-
-    # -------------------------------------------------------------- #
-    # The columnar-native round                                      #
-    # -------------------------------------------------------------- #
-
-    def _deliver_columnar(self, plan: "RoundPlan", batch) -> Inboxes:
-        """Deliver a columnar-staged round straight from its columns.
-
-        Semantically the object lane, entry for entry — same gating
-        order, same violation -> reference-replay contract, same meters
-        — but the per-message work shrinks to the knowledge-gating dict
-        probes and an index append: word budgets check as one ``max()``
-        and sum as one ``sum()`` over the word column, send caps count
-        with one ``Counter`` over the src column, and the staged buckets
-        become :class:`~repro.ncc.wire.ColumnarInbox` slices that build
-        ``Message`` objects only if the round's consumer touches them.
-        Precondition (checked by :meth:`deliver`): no defer backlog.
-        """
-        net = self.net
-        observer = net.round_observer
-        t0 = perf_counter() if observer is not None else 0.0
-        known = net.known
-        known_get = known.get
-        srcs = batch.srcs
-        dsts = batch.dsts
-        ids_col = batch.ids
-        max_words = net.config.max_words
-        # Word accounting: a batch that crossed a process boundary
-        # already carries its word column (words ride the wire — a
-        # relayed column is never re-sized); a locally-staged batch has
-        # none, and the gating sweep below computes it inline, exactly
-        # the object lane's fused dispatch.  Either way the shared
-        # caches' growth bound gets its once-per-round enforcement.
-        words_col = batch.words
-        violation = words_col is not None and not batch.words_ok
-        fused = words_col is None and not violation
-        round_words = 0
-        if fused:
-            words_col = []
-            append_word = words_col.append
-            data_col = batch.data
-            word_bits = net.word_bits
-            word_caches(word_bits)
-            int_cache = self._int_words
-            int_get = int_cache.get
-            scalar_cache = self._scalar_words
-            scalar_get = scalar_cache.get
-        staged: Dict[int, List[int]] = {}
-        staged_get = staged.get
-        gains: Dict[int, List[int]] = {}
-        # Two copies of the gating sweep — fused (computing the word
-        # column inline, the object lane's dispatch) and lean (words
-        # shipped with the batch) — so the hottest loop carries no
-        # per-entry mode branch.  Keep the shared skeleton in lockstep.
-        if not violation and fused:
-            last_src = None
-            known_to_src = None
-            last_dst = None
-            bucket: List[int] = []
-            gained: List[int] = []
-            for i, (src, dst) in enumerate(zip(srcs, dsts)):
-                if src != last_src:
-                    known_to_src = known_get(src)
-                    if known_to_src is None:
-                        violation = True
-                        break
-                    last_src = src
-                # A self-send also fails here: src never appears in its
-                # own knowledge set (normalised at construction).
-                if dst not in known_to_src:
-                    violation = True
-                    break
-                ids = ids_col[i]
-                words = len(ids)
-                data = data_col[i]
-                if data:
-                    # Inlined copy of scalar_words_cached's dispatch —
-                    # keep in lockstep (repro/ncc/message.py).
-                    try:
-                        for value in data:
-                            cls = value.__class__
-                            if cls is int:
-                                scalar = int_get(value)
-                                if scalar is None:
-                                    scalar = _scalar_words(value, word_bits)
-                                    int_cache[value] = scalar
-                            elif cls is float or cls is bool or value is None:
-                                scalar = 1
-                            else:
-                                key = (cls, value)
-                                scalar = scalar_get(key)
-                                if scalar is None:
-                                    scalar = _scalar_words(value, word_bits)
-                                    scalar_cache[key] = scalar
-                            words += scalar
-                    except TypeError:
-                        # Non-scalar payload: the reference replay
-                        # raises the canonical TypeError.
-                        violation = True
-                        break
-                if words > max_words:
-                    violation = True
-                    break
-                append_word(words)
-                round_words += words
-                if dst == last_dst:
-                    bucket.append(i)
-                    gained.append(src)
-                    if ids:
-                        gained.extend(ids)
-                else:
-                    last_dst = dst
-                    bucket = staged_get(dst)
-                    if bucket is None:
-                        staged[dst] = bucket = [i]
-                        gains[dst] = gained = [src, *ids] if ids else [src]
-                    else:
-                        bucket.append(i)
-                        gained = gains[dst]
-                        gained.append(src)
-                        if ids:
-                            gained.extend(ids)
-        elif not violation:
-            last_src = None
-            known_to_src = None
-            last_dst = None
-            bucket = []
-            gained = []
-            for i, (src, dst) in enumerate(zip(srcs, dsts)):
-                if src != last_src:
-                    known_to_src = known_get(src)
-                    if known_to_src is None:
-                        violation = True
-                        break
-                    last_src = src
-                if dst not in known_to_src:
-                    violation = True
-                    break
-                ids = ids_col[i]
-                if dst == last_dst:
-                    bucket.append(i)
-                    gained.append(src)
-                    if ids:
-                        gained.extend(ids)
-                else:
-                    last_dst = dst
-                    bucket = staged_get(dst)
-                    if bucket is None:
-                        staged[dst] = bucket = [i]
-                        gains[dst] = gained = [src, *ids] if ids else [src]
-                    else:
-                        bucket.append(i)
-                        gained = gains[dst]
-                        gained.append(src)
-                        if ids:
-                            gained.extend(ids)
-
-        # Counting passes over the dense columns, all at C speed: the
-        # word budget as one max() (shipped columns only — the fused
-        # sweep checked per entry), the send cap as one Counter (only
-        # when the round total could overdrive a sender at all).
-        total_sends = len(srcs)
-        if not violation:
-            if not fused:
-                if words_col and max(words_col) > max_words:
-                    violation = True
-                else:
-                    round_words = sum(words_col)
-            if not violation and total_sends > net.send_cap:
-                per_sender = Counter(srcs)
-                violation = max(per_sender.values()) > net.send_cap
-            if not violation and fused:
-                # The batch now owns its (complete) word column: a
-                # defer spill below re-reads it, and a later wire
-                # crossing ships it instead of re-sizing.
-                batch.words = words_col
-
-        mode = net.config.enforcement
-        deferred = net._deferred
-        pending = self._spill_pending  # empty (lane precondition)
-        recv_cap = net.recv_cap
-        biggest = max(map(len, staged.values())) if staged else 0
-        if (
-            not violation
-            and mode is EnforcementMode.STRICT
-            and biggest > recv_cap
-        ):
-            violation = True
-
-        t1 = perf_counter() if observer is not None else 0.0
-
-        if violation:
-            # Replay through the reference loop (this converts the plan
-            # to object staging — the only construction this lane ever
-            # causes): exact exception, reference-identical state.
-            try:
-                return self._reference.deliver(plan)
-            finally:
-                self._spill_pending = {
-                    v for v, q in net._deferred.items() if q
-                }
-                if observer is not None:
-                    observer(
-                        net.rounds,
-                        {
-                            "validate": t1 - t0,
-                            "fallback": perf_counter() - t1,
-                        },
-                        biggest,
-                        net.pending_deferred(),
-                    )
-
-        # Deliver.  No model constraint can fail from here on.
-        # (round_words was accumulated by the fused sweep or summed from
-        # the shipped column above.)
-        messages_delivered = total_sends
-        if mode is EnforcementMode.DEFER and biggest > recv_cap:
-            # Spilled tails leave the columns: the backlog mirror holds
-            # real messages (a later round's object lane delivers them),
-            # so the over-cap tail is the one place this lane
-            # materialises.
-            materialize = batch.materialize
-            over = [
-                dst
-                for dst, spill_bucket in staged.items()
-                if len(spill_bucket) > recv_cap
-            ]
-            for dst in over:
-                spill_bucket = staged[dst]
-                tail = spill_bucket[recv_cap:]
-                deferred[dst].extend(materialize(i) for i in tail)
-                pending.add(dst)
-                messages_delivered -= len(tail)
-                for i in tail:
-                    round_words -= words_col[i]
-                head = spill_bucket[:recv_cap]
-                if head:
-                    staged[dst] = head
-                    gained = []
-                    for i in head:
-                        gained.append(srcs[i])
-                        gained.extend(ids_col[i])
-                    gains[dst] = gained
-                else:
-                    del staged[dst]
-                    del gains[dst]
-            biggest = max(map(len, staged.values())) if staged else 0
-        for dst, gained in gains.items():
-            known_to_dst = known[dst]
-            known_to_dst.update(gained)
-            known_to_dst.discard(dst)
-        inboxes: Inboxes = {
-            dst: ColumnarInbox(batch, bucket)
-            for dst, bucket in staged.items()
-        }
-        if batch.messages is None:
-            # Field-mode batch: these entries were delivered with no
-            # object in existence — the lazy representation's win.
-            note_delivered_columnar(messages_delivered)
-
-        net.messages_delivered += messages_delivered
-        net.words_delivered += round_words
-        net.rounds += 1
-        net.simulated_rounds += 1
-        if biggest > net.max_round_load:
-            net.max_round_load = biggest
-        if net.tracers:
-            for tracer in net.tracers:
-                tracer(net.rounds, inboxes)
-        if observer is not None:
-            observer(
-                net.rounds,
-                {"validate": t1 - t0, "deliver": perf_counter() - t1},
-                biggest,
                 net.pending_deferred(),
             )
         return inboxes

@@ -48,67 +48,24 @@ from repro.ncc.metrics import PhaseRecord, RoundStats
 class RoundPlan:
     """The set of sends all nodes issue in one synchronous round.
 
-    Two staging modes share the class:
-
-    * **object staging** (the default, and what the scheduler produces):
-      ``send()`` appends ``(src, dst, message)`` tuples to ``_sends``;
-    * **columnar staging** (:meth:`from_batch`): the round arrives as a
-      :class:`~repro.ncc.wire.ColumnarRoundBatch` — recorded replays,
-      wire-fed rounds — and ``_sends`` stays ``None`` until something
-      needs objects.  The fast engine delivers such a plan straight from
-      the columns; reading :attr:`sends` (the reference engine, or any
-      per-message consumer) converts the plan to object staging once.
+    ``sends`` holds the staged ``(src, dst, message)`` tuples in plan
+    order — the engines' read surface: the in-process engines iterate it
+    directly, and the sharded engine columnarises it per sender shard
+    (:mod:`repro.ncc.wire`) at the process boundary.  Plan order is the
+    delivery tiebreak everywhere, so the list must not be reordered.
     """
 
-    __slots__ = ("_sends", "_batch")
+    __slots__ = ("sends",)
 
     def __init__(self) -> None:
-        self._sends: Optional[List[Tuple[int, int, Message]]] = []
-        self._batch = None
-
-    @classmethod
-    def from_batch(cls, batch) -> "RoundPlan":
-        """A columnar-staged plan over ``batch`` (no send list built)."""
-        plan = cls.__new__(cls)
-        plan._sends = None
-        plan._batch = batch
-        return plan
+        self.sends: List[Tuple[int, int, Message]] = []
 
     def send(self, src: int, dst: int, message: Message) -> None:
         """Schedule ``message`` from ``src`` to ``dst`` for this round."""
-        sends = self._sends
-        if sends is None:
-            sends = self.sends  # converts a columnar-staged plan
-        sends.append((src, dst, message))
-
-    def extend(self, other: "RoundPlan") -> None:
-        """Merge another plan's sends into this one."""
-        self.sends.extend(other.sends)
-
-    @property
-    def sends(self) -> List[Tuple[int, int, Message]]:
-        """The staged ``(src, dst, message)`` sends in plan order.
-
-        The engines' read surface: the in-process engines iterate it
-        directly, and the sharded engine columnarises it per sender
-        shard (:mod:`repro.ncc.wire`) at the process boundary.  Plan
-        order is the delivery tiebreak everywhere, so the list must not
-        be reordered.  On a columnar-staged plan the first read
-        materialises the send list and the plan is object-staged from
-        then on (the batch is dropped so the two forms cannot diverge).
-        """
-        sends = self._sends
-        if sends is None:
-            sends = self._sends = self._batch.to_sends()
-            self._batch = None
-        return sends
+        self.sends.append((src, dst, message))
 
     def __len__(self) -> int:
-        sends = self._sends
-        return len(sends) if sends is not None else len(self._batch)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self.sends)
 
 
 Inboxes = Dict[int, List[Message]]
@@ -450,7 +407,8 @@ class Network:
         """Engine-internal observability counters.
 
         Lazy-materialisation meters (``messages_materialized`` /
-        ``messages_stayed_columnar``, process-wide and monotone — see
+        ``messages_stayed_columnar``, process-wide and monotone, moved
+        only by the sharded engine's column inboxes — see
         :func:`repro.ncc.wire.materialization_counts`) plus the word
         caches' ``word_cache_evictions``.  Deliberately *not* part of
         :meth:`stats`: :class:`~repro.ncc.metrics.RoundStats` is the

@@ -9,16 +9,15 @@ runs as a two-phase barrier exchange:
 
 1. **Stage** — the parent routes the round's sends to the shard owning
    each *sender*, shipping each shard's slice as one routed columnar
-   blob (:mod:`repro.ncc.wire`) — gathered straight from a
-   columnar-staged plan's own columns, or columnarised off the message
-   attributes of an object-staged one.  Workers validate as *column
-   passes* against shard-local replica knowledge (gating over the
-   src/receiver columns, word accounting over the payload columns, send
-   caps as one counting pass) and bucket survivors by the shard owning
-   each *receiver*.  Entries whose receiver lives in the same shard are
-   retained as column references; cross-shard buckets travel back to
-   the parent as gathered column slices.  A staging worker never
-   constructs a ``Message``.
+   blob (:mod:`repro.ncc.wire`) columnarised off the plan's message
+   attributes (no construction, no payload copies).  Workers validate
+   as *column passes* against shard-local replica knowledge (gating
+   over the src/receiver columns, word accounting over the payload
+   columns, send caps as one counting pass) and bucket survivors by the
+   shard owning each *receiver*.  Entries whose receiver lives in the
+   same shard are retained as column references; cross-shard buckets
+   travel back to the parent as gathered column slices.  A staging
+   worker never constructs a ``Message``.
 2. **Exchange + deliver** — at the barrier the parent relays each
    cross-shard slice to the receiver's owner *verbatim* (strict-mode
    arrival counts read the blob's receiver column raw).  Workers merge
@@ -688,9 +687,9 @@ class ShardedEngine:
             raise
 
     def _route_sends(self, sends):
-        """Route an object-staged plan: one columnar slice per sender
-        shard, read straight off the message attributes (no construction,
-        no payload copies)."""
+        """Route a plan: one columnar slice per sender shard, read
+        straight off the message attributes (no construction, no payload
+        copies)."""
         shard_of = self._shard_of
         per_shard: List[list] = [[] for _ in range(self.shards)]
         for idx, (src, dst, message) in enumerate(sends):
@@ -699,26 +698,6 @@ class ShardedEngine:
                 return None, True
             per_shard[s].append((idx, src, dst, message))
         return [encode_routed_entries(bucket) for bucket in per_shard], False
-
-    def _route_batch(self, batch):
-        """Route a columnar-staged plan: gather each sender shard's
-        column slice directly — native columns from plan to worker with
-        zero per-message object work anywhere."""
-        shard_of = self._shard_of
-        per_shard: List[list] = [[] for _ in range(self.shards)]
-        for idx, src in enumerate(batch.srcs):
-            s = shard_of.get(src)
-            if s is None:  # unknown sender ID: reference raises exactly
-                return None, True
-            per_shard[s].append(idx)
-        return [
-            (
-                (tuple(bucket), batch.gather(bucket).to_wire())
-                if bucket
-                else ((), None)
-            )
-            for bucket in per_shard
-        ], False
 
     def _deliver_sharded(self, plan: "RoundPlan") -> Inboxes:
         net = self.net
@@ -729,14 +708,8 @@ class ShardedEngine:
         # Route to the shard owning each sender (plan order is preserved
         # per shard; entries carry their global plan index so receivers
         # can re-merge in exact plan order).  Each shard's slice ships
-        # as one routed columnar blob; a columnar-staged plan routes by
-        # gathering its own columns, an object-staged plan columnarises
-        # off the message attributes — neither constructs anything.
-        batch = plan._batch
-        if batch is not None and plan._sends is None:
-            routed, violation = self._route_batch(batch)
-        else:
-            routed, violation = self._route_sends(plan.sends)
+        # as one routed columnar blob.
+        routed, violation = self._route_sends(plan.sends)
         if violation:
             return self._fallback(plan, observer, t0)
 

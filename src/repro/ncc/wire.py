@@ -46,13 +46,13 @@ materialising tuples.  ``benchmarks/bench_multiprocess.py`` races the
 shipped codec against per-object pickle on captured round batches and
 records the ratio (``transport_codec.speedup_vs_pickle``).
 
-Since PR 10 the columnar batch is also the engines' *native in-memory*
-round representation (:class:`ColumnarRoundBatch` / :class:`ColumnarInbox`
-below): violation-free rounds validate, meter and deliver as column
-passes, and ``Message`` objects are materialised lazily only when
-protocol code touches an inbox entry.  The wire shapes and the in-memory
-batch share columns, so crossing a process boundary is a densify/un-box
-pass, not a decode/re-encode.
+The sharded engine also keeps rounds columnar *in memory*
+(:class:`ColumnarRoundBatch` / :class:`ColumnarInbox` below): its
+workers validate, relay and merge rounds as column passes, and the
+inboxes it returns build ``Message`` objects lazily, only when protocol
+code touches an entry.  The wire shapes and the in-memory batch share
+columns, so crossing a process boundary is a densify/un-box pass, not a
+decode/re-encode.
 
 Three grouped shapes cover the remaining process boundaries:
 
@@ -310,35 +310,33 @@ def decode_id_groups(blob: tuple) -> List[Tuple[int, Iterable[int]]]:
 
 
 # ---------------------------------------------------------------------- #
-# The engine-native columnar round batch                                 #
+# The sharded engine's columnar round batch                              #
 # ---------------------------------------------------------------------- #
 #
-# PR 5 proved the struct-of-arrays layout wins on the wire; the batch
-# below promotes it to the engines' *in-memory* round representation.  A
-# violation-free round never needs a ``Message`` object: the fast
-# engine's cap checks are counting passes over the src/receiver columns,
-# word accounting runs over the payload columns, and inboxes are served
-# as column slices (:class:`ColumnarInbox`) that materialise ``Message``
-# objects lazily, only when protocol code actually touches one.  The
-# sharded engine stages, relays and merges these columns end to end —
-# its workers never construct a message at all.
+# The struct-of-arrays layout wins on the wire; the batch below also
+# holds a round *in memory* on both sides of the sharded engine's
+# process boundary.  Its workers stage, relay and merge these columns
+# end to end without constructing a message — send caps are counting
+# passes over the src column, word accounting one pass over the payload
+# columns — and the parent serves the returned inboxes as column slices
+# (:class:`ColumnarInbox`) that materialise ``Message`` objects lazily,
+# only when protocol code actually touches one.
 #
 # **In memory: lists.  On the wire: arrays.**  ``array('q')`` iteration
-# boxes a fresh int per element, so the engines' hottest loops iterate
+# boxes a fresh int per element, so the workers' hottest loops iterate
 # plain lists (ints boxed once at build); :meth:`ColumnarRoundBatch.
 # to_wire` densifies the int columns (``_int_column``) at the process
 # boundary, where the memcpy pickling is the win, and ``from_wire``
 # un-boxes them back to lists in one C pass.
 
 #: Process-wide lazy-materialisation meters (monotone, like the word
-#: caches: every engine in the process shares them).
+#: caches; only the sharded engine's batches move them).
 #:
-#: * ``materialized`` — ``Message`` objects built from columns (lazy
-#:   inbox touches, defer-mode spills, reference-replay conversions);
+#: * ``materialized`` — ``Message`` objects built from columns;
 #: * ``inbox_materialized`` — the subset built because an inbox slice
 #:   was actually touched by protocol/test code;
-#: * ``delivered_columnar`` — entries delivered as column slices with
-#:   no pre-existing object (field-mode batches).
+#: * ``delivered_columnar`` — entries the sharded parent delivered as
+#:   column slices.
 _COLUMNAR_COUNTS: Dict[str, int] = {
     "materialized": 0,
     "inbox_materialized": 0,
@@ -374,19 +372,14 @@ def materialization_counts() -> Dict[str, int]:
 
 
 class ColumnarRoundBatch:
-    """One round's sends as columns — the engines' native representation.
+    """One round's sends as columns — the sharded engine's transport and
+    in-memory form.
 
-    Two modes share the layout:
-
-    * **object mode** (``kinds is None``): built from an existing
-      ``(src, dst, message)`` send list (:meth:`from_sends`); the
-      original objects ride in ``messages`` and ``materialize`` hands
-      them back (stamping ``src`` in place, the fast engine's
-      delivery-time contract).
-    * **field mode** (``kinds`` is the interned kind table): no objects
-      exist; ``materialize`` builds one on first touch via the same
-      ``Message.__new__`` + dict fill as :func:`_decode_messages`, so
-      the ``msg()`` kind-identity invariant holds by construction.
+    No ``Message`` objects back a batch: ``kinds`` is the interned kind
+    table and ``kind_idx`` indexes it per entry.  :meth:`materialize`
+    builds an entry's object on first touch via the same
+    ``Message.__new__`` + dict fill as :func:`_decode_messages`, so the
+    ``msg()`` kind-identity invariant holds by construction.
 
     ``words`` is filled by :meth:`ensure_words` (one pass over the
     payload columns, memoized through the shared word caches) and rides
@@ -402,14 +395,11 @@ class ColumnarRoundBatch:
         "data",
         "words",
         "words_ok",
-        "messages",
         "_built",
         "_kind_slot",
     )
 
-    def __init__(
-        self, kinds, kind_idx, srcs, dsts, ids, data, words=None, messages=None
-    ) -> None:
+    def __init__(self, kinds, kind_idx, srcs, dsts, ids, data, words=None) -> None:
         self.kinds = kinds
         self.kind_idx = kind_idx
         self.srcs = srcs
@@ -418,7 +408,6 @@ class ColumnarRoundBatch:
         self.data = data
         self.words = words
         self.words_ok = True
-        self.messages = messages
         self._built: Optional[list] = None
         self._kind_slot: Optional[dict] = None
 
@@ -428,29 +417,8 @@ class ColumnarRoundBatch:
     # -- construction ------------------------------------------------ #
 
     @classmethod
-    def from_sends(cls, sends, keep_messages: bool = True) -> "ColumnarRoundBatch":
-        """Columnarise an ``(src, dst, message)`` send list.
-
-        ``keep_messages=True`` (object mode) keeps the originals so
-        materialisation is free; ``False`` builds a field-mode batch —
-        the shape a batch has after crossing a process boundary — for
-        replay benchmarks and tests that exercise lazy materialisation.
-        """
-        srcs = [s for s, _, _ in sends]
-        dsts = [d for _, d, _ in sends]
-        ids = [m.ids for _, _, m in sends]
-        data = [m.data for _, _, m in sends]
-        if keep_messages:
-            return cls(None, None, srcs, dsts, ids, data,
-                       messages=[m for _, _, m in sends])
-        kind_of: dict = {}
-        setdefault = kind_of.setdefault
-        kind_idx = [setdefault(m.kind, len(kind_of)) for _, _, m in sends]
-        return cls(tuple(kind_of), kind_idx, srcs, dsts, ids, data)
-
-    @classmethod
     def builder(cls) -> "ColumnarRoundBatch":
-        """An empty field-mode batch for incremental column appends
+        """An empty batch for incremental column appends
         (the sharded workers' merge path).  ``dsts`` stays empty — a
         result batch is keyed by its grouping, not a receiver column."""
         batch = cls([], [], [], [], [], [], words=[])
@@ -481,7 +449,7 @@ class ColumnarRoundBatch:
         )
 
     def gather(self, indices) -> "ColumnarRoundBatch":
-        """A field-mode sub-batch of ``indices`` (shares the kind table)."""
+        """A sub-batch of ``indices`` (shares the kind table)."""
         ki = self.kind_idx
         srcs = self.srcs
         dsts = self.dsts
@@ -516,7 +484,7 @@ class ColumnarRoundBatch:
 
     @classmethod
     def from_wire(cls, blob: tuple) -> "ColumnarRoundBatch":
-        """Rebuild a field-mode batch; kinds re-intern once per table
+        """Rebuild a batch; kinds re-intern once per table
         entry, int columns un-box back to lists in one C pass."""
         kinds, kind_idx, srcs, dsts, ids, data, words = blob
         return cls(
@@ -587,25 +555,13 @@ class ColumnarRoundBatch:
     # -- materialisation --------------------------------------------- #
 
     def materialize(self, i: int) -> Message:
-        """The entry-``i`` ``Message``, built at most once per entry.
-
-        Object mode hands back the original (stamping ``src`` in place,
-        as the fast engine's delivery does); field mode builds one via
-        ``Message.__new__`` + dict fill and meters the construction.
-        """
+        """The entry-``i`` ``Message``, built at most once per entry via
+        ``Message.__new__`` + dict fill; each construction is metered."""
         built = self._built
         if built is None:
             built = self._built = [None] * len(self.srcs)
         message = built[i]
         if message is not None:
-            return message
-        messages = self.messages
-        if messages is not None:
-            message = messages[i]
-            src = self.srcs[i]
-            if message.src != src:
-                message.__dict__["src"] = src  # frozen dataclass: fill
-            built[i] = message
             return message
         message = Message.__new__(Message)
         inner = message.__dict__
@@ -616,19 +572,6 @@ class ColumnarRoundBatch:
         built[i] = message
         _COLUMNAR_COUNTS["materialized"] += 1
         return message
-
-    def to_sends(self) -> List[Tuple[int, int, Message]]:
-        """Back to an ``(src, dst, message)`` list in plan order (the
-        reference-replay / object-staging conversion)."""
-        messages = self.messages
-        srcs = self.srcs
-        dsts = self.dsts
-        if messages is not None:
-            return list(zip(srcs, dsts, messages))
-        materialize = self.materialize
-        return [
-            (srcs[i], dsts[i], materialize(i)) for i in range(len(srcs))
-        ]
 
 
 class ColumnarInbox:
@@ -699,7 +642,7 @@ class ColumnarInbox:
         The per-kind grouping is pure int/identity work on the kind
         columns — no entry materialises until one *kind's* view is
         touched, which is how ``InboxView.take`` keeps untaken kinds
-        columnar.  Only meaningful in field mode (``kinds`` present).
+        columnar.
         """
         batch = self._batch
         kinds = batch.kinds
@@ -734,9 +677,8 @@ class ColumnarInbox:
 def encode_routed_entries(entries) -> tuple:
     """Columnarise routed ``(plan_idx, src, dst, message)`` entries.
 
-    The parent's stage-direction encoder for *object-staged* plans:
-    reads message attributes into columns (no construction, no copy of
-    the payload tuples).
+    The parent's stage-direction encoder: reads message attributes into
+    columns (no construction, no copy of the payload tuples).
     """
     if not entries:
         return ((), None)

@@ -90,21 +90,16 @@ class InboxView(dict):
     def kind_index(self, node: int) -> Dict[str, List[Message]]:
         """The node's ``{kind: [messages]}`` map (built on first use).
 
-        A columnar box (:class:`~repro.ncc.wire.ColumnarInbox` in field
-        mode) splits by kind on its *columns* instead — pure int work,
-        yielding lazy per-kind sub-views — so taking one kind at a node
-        materialises only that kind's messages and everything untaken
-        stays columnar.
+        An unforced :class:`~repro.ncc.wire.ColumnarInbox` (the sharded
+        engine's inbox form) splits by kind on its *columns* instead —
+        pure int work, yielding lazy per-kind sub-views — so taking one
+        kind at a node materialises only that kind's messages and
+        everything untaken stays columnar.
         """
         index = self._by_kind.get(node)
         if index is None:
             box = dict.get(self, node)
-            if (
-                box is not None
-                and box.__class__ is ColumnarInbox
-                and box._forced is None
-                and box._batch.kinds is not None
-            ):
+            if box.__class__ is ColumnarInbox and box._forced is None:
                 index = box.kind_views()
             else:
                 index = {}
@@ -254,7 +249,7 @@ class Scheduler:
                 raise ProtocolError("protocol deadlock: no task can advance")
 
             plan = net.plan()
-            plan._sends = pending_sends
+            plan.sends = pending_sends
             inboxes = net.deliver(plan)
             rounds_used += 1
             if rounds_used > max_rounds:

@@ -475,9 +475,10 @@ def _engine_columnar_metrics():
     Process-wide monotone counters (see :func:`repro.ncc.wire.
     materialization_counts` and :func:`repro.ncc.message.
     word_cache_evictions`) covering every engine that ran in this
-    process — in-process requests and the sharded engine's parent side.
-    Pool worker processes keep their own counters; those surface through
-    the workers' own registries, not this scrape.
+    process; the materialisation meters move only for the sharded
+    engine's parent side.  Nothing scrapes pool worker processes, so in
+    ``processes`` mode these meters count only runs in the serve process
+    itself, such as degraded runs while the breaker is open.
     """
     from repro.ncc.message import word_cache_evictions
     from repro.ncc.wire import materialization_counts

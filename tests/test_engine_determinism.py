@@ -18,8 +18,7 @@ from repro.core.degree_realization import realize_degree_sequence
 from repro.core.tree_realization import realize_tree
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.message import msg
-from repro.ncc.network import Network, RoundPlan
-from repro.ncc.wire import ColumnarRoundBatch
+from repro.ncc.network import Network
 from repro.primitives.protocol import run_protocol
 from repro.primitives.sorting import distributed_sort
 from repro.workloads import random_graphic_sequence, random_tree_sequence
@@ -108,10 +107,9 @@ def test_engines_agree_with_each_other_deterministically(n, seed):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n,seed", [(16, 4), (24, 13)])
-def test_columnar_staged_replay_byte_identical(engine, n, seed):
-    """The same columnar-staged random script, run twice on fresh
-    networks, produces byte-identical stats and equal inboxes (the
-    engines' native representation must not leak nondeterminism)."""
+def test_random_script_replay_byte_identical(engine, n, seed):
+    """The same random send script, run twice on fresh networks,
+    produces byte-identical stats and equal inboxes."""
     snapshots = []
     for _ in range(2):
         net = fresh_net(n, seed, Variant.NCC1, engine)
@@ -126,9 +124,9 @@ def test_columnar_staged_replay_byte_identical(engine, n, seed):
                     (src, dst, msg("d", ids=(rng.choice(ids),),
                                    data=(rng.randrange(0, 1 << 60),)))
                 )
-            plan = RoundPlan.from_batch(
-                ColumnarRoundBatch.from_sends(sends, keep_messages=False)
-            )
+            plan = net.plan()
+            for src, dst, message in sends:
+                plan.send(src, dst, message)
             inboxes = net.deliver(plan)
             log.append(sorted((d, list(b)) for d, b in inboxes.items()))
         snapshots.append((log, repr(net.stats())))

@@ -387,6 +387,42 @@ class TestExecutorTracing:
         assert "repro_breaker_state 0" in text
         assert "repro_request_execution_seconds_count 1" in text
 
+    def test_engine_meters_exported_and_moved_by_sharded_runs(self):
+        """The three ``repro_engine_*`` families reach the exposition,
+        and only the sharded engine (whose inboxes are column slices)
+        moves the materialisation counter."""
+        families = (
+            "repro_engine_messages_materialized_total",
+            "repro_engine_messages_stayed_columnar_total",
+            "repro_engine_word_cache_evictions_total",
+        )
+
+        def scrape(executor):
+            samples = {}
+            for line in executor.metrics.render().splitlines():
+                name, _, value = line.partition(" ")
+                if name in families:
+                    samples[name] = float(value)
+            return samples
+
+        materialized = families[0]
+        executor = BatchExecutor(pool=NetworkPool())
+        try:
+            before = scrape(executor)
+            assert set(before) == set(families)
+            sharded = executor.handle(
+                req(seed=1, engine="sharded", shards=2, request_id="s")
+            )
+            after_sharded = scrape(executor)
+            fast = executor.handle(req(seed=1, engine="fast", request_id="f"))
+            after_fast = scrape(executor)
+        finally:
+            executor.close()
+        assert sharded.verdict == fast.verdict == "REALIZED"
+        assert not fast.cached  # a distinct cache key: the run executed
+        assert after_sharded[materialized] > before[materialized]
+        assert after_fast[materialized] == after_sharded[materialized]
+
     def test_observer_does_not_change_results(self):
         # Bit-identity: the same request with and without tracing.
         baseline = BatchExecutor(pool=NetworkPool())

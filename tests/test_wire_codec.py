@@ -2,10 +2,11 @@
 
 The sharded differential/cap-fuzz/determinism suites gate the codec
 end-to-end (every cross-shard message now travels through it); this file
-isolates the codec itself: fuzzed encode/decode round trips over all
-three wire shapes, payload *type* preservation (``True`` must not come
-back as ``1``), the kind-interning guarantee, multi-word-int payloads,
-and the empty-batch edges.
+isolates the codec itself: fuzzed encode/decode round trips over every
+wire shape (entry batches, grouped messages, id groups, routed entries
+and grouped field tuples), payload *type* preservation (``True`` must
+not come back as ``1``), the kind-interning guarantee, multi-word-int
+payloads, and the empty-batch edges.
 """
 
 from __future__ import annotations
@@ -175,3 +176,87 @@ class TestIdGroups:
         target.update(decoded[0][1])  # array slices feed set.update
         assert target == {4, 5, 6, 9}
         assert list(decoded[1][1]) == []
+
+
+class TestRoutedEntries:
+    """The sharded parent's stage-direction shape: a plan-index column
+    plus a batch in wire form that ``ColumnarRoundBatch.from_wire``
+    rebuilds on the worker side."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(entry_st, min_size=1, max_size=30))
+    def test_round_trip_through_pickle(self, entries):
+        routed = pickle.loads(
+            pickle.dumps(wire.encode_routed_entries(entries), -1)
+        )
+        assert wire.routed_count(routed) == len(entries)
+        assert list(routed[0]) == [e[0] for e in entries]
+        assert list(wire.routed_receivers(routed)) == [e[2] for e in entries]
+        batch = wire.ColumnarRoundBatch.from_wire(routed[1])
+        assert batch.srcs == [e[1] for e in entries]
+        assert batch.dsts == [e[2] for e in entries]
+        # Materialised entries carry the routed sender, not the
+        # message's own src field: the parent stamps it on delivery.
+        assert_messages_identical(
+            [batch.materialize(i) for i in range(len(batch))],
+            [m.with_src(src) for _, src, _, m in entries],
+        )
+
+    def test_empty_batch(self):
+        routed = wire.encode_routed_entries([])
+        assert wire.routed_count(routed) == 0
+        assert routed[1] is None  # nothing to rebuild on the worker
+
+    def test_kind_table_is_deduplicated(self):
+        entries = [
+            (i, 1, 2, msg(kind)) for i, kind in
+            enumerate(["a:x", "b:y", "a:x", "b:y", "b:y"])
+        ]
+        kinds, kind_idx = wire.encode_routed_entries(entries)[1][:2]
+        assert kinds == ("a:x", "b:y")
+        assert list(kind_idx) == [0, 1, 0, 1, 1]
+
+
+fields_st = message_st.map(lambda m: (m.kind, m.ids, m.data, m.src))
+field_groups_st = st.lists(
+    st.tuples(ids_st, st.lists(fields_st, max_size=6)), max_size=8
+)
+
+
+class TestGroupedFields:
+    """The sharded workers' field-tuple twin of the grouped shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_groups_st)
+    def test_round_trip(self, groups):
+        decoded = wire.decode_grouped_fields(
+            pickle.loads(pickle.dumps(wire.encode_grouped_fields(groups), -1))
+        )
+        assert decoded == [(key, list(fields)) for key, fields in groups]
+        for (_, got), (_, expected) in zip(decoded, groups):
+            assert_messages_identical(
+                [Message(*f) for f in got], [Message(*f) for f in expected]
+            )
+
+    def test_empty_groups_and_batch(self):
+        assert wire.decode_grouped_fields(wire.encode_grouped_fields([])) == []
+        groups = [(3, []), (9, [("k", (), (), 4)])]
+        assert wire.decode_grouped_fields(
+            wire.encode_grouped_fields(groups)
+        ) == groups
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_groups_st)
+    def test_blob_is_shared_with_grouped_messages(self, groups):
+        """Either decoder reads either encoder's blob: workers write
+        field tuples that the parent decodes as messages, and back."""
+        as_messages = [
+            (key, [Message(*f) for f in fields]) for key, fields in groups
+        ]
+        decoded = wire.decode_grouped(wire.encode_grouped_fields(groups))
+        assert decoded == as_messages
+        for (_, got), (_, expected) in zip(decoded, as_messages):
+            assert_messages_identical(got, expected)
+        assert wire.decode_grouped_fields(
+            wire.encode_grouped(as_messages)
+        ) == [(key, list(fields)) for key, fields in groups]
