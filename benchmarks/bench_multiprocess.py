@@ -1,30 +1,6 @@
-"""X-MP — the multiprocess execution layer: sharded engine + process drain.
+"""X-MP — the multiprocess execution layer: the process drain.
 
-Three measurements, recorded to ``BENCH_multiprocess.json``:
-
-**Transport** (``transport_rows``): the columnar wire codec
-(``repro/ncc/wire.py``) raced against per-object pickling on the *same*
-message batches — the actual per-round staged entries captured from the
-thm03 sorting run (the workload the engine rows execute).  Both
-transports do the full trip a cross-shard exchange pays:
-encode -> ``pickle.dumps`` -> ``pickle.loads`` -> decode for the codec
-(the pipe still pickles the column blob), ``dumps`` -> ``loads`` for the
-plain-object baseline.  ``speedup_vs_pickle`` is the recorded win; the
-per-batch message totals are the bit-identity invariants.
-
-**Sharded engine** (``engine_rows``): one full end-to-end protocol run
-(Theorem 3 distributed mergesort, full fidelity — the round-loop-bound
-workload) per engine configuration — the in-process ``fast`` engine and
-the multiprocess ``sharded`` engine at each of ``SHARD_COUNTS`` — on
-fresh identically-seeded networks.  RoundStats are asserted bit-identical
-across all configurations (the differential suites are the real gate;
-this re-checks at benchmark scale).  The per-config ``rounds_per_sec``
-is the honest cost of the barrier-exchange architecture: every simulated
-message is pickled across a process boundary at least twice, so on
-few-core hosts the sharded engine *loses* to ``fast`` — the recorded
-``speedup_vs_fast`` states that plainly rather than hiding it.
-
-**Batch drain** (``drain_rows``): the service benchmark's mixed
+Recorded to ``BENCH_multiprocess.json``: the service benchmark's mixed
 60-request batch (five kinds, n ∈ {64, 256}) drained with the response
 cache disabled — every request actually executes — through the threaded
 drain vs the process drain, both with ``DRAIN_WORKERS`` workers and warm
@@ -48,15 +24,9 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import time
 
 from common import Experiment
-from repro.ncc import wire
-from repro.ncc.config import NCCConfig
-from repro.ncc.network import Network
-from repro.primitives.protocol import run_protocol
-from repro.primitives.sorting import distributed_sort
 from repro.service import BatchExecutor, NetworkPool, default_registry
 
 from bench_service_throughput import BATCH_SIZE, DISTINCT, build_batch
@@ -66,13 +36,6 @@ TARGET_SPEEDUP = 2.0
 
 #: Worker count for both drains (the acceptance configuration).
 DRAIN_WORKERS = 4
-
-#: Shard counts the engine benchmark sweeps.
-SHARD_COUNTS = (2, 4)
-
-#: Sorting workload scale for the engine comparison.
-ENGINE_N = 128
-ENGINE_SEED = 11
 
 REPS = 2
 
@@ -122,151 +85,7 @@ def _wall(run):
 
 
 # ---------------------------------------------------------------------- #
-# Part 1 — sharded engine vs fast engine                                 #
-# ---------------------------------------------------------------------- #
-
-
-def _sorting_run(config: NCCConfig):
-    import random
-
-    net = Network(ENGINE_N, config)
-    try:
-        rng = random.Random(ENGINE_SEED)
-        table = {v: rng.randrange(ENGINE_N) for v in net.node_ids}
-        _, order = run_protocol(net, distributed_sort(net, lambda v: table[v]))
-        return net.stats(), tuple(order)
-    finally:
-        net.close()
-
-
-def measure_engines():
-    configs = [("fast", 0, NCCConfig(seed=ENGINE_SEED, engine="fast"))]
-    for shards in SHARD_COUNTS:
-        configs.append(
-            (
-                f"s{shards}",  # row name: sorting_engine_s<k> (sharded)
-                shards,
-                NCCConfig(seed=ENGINE_SEED, engine="sharded", engine_shards=shards),
-            )
-        )
-    rows = []
-    canonical = None
-    fast_rps = None
-    for label, shards, config in configs:
-        elapsed, (stats, order) = _wall(lambda config=config: _sorting_run(config))
-        if canonical is None:
-            canonical = (stats, order)
-        else:
-            assert (stats, order) == canonical, (
-                f"engine {label} diverged from fast on the benchmark workload"
-            )
-        rounds_per_sec = round(stats.simulated_rounds / elapsed, 1)
-        if label == "fast":
-            fast_rps = rounds_per_sec
-        rows.append(
-            {
-                "workload": f"sorting_engine_{label}",
-                "n": ENGINE_N,
-                "shards": shards,
-                "rounds": stats.rounds,
-                "simulated_rounds": stats.simulated_rounds,
-                "messages": stats.messages,
-                "elapsed_sec": round(elapsed, 4),
-                "rounds_per_sec": rounds_per_sec,
-                "speedup_vs_fast": round(rounds_per_sec / fast_rps, 3),
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------- #
-# Part 2 — wire codec vs per-object pickle on the same round batches     #
-# ---------------------------------------------------------------------- #
-
-
-def _capture_round_batches():
-    """The sorting run's per-round staged entries, in plan order.
-
-    A fast-engine tracer records each round's delivered messages as
-    ``(plan_idx, src, dst, message)`` entries — the exact shape the
-    sharded engine routes across the process boundary — so the
-    transport race runs on real protocol traffic, not synthetic
-    payloads.
-    """
-    import random
-
-    net = Network(ENGINE_N, NCCConfig(seed=ENGINE_SEED, engine="fast"))
-    batches = []
-
-    def tracer(round_no, inboxes):
-        idx = 0
-        entries = []
-        for dst, box in inboxes.items():
-            for message in box:
-                entries.append((idx, message.src, dst, message))
-                idx += 1
-        if entries:
-            batches.append(entries)
-
-    net.tracers.append(tracer)
-    try:
-        rng = random.Random(ENGINE_SEED)
-        table = {v: rng.randrange(ENGINE_N) for v in net.node_ids}
-        run_protocol(net, distributed_sort(net, lambda v: table[v]))
-    finally:
-        net.close()
-    return batches
-
-
-def measure_transport():
-    """Race codec encode+decode vs pickle dumps+loads, batch by batch."""
-    batches = _capture_round_batches()
-    total = sum(map(len, batches))
-    dumps, loads = pickle.dumps, pickle.loads
-    protocol = pickle.HIGHEST_PROTOCOL
-
-    def pickle_trip():
-        for entries in batches:
-            loads(dumps(entries, protocol))
-
-    def codec_trip():
-        for entries in batches:
-            wire.decode_entries(loads(dumps(wire.encode_entries(entries), protocol)))
-
-    # Honesty check before timing: the codec must reproduce the batches
-    # bit-for-bit (fields, payload types, interned kinds).
-    for entries in batches[:: max(1, len(batches) // 8)]:
-        assert wire.decode_entries(loads(dumps(wire.encode_entries(entries), protocol))) == entries
-
-    rows = []
-    throughput = {}
-    for label, trip in (("pickle", pickle_trip), ("codec", codec_trip)):
-        elapsed, _ = _wall(trip)
-        msgs_per_sec = round(total / elapsed, 1)
-        throughput[label] = msgs_per_sec
-        bytes_on_wire = (
-            sum(len(dumps(e, protocol)) for e in batches)
-            if label == "pickle"
-            else sum(len(dumps(wire.encode_entries(e), protocol)) for e in batches)
-        )
-        rows.append(
-            {
-                "workload": f"transport_{label}",
-                "n": ENGINE_N,
-                "messages": total,
-                "batches": len(batches),
-                "wire_bytes": bytes_on_wire,
-                "elapsed_sec": round(elapsed, 4),
-                "msgs_per_sec": msgs_per_sec,
-            }
-        )
-    speedup = round(throughput["codec"] / throughput["pickle"], 3)
-    rows[-1]["speedup_vs_pickle"] = speedup
-    return rows, speedup
-
-
-# ---------------------------------------------------------------------- #
-# Part 3 — process drain vs threaded drain (cold: cache disabled)        #
+# Process drain vs threaded drain (cold: cache disabled)                 #
 # ---------------------------------------------------------------------- #
 
 
@@ -327,15 +146,9 @@ _results_cache = {}
 
 
 def bench_results():
-    """Engine + transport + drain rows (the BENCH_multiprocess.json
-    payload); cached."""
+    """The drain rows (the BENCH_multiprocess.json payload); cached."""
     if "rows" not in _results_cache:
-        engine_rows = measure_engines()
-        transport_rows, transport = measure_transport()
-        drain_rows, speedup = measure_drains()
-        _results_cache["rows"] = engine_rows + transport_rows + drain_rows
-        _results_cache["speedup"] = speedup
-        _results_cache["transport"] = transport
+        _results_cache["rows"], _results_cache["speedup"] = measure_drains()
     return _results_cache["rows"]
 
 
@@ -344,52 +157,33 @@ def drain_speedup() -> float:
     return _results_cache["speedup"]
 
 
-def transport_speedup() -> float:
-    bench_results()
-    return _results_cache["transport"]
-
-
 def experiment() -> Experiment:
     results = bench_results()
     speedup = drain_speedup()
-    transport = transport_speedup()
     cores = usable_cores()
     floor = floor_for_cores(cores)
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r["workload"],
-                r["n"] or "mixed",
-                r.get("shards", r.get("workers", r.get("batches", ""))),
-                r.get("rounds", ""),
-                r["messages"],
-                f"{r['elapsed_sec']:.3f}s",
-                r.get("rounds_per_sec")
-                or r.get("requests_per_sec")
-                or r.get("msgs_per_sec"),
-            ]
-        )
+    rows = [
+        [
+            r["workload"],
+            "mixed",
+            r["workers"],
+            r["rounds"],
+            r["messages"],
+            f"{r['elapsed_sec']:.3f}s",
+            r["requests_per_sec"],
+        ]
+        for r in results
+    ]
     return Experiment(
         exp_id="X-MP",
-        claim="multiprocess layer: sharded barrier-exchange engine is "
-        "bit-identical over the columnar wire codec; codec beats "
-        "per-object pickle on real round batches; process drain "
-        "multiplies cold batch throughput by core count",
-        headers=["workload", "n", "shards/wk/batches", "rounds", "messages",
-                 "best time", "per-sec"],
+        claim="multiprocess layer: the process drain multiplies cold "
+        "batch throughput by core count",
+        headers=["workload", "n", "workers", "rounds", "messages",
+                 "best time", "req/s"],
         rows=rows,
-        shape_holds=speedup >= floor and transport > 1.0,
+        shape_holds=speedup >= floor,
         notes=(
-            f"Engine: thm03 sorting n={ENGINE_N} end-to-end, RoundStats "
-            "asserted bit-identical across fast and sharded "
-            f"{SHARD_COUNTS} (each simulated message crosses a process "
-            "boundary twice, so sharding trades throughput for the "
-            "barrier-exchange architecture on few-core hosts).  "
-            f"Transport: codec {transport:.2f}x pickle "
-            "(gate > 1.0x) on the sorting run's captured round batches, "
-            "round trips asserted bit-identical.  Drain: "
-            f"the mixed {BATCH_SIZE}-request service batch, response "
+            f"The mixed {BATCH_SIZE}-request service batch, response "
             f"cache disabled, {DRAIN_WORKERS} workers; responses "
             "asserted field-identical between threaded and process "
             f"drains.  Measured process/threads ratio {speedup:.2f}x on "
@@ -400,12 +194,6 @@ def experiment() -> Experiment:
             "timing: child CPU is invisible to the parent's CPU clock."
         ),
     )
-
-
-def test_transport_codec_smoke():
-    """The codec must beat per-object pickle on the captured batches."""
-    rows, speedup = measure_transport()
-    assert speedup > 1.0, rows
 
 
 def test_multiprocess_smoke(benchmark):

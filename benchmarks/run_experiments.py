@@ -126,30 +126,7 @@ Two benchmarks also track *implementation* performance across PRs:
   top-level `speedup` (warm/cold, target >= 1.5).  The summed
   rounds/messages are the regression-guard invariants.
 - **X-MP** (`bench_multiprocess.py` -> `BENCH_multiprocess.json`): the
-  multiprocess execution layer, both granularities.  *Engine rows*
-  (`sorting_engine_fast` / `sorting_engine_s<k>`): one end-to-end thm03
-  sorting run (n = 128, full fidelity) per engine configuration — the
-  in-process fast engine and the sharded barrier-exchange engine at
-  shard counts {{2, 4}} — on fresh identically-seeded networks, with
-  RoundStats asserted bit-identical across every configuration (the
-  differential suites are the underlying gate; shard counts beyond the
-  suite's {{2, 3}} re-verify here at benchmark scale).  Schema:
-  `{{workload, n, shards (0 = in-process), rounds, simulated_rounds,
-  messages, elapsed_sec, rounds_per_sec, speedup_vs_fast}}`.  Every
-  simulated message crosses a process boundary at least twice, so
-  `speedup_vs_fast < 1` on few-core hosts is the *expected, honestly
-  recorded* cost of the architecture.  *Transport rows*
-  (`transport_pickle` / `transport_codec`): the columnar wire codec
-  (`repro/ncc/wire.py` — the sharded engine's cross-shard transport)
-  raced against per-object pickling on the *same* captured round
-  batches of the engine workload; both sides do the full trip the pipe
-  pays (encode -> pickle.dumps -> pickle.loads -> decode vs dumps ->
-  loads), with round trips asserted bit-identical before timing.
-  Schema: `{{workload, n, messages, batches, wire_bytes, elapsed_sec,
-  msgs_per_sec}}` plus `speedup_vs_pickle` on the codec row and
-  top-level `transport_speedup`; the gate is `speedup_vs_pickle > 1`
-  (the codec must actually pay for its existence), and `messages` /
-  `batches` are the capture-determinism invariants.  *Drain rows*
+  multiprocess execution layer, the process drain.  *Drain rows*
   (`drain_threads` / `drain_processes`): the mixed 60-request service
   batch drained cold (response cache disabled, so all 60 execute) with
   4 workers per mode; responses asserted field-identical.  Schema:
@@ -160,8 +137,10 @@ Two benchmarks also track *implementation* performance across PRs:
   hosts below that cannot express the parallelism, so the gate degrades
   to an IPC-overhead bound (see the module docstring).  Timing is
   wall-clock: child-process CPU is invisible to the parent's CPU clock.
-  The rounds/messages invariants double as the sharded engine's CI
-  bit-identity trip-wire.
+  The summed rounds/messages are the regression-guard invariants.
+  Parallelism per request is what pays on few-core hosts: a per-round
+  sharded engine ran thm03 sorting (n = 128) at 0.16x `fast` with 2
+  shards and 0.12x with 4, and was deleted (README, "Negative result").
 
 - **X-SERVE** (`bench_serve.py` -> `BENCH_serve.json`): the asyncio TCP
   serve front end under load.  The X-SVC mixed traffic at socket scale
@@ -360,8 +339,8 @@ def write_serve_json(path: str) -> dict:
 
 
 def write_multiprocess_json(path: str) -> dict:
-    """Write the BENCH_multiprocess.json record (sharded engine by shard
-    count + process-vs-thread drain).  Uses the module's cached
+    """Write the BENCH_multiprocess.json record (process-vs-thread
+    drain).  Uses the module's cached
     ``bench_results()`` so EXPERIMENTS.md and the JSON report one
     measurement."""
     import bench_multiprocess
@@ -371,12 +350,7 @@ def write_multiprocess_json(path: str) -> dict:
     payload = {
         "benchmark": "multiprocess",
         "description": (
-            "sharded (multiprocess barrier-exchange) engine vs fast engine, "
-            "end-to-end thm03 sorting, RoundStats asserted bit-identical, "
-            "cross-shard transport on the columnar wire codec; the codec "
-            "raced against per-object pickle on the captured round batches "
-            "(transport rows, round trips asserted bit-identical); plus the "
-            "mixed 60-request service batch drained cold (response cache "
+            "the mixed 60-request service batch drained cold (response cache "
             "disabled) through the threaded vs process executor, 4 workers "
             "each, responses asserted field-identical; wall-clock "
             "best-of-reps (child CPU is invisible to the parent CPU clock)"
@@ -387,7 +361,6 @@ def write_multiprocess_json(path: str) -> dict:
         "effective_target": bench_multiprocess.floor_for_cores(cores),
         "results": results,
         "drain_speedup": bench_multiprocess.drain_speedup(),
-        "transport_speedup": bench_multiprocess.transport_speedup(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -469,19 +442,13 @@ def check_against_committed(tolerance: float = 0.15) -> int:
             ("requests_per_sec",),
         ),
         (
-            # The rounds/messages invariants are the sharded engine's
-            # bit-identity regression trip-wire; any drift fails CI.
-            # Throughput guarding covers the drain rows only
-            # (requests_per_sec): the engine rows run more worker
-            # processes than a small host has cores, so their wall-clock
-            # is OS-scheduler noise (±20% run to run) — recorded
-            # honestly in the JSON, but not a stable regression signal.
-            # The fast path's throughput is already guarded by the
-            # engine/protocol suites above.
+            # The summed rounds/messages pin both drains' answers (the
+            # process drain must not change a response); any drift
+            # fails CI.
             "multiprocess",
             os.path.join(repo_root, "BENCH_multiprocess.json"),
             bench_multiprocess.bench_results,
-            ("rounds", "messages", "requests", "distinct", "batches"),
+            ("rounds", "messages", "requests", "distinct"),
             ("requests_per_sec",),
         ),
     ]

@@ -40,11 +40,10 @@ writing a script:
   registry scenario under ``cProfile`` and print the hottest functions,
   so perf work starts from data instead of guesses.
 
-The protocol-running commands accept ``--engine {fast,reference,sharded}``
-(plus ``--shards N`` for the multiprocess sharded engine) to select the
-round-execution engine (``fast`` is the default; all are bit-identical,
-see ``repro/ncc/engine.py`` and ``repro/ncc/sharded.py``).  Every
-command prints the verdict, edge count, and round/message costs.
+The protocol-running commands accept ``--engine {fast,reference}`` to
+select the round-execution engine (``fast`` is the default; both are
+bit-identical, see ``repro/ncc/engine.py``).  Every command prints the
+verdict, edge count, and round/message costs.
 """
 
 from __future__ import annotations
@@ -71,26 +70,11 @@ def _parse_ints(text: str) -> List[int]:
 
 
 def _make_net(n: int, args, ncc1: bool = False) -> Network:
-    engine = getattr(args, "engine", "fast")
-    shards = getattr(args, "shards", None)
-    kwargs = {}
-    if shards is not None:
-        # Validate here, at the CLI surface, instead of surfacing a deep
-        # worker/partitioner failure (or a silent clamp) mid-run.
-        if shards < 1:
-            raise SystemExit(f"--shards must be >= 1, got {shards}")
-        if engine == "sharded" and shards > n:
-            raise SystemExit(
-                f"--shards {shards} exceeds the network size (n={n}); "
-                "the sharded engine partitions nodes across 1..n workers"
-            )
-        kwargs["engine_shards"] = shards
     config = NCCConfig(
         seed=args.seed,
-        engine=engine,
+        engine=getattr(args, "engine", "fast"),
         variant=Variant.NCC1 if ncc1 else Variant.NCC0,
         random_ids=not ncc1,
-        **kwargs,
     )
     return Network(n, config)
 
@@ -570,15 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=engine_names(),
             default="fast",
-            help="round-execution engine (bit-identical; fast is the default; "
-            "sharded runs the round loop across worker processes)",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="worker-process count for --engine sharded "
-            "(1..n; default: engine default, clamped to n)",
+            help="round-execution engine (bit-identical; fast is the default)",
         )
 
     p = sub.add_parser("info", help="show NCC model parameters")

@@ -76,16 +76,10 @@ class NCCConfig:
         Receive-cap behaviour, see :class:`EnforcementMode`.
     engine:
         Round-execution engine: ``"fast"`` (default — batched delivery
-        with memoized size accounting and amortized cap checks),
-        ``"reference"`` (the per-message executable specification), or
-        ``"sharded"`` (nodes partitioned across worker processes with a
-        barrier exchange per round; see :mod:`repro.ncc.sharded`).
-        All enforce identical semantics and report bit-identical
+        with memoized size accounting and amortized cap checks) or
+        ``"reference"`` (the per-message executable specification).
+        Both enforce identical semantics and report bit-identical
         metrics; see :mod:`repro.ncc.engine`.
-    engine_shards:
-        Worker-process count for ``engine="sharded"`` (must be >= 1;
-        clamped to ``n`` per network, since a shard needs at least one
-        node; ignored by the in-process engines).
     id_space_exponent:
         IDs are drawn from ``[1, n**id_space_exponent]`` (the paper's
         ``[1, n^c]``).
@@ -105,26 +99,9 @@ class NCCConfig:
     word_value_bits_factor: float = 2.0
     enforcement: EnforcementMode = EnforcementMode.STRICT
     engine: str = "fast"
-    engine_shards: int = 2
     id_space_exponent: int = 3
     random_ids: bool = True
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Catch a nonsensical shard count at configuration time with a
-        # clear message, not as a deep worker/partitioner failure once a
-        # sharded network starts delivering.  (shards > n is a *per
-        # network* condition, validated where n is known: the CLI and
-        # RealizationRequest.validate; the engine clamps as a backstop.)
-        if (
-            not isinstance(self.engine_shards, int)
-            or isinstance(self.engine_shards, bool)  # True == 1 must not pass
-            or self.engine_shards < 1
-        ):
-            raise ValueError(
-                f"engine_shards must be a positive integer, got "
-                f"{self.engine_shards!r}"
-            )
 
     def cap_for(self, n: int) -> tuple[int, int]:
         """Return ``(send_cap, recv_cap)`` for an ``n``-node network."""

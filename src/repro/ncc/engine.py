@@ -62,24 +62,13 @@ from repro.ncc.message import (
     Message,
     _scalar_words,
     scalar_words_cached,
-    word_cache_evictions,
     word_caches,
 )
-from repro.ncc.wire import materialization_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ncc.network import Network, RoundPlan
 
 Inboxes = Dict[int, List[Message]]
-
-
-def engine_counts(word_bits: int) -> Dict[str, int]:
-    """The shared engine-observability counters (see
-    :meth:`~repro.ncc.network.Network.engine_stats`): process-wide
-    lazy-materialisation meters plus this width's word-cache evictions."""
-    counts = materialization_counts()
-    counts["word_cache_evictions"] = word_cache_evictions(word_bits)
-    return counts
 
 
 class ReferenceEngine:
@@ -93,16 +82,12 @@ class ReferenceEngine:
     def reset(self) -> None:
         """Forget per-run state (:meth:`Network.reset` hook) — stateless."""
 
-    def stats(self) -> Dict[str, int]:
-        """Engine-observability counters (:meth:`Network.engine_stats`)."""
-        return engine_counts(self.net.word_bits)
-
     def deliver(self, plan: "RoundPlan") -> Inboxes:
         """Validate, enforce and deliver one round, message by message."""
         net = self.net
         # Phase observer: only when this engine is the network's own
-        # (a violation replay inside fast/sharded reports through the
-        # wrapping engine instead, so each round is observed once).
+        # (a violation replay inside fast reports through the wrapping
+        # engine instead, so each round is observed once).
         observer = net.round_observer if net.engine is self else None
         t0 = perf_counter() if observer is not None else 0.0
         per_sender: Dict[int, int] = {}
@@ -220,10 +205,6 @@ class FastEngine:
                     value, word_bits, int_cache, scalar_cache
                 )
         return total
-
-    def stats(self) -> Dict[str, int]:
-        """Engine-observability counters (:meth:`Network.engine_stats`)."""
-        return engine_counts(self.net.word_bits)
 
     # -------------------------------------------------------------- #
     # The batched round                                              #
@@ -510,36 +491,18 @@ ENGINES: Dict[str, Type] = {
     FastEngine.name: FastEngine,
 }
 
-#: Engines resolved on first use (import cycle: they import this module
-#: for the reference fallback).  ``"sharded"`` is the multiprocess
-#: barrier-exchange engine (:mod:`repro.ncc.sharded`).
-_LAZY_ENGINES = {"sharded": ("repro.ncc.sharded", "ShardedEngine")}
-
 
 def engine_names() -> Tuple[str, ...]:
     """All registered engine names (the ``NCCConfig.engine`` domain)."""
-    return tuple(sorted(set(ENGINES) | set(_LAZY_ENGINES)))
+    return tuple(sorted(ENGINES))
 
 
 def make_engine(name: str, net: "Network"):
-    """Instantiate the engine ``name`` ("fast", "reference" or "sharded").
-
-    Beyond ``deliver``/``reset``, engines may implement two optional
-    hooks the :class:`~repro.ncc.network.Network` dispatches when
-    present: ``note_grant(u, v)`` (out-of-band knowledge grants, so
-    replicated state can follow) and ``close()`` (release external
-    resources such as worker processes).
-    """
+    """Instantiate the engine ``name`` ("fast" or "reference")."""
     engine_cls = ENGINES.get(name)
     if engine_cls is None:
-        lazy = _LAZY_ENGINES.get(name)
-        if lazy is None:
-            raise ValueError(
-                f"unknown NCC engine {name!r}; expected one of "
-                f"{list(engine_names())}"
-            )
-        import importlib
-
-        engine_cls = getattr(importlib.import_module(lazy[0]), lazy[1])
-        ENGINES[name] = engine_cls
+        raise ValueError(
+            f"unknown NCC engine {name!r}; expected one of "
+            f"{list(engine_names())}"
+        )
     return engine_cls(net)

@@ -51,8 +51,8 @@ def scalar_words_cached(value, word_bits, int_cache, scalar_cache) -> int:
     different types (``2**60`` vs ``2.0**60``) can occupy different word
     counts.  ``word_bits`` must be fixed for the caches' lifetime.
     :class:`~repro.ncc.engine.FastEngine` additionally inlines this
-    dispatch in its hottest loop (see its lockstep comments); the
-    sharded engine's workers and :meth:`Message.words` call it directly.
+    dispatch in its hottest loop (see its lockstep comments);
+    :meth:`Message.words` calls it directly.
 
     Unhashable values never reach a cache: they fall through to the
     uncached :func:`_scalar_words`, which raises the canonical
@@ -80,9 +80,8 @@ def scalar_words_cached(value, word_bits, int_cache, scalar_cache) -> int:
 
 #: Process-wide word-accounting caches, one ``(int_cache, scalar_cache)``
 #: pair per word width.  Pure memoization — a scalar's word count is a
-#: function of ``(value, word_bits)`` alone — so every engine, shard
-#: worker and :meth:`Message.words` call sharing a width shares the
-#: warm entries.
+#: function of ``(value, word_bits)`` alone — so every engine and
+#: :meth:`Message.words` call sharing a width shares the warm entries.
 _WORD_CACHES: Dict[int, Tuple[Dict[int, int], Dict[Tuple[type, Any], int]]] = {}
 
 #: Growth bound per cache dict.  Purity makes dropping entries always
@@ -93,17 +92,16 @@ _WORD_CACHES: Dict[int, Tuple[Dict[int, int], Dict[Tuple[type, Any], int]]] = {}
 #: ("oldest-inserted-out") eviction — an LRU approximation: true
 #: recency tracking would put a bookkeeping write on every *read* in the
 #: engines' hottest loops, which is exactly what the caches exist to
-#: avoid.  Those loops insert through direct references that bypass this
-#: function, so their round prologues call ``word_caches`` once per
-#: round (``FastEngine`` deliver, ``_ShardState.stage``,
-#: ``ColumnarRoundBatch.ensure_words``) to keep the bound enforced there
-#: too.  Holders of direct references keep working — they see the same
+#: avoid.  ``FastEngine.deliver`` inserts through direct references
+#: that bypass this function, so its round prologue calls
+#: ``word_caches`` once per round to keep the bound enforced there too.
+#: Holders of direct references keep working — they see the same
 #: (trimmed) dicts.
 _WORD_CACHE_LIMIT = 1 << 20
 
 #: Entries evicted from the word caches, per word width (monotone;
-#: surfaced through engine ``stats()`` and the obs registry so cache
-#: churn in long-lived serve processes is observable).
+#: surfaced through the obs registry so cache churn in long-lived serve
+#: processes is observable).
 _WORD_CACHE_EVICTIONS: Dict[int, int] = {}
 
 

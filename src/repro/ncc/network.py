@@ -49,10 +49,9 @@ class RoundPlan:
     """The set of sends all nodes issue in one synchronous round.
 
     ``sends`` holds the staged ``(src, dst, message)`` tuples in plan
-    order — the engines' read surface: the in-process engines iterate it
-    directly, and the sharded engine columnarises it per sender shard
-    (:mod:`repro.ncc.wire`) at the process boundary.  Plan order is the
-    delivery tiebreak everywhere, so the list must not be reordered.
+    order — the engines' read surface, which they iterate directly.
+    Plan order is the delivery tiebreak everywhere, so the list must not
+    be reordered.
     """
 
     __slots__ = ("sends",)
@@ -174,11 +173,8 @@ class Network:
             Callable[[int, Dict[str, float], int, int], None]
         ] = None
 
-        # Round-execution engine (config.engine: "fast" | "reference" |
-        # "sharded").  Engines with replicated state expose a note_grant
-        # hook so out-of-band knowledge grants reach their replicas.
+        # Round-execution engine (config.engine: "fast" | "reference").
         self.engine = make_engine(config.engine, self)
-        self._grant_hook = getattr(self.engine, "note_grant", None)
 
     # ------------------------------------------------------------------ #
     # Warm reuse (the service pool's lease API)                          #
@@ -229,17 +225,6 @@ class Network:
         self.engine.reset()
         return self
 
-    def close(self) -> None:
-        """Release engine-held external resources (worker processes).
-
-        A no-op for the in-process engines; the sharded engine stops its
-        worker processes.  The network remains usable afterwards —
-        sharded workers respawn lazily on the next delivering round.
-        """
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-
     # ------------------------------------------------------------------ #
     # Topology / identity helpers                                        #
     # ------------------------------------------------------------------ #
@@ -265,8 +250,6 @@ class Network:
         """
         if v != u:
             self.known[u].add(v)
-            if self._grant_hook is not None:
-                self._grant_hook(u, v)
 
     # ------------------------------------------------------------------ #
     # The round engine                                                   #
@@ -359,10 +342,9 @@ class Network:
         The engines call ``observer(round_no, phase_seconds,
         queue_depth, defer_backlog)`` once per delivered round:
         ``phase_seconds`` maps phase names (``validate``/``deliver``,
-        plus ``exchange`` for the sharded engine and ``fallback`` for
-        violation replays) to wall seconds, ``queue_depth`` is the
-        round's max inbox load, ``defer_backlog`` the defer-mode queue
-        total after the round.  Observers must not mutate network state
+        plus ``fallback`` for violation replays) to wall seconds,
+        ``queue_depth`` is the round's max inbox load,
+        ``defer_backlog`` the defer-mode queue total after the round.  Observers must not mutate network state
         — they see timings, not the simulation.  Cleared by
         :meth:`reset`, so pooled leases never inherit one.
         """
@@ -402,22 +384,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # Metrics                                                            #
     # ------------------------------------------------------------------ #
-
-    def engine_stats(self) -> Dict[str, int]:
-        """Engine-internal observability counters.
-
-        Lazy-materialisation meters (``messages_materialized`` /
-        ``messages_stayed_columnar``, process-wide and monotone, moved
-        only by the sharded engine's column inboxes — see
-        :func:`repro.ncc.wire.materialization_counts`) plus the word
-        caches' ``word_cache_evictions``.  Deliberately *not* part of
-        :meth:`stats`: :class:`~repro.ncc.metrics.RoundStats` is the
-        bit-identical cross-engine surface, and how many objects were
-        lazily built is a property of what the *caller* touched, not of
-        the simulated round.
-        """
-        stats = getattr(self.engine, "stats", None)
-        return dict(stats()) if stats is not None else {}
 
     def stats(self) -> RoundStats:
         """Snapshot of all counters (rounds, messages, words, phases)."""

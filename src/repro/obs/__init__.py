@@ -5,7 +5,7 @@ Three cooperating pieces, shared by the whole serve stack:
 * **Request-scoped tracing** (:mod:`~repro.obs.trace`): a bounded
   :class:`Span` tree opened at admission, carried through every drain
   mode and across the process-pool boundary (fork *and* spawn) as a
-  compact trace context on the columnar wire envelope, reassembled into
+  compact trace context on the request wire envelope, reassembled into
   one tree per request in the parent and exported as JSONL or Chrome
   ``trace_event`` JSON (:mod:`~repro.obs.exporters`).
 * **A unified metrics registry** (:mod:`~repro.obs.metrics`):
@@ -16,7 +16,7 @@ Three cooperating pieces, shared by the whole serve stack:
   counters join the same exposition through collector callbacks.
 * **Engine phase hooks** (:func:`~repro.obs.trace.RoundPhaseAggregate`
   + ``Network.set_round_observer``): opt-in per-round
-  validate/exchange/deliver timing with queue depth and defer backlog,
+  validate/deliver timing with queue depth and defer backlog,
   feeding both spans and histograms — a ``None`` observer (the default)
   keeps the engine hot path flat.
 

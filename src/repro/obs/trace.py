@@ -160,8 +160,8 @@ def encode_span_columns(root: Span) -> Tuple[Any, ...]:
 
     Pre-order flatten; parents are recorded as indices into the flat
     order (-1 for the root) so the structure survives without shipping
-    span ids.  Layout mirrors the struct-of-arrays style of
-    ``repro.ncc.wire``: one column per field, primitive types only.
+    span ids.  Struct-of-arrays layout: one column per field, primitive
+    types only.
     """
     order = list(root.walk())
     index = {id(span): i for i, span in enumerate(order)}

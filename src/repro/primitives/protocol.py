@@ -55,7 +55,6 @@ from typing import (
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import Message
 from repro.ncc.network import Network
-from repro.ncc.wire import ColumnarInbox
 
 Send = Tuple[int, int, Message]
 Inboxes = Dict[int, List[Message]]
@@ -88,30 +87,20 @@ class InboxView(dict):
         self._by_kind: Dict[int, Dict[str, List[Message]]] = {}
 
     def kind_index(self, node: int) -> Dict[str, List[Message]]:
-        """The node's ``{kind: [messages]}`` map (built on first use).
-
-        An unforced :class:`~repro.ncc.wire.ColumnarInbox` (the sharded
-        engine's inbox form) splits by kind on its *columns* instead —
-        pure int work, yielding lazy per-kind sub-views — so taking one
-        kind at a node materialises only that kind's messages and
-        everything untaken stays columnar.
-        """
+        """The node's ``{kind: [messages]}`` map (built on first use)."""
         index = self._by_kind.get(node)
         if index is None:
+            index = {}
             box = dict.get(self, node)
-            if box.__class__ is ColumnarInbox and box._forced is None:
-                index = box.kind_views()
-            else:
-                index = {}
-                if box:
-                    index_get = index.get
-                    for message in box:
-                        kind = message.kind
-                        bucket = index_get(kind)
-                        if bucket is None:
-                            index[kind] = [message]
-                        else:
-                            bucket.append(message)
+            if box:
+                index_get = index.get
+                for message in box:
+                    kind = message.kind
+                    bucket = index_get(kind)
+                    if bucket is None:
+                        index[kind] = [message]
+                    else:
+                        bucket.append(message)
             self._by_kind[node] = index
         return index
 

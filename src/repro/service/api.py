@@ -96,7 +96,6 @@ class RealizationRequest:
     repairs: int = 0  # approximate only
     explicit_envelope: bool = False  # degree_envelope only
     max_rounds: Optional[int] = None  # per-request round budget (isolation)
-    shards: int = 0  # engine="sharded" only; 0 = engine default
     deadline_ms: Optional[int] = None  # wall-clock budget from arrival (ms)
     idempotency_key: Optional[str] = None  # exactly-once replay identity
 
@@ -211,15 +210,6 @@ class RealizationRequest:
                 "'idempotency_key' must be a non-empty string, got "
                 f"{self.idempotency_key!r}"
             )
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise ServiceError(f"'shards' must be an integer, got {self.shards!r}")
-        if self.shards < 0:
-            raise ServiceError("'shards' must be >= 0 (0 = engine default)")
-        if self.engine == "sharded" and self.shards > self.size:
-            raise ServiceError(
-                f"'shards' ({self.shards}) cannot exceed n ({self.size}): "
-                "the sharded engine partitions nodes across 1..n workers"
-            )
         if self.sort_fidelity not in ("full", "charged"):
             raise ServiceError(f"unknown sort_fidelity {self.sort_fidelity!r}")
         if self.kind == "tree" and self.tree_variant not in _TREE_VARIANTS:
@@ -241,15 +231,11 @@ class RealizationRequest:
     def config(self) -> NCCConfig:
         """The :class:`NCCConfig` (and pool key half) for this request."""
         ncc1 = self.kind == "connectivity" and self.model == "ncc1"
-        kwargs = {}
-        if self.engine == "sharded" and self.shards > 0:
-            kwargs["engine_shards"] = self.shards
         return NCCConfig(
             seed=self.seed,
             engine=self.engine,
             variant=Variant.NCC1 if ncc1 else Variant.NCC0,
             random_ids=not ncc1,
-            **kwargs,
         )
 
     def cache_key(self) -> "RealizationRequest":
@@ -276,10 +262,6 @@ class RealizationRequest:
             neutral["explicit_envelope"] = False
         if self.scenario is None:
             neutral["params"] = ()
-        if self.engine != "sharded":
-            # Shard count only reaches the simulation via the sharded
-            # engine; a stray value must not split the cache.
-            neutral["shards"] = 0
         return replace(self, **neutral)
 
     # ---------------------------------------------------------------- #
@@ -289,8 +271,7 @@ class RealizationRequest:
     _WIRE_KEYS = (
         "kind", "request_id", "degrees", "scenario", "params", "n", "seed",
         "engine", "sort_fidelity", "tree_variant", "model", "repairs",
-        "explicit_envelope", "max_rounds", "shards", "deadline_ms",
-        "idempotency_key",
+        "explicit_envelope", "max_rounds", "deadline_ms", "idempotency_key",
     )
     _DEGREES_SLOT = _WIRE_KEYS.index("degrees")
 
@@ -326,9 +307,9 @@ class RealizationRequest:
 
         Trusts the sender — the parent validates and normalises before
         shipping — so the frozen-dataclass ``__init__``/``__post_init__``
-        machinery is skipped entirely (a plain dict fill, like the
-        message codec's decode path).  Any trace trailer is sliced off;
-        callers that want it use :meth:`wire_trace`.
+        machinery is skipped entirely (a plain dict fill).  Any trace
+        trailer is sliced off; callers that want it use
+        :meth:`wire_trace`.
         """
         self = cls.__new__(cls)
         inner = self.__dict__
@@ -403,7 +384,6 @@ class RealizationRequest:
             ("repairs", 0),
             ("explicit_envelope", False),
             ("max_rounds", None),
-            ("shards", 0),
             ("deadline_ms", None),
             ("idempotency_key", None),
         ):

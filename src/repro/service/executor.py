@@ -63,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -81,7 +82,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ncc.errors import DeadlineExceeded, RoundBudgetExceeded
 from repro.ncc.network import Network
-from repro.ncc.sharded import fork_context
 from repro.obs import (
     Histogram,
     LatencyRecorder,
@@ -418,14 +418,11 @@ def _process_worker_run(
                 )
             finally:
                 _WORKER_POOL.release(net)
-        net = Network(n, config)
-        try:
-            run_span = span.child("run") if span is not None else None
-            return run_request(
-                request, net, workload, registry, deadline, span=run_span
-            )
-        finally:
-            net.close()  # sharded engines hold worker processes
+        run_span = span.child("run") if span is not None else None
+        return run_request(
+            request, Network(n, config), workload, registry, deadline,
+            span=run_span,
+        )
     except ServiceError as exc:
         return error_response(request.request_id, request.kind, str(exc))
     except Exception as exc:  # pragma: no cover - defensive envelope
@@ -469,46 +466,18 @@ def _transport_failure(
     )
 
 
-def _engine_columnar_metrics():
-    """Registry collector: columnar-engine counters at scrape time.
+def _word_cache_metrics():
+    """Registry collector: word-cache evictions at scrape time.
 
-    Process-wide monotone counters (see :func:`repro.ncc.wire.
-    materialization_counts` and :func:`repro.ncc.message.
+    A process-wide monotone counter (see :func:`repro.ncc.message.
     word_cache_evictions`) covering every engine that ran in this
-    process; the materialisation meters move only for the sharded
-    engine's parent side.  Nothing scrapes pool worker processes, so in
-    ``processes`` mode these meters count only runs in the serve process
-    itself, such as degraded runs while the breaker is open.
+    process.  Nothing scrapes pool worker processes, so in ``processes``
+    mode it counts only runs in the serve process itself, such as
+    degraded runs while the breaker is open.
     """
     from repro.ncc.message import word_cache_evictions
-    from repro.ncc.wire import materialization_counts
 
-    counts = materialization_counts()
     return [
-        (
-            "repro_engine_messages_materialized_total",
-            "counter",
-            "Message objects constructed from columnar round batches",
-            [
-                (
-                    "repro_engine_messages_materialized_total",
-                    (),
-                    float(counts["messages_materialized"]),
-                )
-            ],
-        ),
-        (
-            "repro_engine_messages_stayed_columnar_total",
-            "counter",
-            "Messages delivered columnar whose inboxes were never forced",
-            [
-                (
-                    "repro_engine_messages_stayed_columnar_total",
-                    (),
-                    float(counts["messages_stayed_columnar"]),
-                )
-            ],
-        ),
         (
             "repro_engine_word_cache_evictions_total",
             "counter",
@@ -522,6 +491,16 @@ def _engine_columnar_metrics():
             ],
         ),
     ]
+
+
+def fork_context():
+    """``fork`` where available, else the platform default context.
+
+    Fork gives cheap persistent workers that inherit module state (the
+    service's crash-probe test seam relies on that).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 class _WatchEntry:
@@ -758,7 +737,7 @@ class BatchExecutor:
         if pool is not None:
             self.metrics.register_collector("network_pool", pool.collect_metrics)
         self.metrics.register_collector("circuit_breaker", self._breaker_metrics)
-        self.metrics.register_collector("engine_columnar", _engine_columnar_metrics)
+        self.metrics.register_collector("word_cache", _word_cache_metrics)
         # Durability: with a journal attached, every request is written
         # at admission and completion (every entry point funnels through
         # _submit); duplicate submissions carrying an idempotency_key
@@ -1202,18 +1181,14 @@ class BatchExecutor:
                     )
                 finally:
                     self.pool.release(net)
-            net = Network(n, config)
-            try:
-                run_span = span.child("run") if span is not None else None
-                return run_request(
-                    request, net, workload, self.registry, deadline,
-                    span=run_span,
-                    phase_histogram=(
-                        self.engine_phase_hist if span is not None else None
-                    ),
-                )
-            finally:
-                net.close()  # sharded engines hold worker processes
+            run_span = span.child("run") if span is not None else None
+            return run_request(
+                request, Network(n, config), workload, self.registry, deadline,
+                span=run_span,
+                phase_histogram=(
+                    self.engine_phase_hist if span is not None else None
+                ),
+            )
         except ServiceError as exc:
             return error_response(request.request_id, request.kind, str(exc))
         except Exception as exc:  # last resort: a long-lived serve loop

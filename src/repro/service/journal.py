@@ -79,6 +79,24 @@ REPLAY_LIMIT = 4096  # distinct idempotency keys retained
 SESSION_TAIL = 1024  # responses retained per session token
 
 
+#: Where older request envelopes carried a ``shards`` slot (between
+#: ``max_rounds`` and ``deadline_ms``), before the field was removed.
+_LEGACY_SHARDS_SLOT = 14
+
+
+def _current_request_wire(wire_req: tuple) -> tuple:
+    """A journaled request envelope in the current ``_WIRE_KEYS`` format.
+
+    :meth:`RequestJournal.append_admitted` never writes a trace trailer,
+    so an admission exactly one slot wider than ``_WIRE_KEYS`` can only
+    be an older record with a ``shards`` slot.  Dropping that slot puts
+    ``deadline_ms`` and ``idempotency_key`` back where they decode.
+    """
+    if len(wire_req) == len(RealizationRequest._WIRE_KEYS) + 1:
+        return wire_req[:_LEGACY_SHARDS_SLOT] + wire_req[_LEGACY_SHARDS_SLOT + 1:]
+    return wire_req
+
+
 class JournalError(Exception):
     """Misuse of the journal API (bad policy, closed journal)."""
 
@@ -387,6 +405,7 @@ class RequestJournal:
             # Unknown record kinds from a future version are skipped.
         for seq in sorted(set(admissions) - set(completions)):
             token, sidx, key, wire_req = admissions[seq]
+            wire_req = _current_request_wire(wire_req)
             self._incomplete[seq] = (token, sidx, key, wire_req)
             rec.incomplete.append(
                 (seq, token, sidx, RealizationRequest.from_wire(wire_req))

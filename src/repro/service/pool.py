@@ -16,8 +16,7 @@ graph are not poolable (the key cannot see it) — construct those
 directly.
 
 All operations are thread-safe; the batch executor's thread-pooled mode
-shares one pool across workers, and the future multiprocess sharded
-engine is expected to sit behind the same lease API.
+shares one pool across workers.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class NetworkPool:
         releases of the same key race; the rare loser wastes one reset.
         """
         key = (net.n, net.config)
-        discard = False
         with self._lock:
             self.releases += 1
             if (
@@ -96,18 +94,12 @@ class NetworkPool:
                 # A custom-knowledge network is invisible to the key: a
                 # later lease would get the wrong initial state.  Discard.
                 self.discards += 1
-                discard = True
-            else:
-                stack = self._idle.get(key)
-                if stack is not None and len(stack) >= self.max_idle_per_key:
-                    self.discards += 1
-                    discard = True
-        if discard:
-            # Closing may join worker processes — never under the lock.
-            net.close()
-            return
+                return
+            stack = self._idle.get(key)
+            if stack is not None and len(stack) >= self.max_idle_per_key:
+                self.discards += 1
+                return
         net.reset()
-        evicted: List[Network] = []
         with self._lock:
             # Re-resolve the stack: a concurrent eviction may have
             # removed the key's (empty) slot while the lock was dropped
@@ -116,30 +108,22 @@ class NetworkPool:
             stack = self._idle.setdefault(key, [])
             if len(stack) >= self.max_idle_per_key:
                 self.discards += 1
-                discard = True
-            else:
-                stack.append(net)
-                # Global bound: evict from the longest-idle key (dict
-                # order = key first-use order; empty stacks are removed
-                # on eviction).
-                total = sum(len(s) for s in self._idle.values())
-                while total > self.max_total_idle:
-                    oldest = next(iter(self._idle))
-                    victims = self._idle[oldest]
-                    if not victims:  # drained by leases; drop empty slot
-                        del self._idle[oldest]
-                        continue
-                    evicted.append(victims.pop(0))
-                    if not victims:
-                        del self._idle[oldest]
-                    self.discards += 1
-                    total -= 1
-        if discard:
-            net.close()
-        # A discarded network may hold external resources (the sharded
-        # engine's worker processes) — release them outside the lock.
-        for victim in evicted:
-            victim.close()
+                return
+            stack.append(net)
+            # Global bound: evict from the longest-idle key (dict order =
+            # key first-use order; empty stacks are removed on eviction).
+            total = sum(len(s) for s in self._idle.values())
+            while total > self.max_total_idle:
+                oldest = next(iter(self._idle))
+                victims = self._idle[oldest]
+                if not victims:  # drained by leases; drop empty slot
+                    del self._idle[oldest]
+                    continue
+                victims.pop(0)
+                if not victims:
+                    del self._idle[oldest]
+                self.discards += 1
+                total -= 1
 
     @contextmanager
     def network(self, n: int, config: NCCConfig = DEFAULT_CONFIG) -> Iterator[Network]:
@@ -159,12 +143,9 @@ class NetworkPool:
             return sum(len(stack) for stack in self._idle.values())
 
     def clear(self) -> None:
-        """Drop every idle network (keeps counters), closing each one."""
+        """Drop every idle network (keeps counters)."""
         with self._lock:
-            victims = [net for stack in self._idle.values() for net in stack]
             self._idle.clear()
-        for net in victims:
-            net.close()
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for service introspection and benchmarks."""

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import repro.ncc.message as message_module
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.network import Network
 
@@ -23,6 +24,36 @@ def make_ncc1(n: int, seed: int = 0, **overrides) -> Network:
     return Network(
         n, NCCConfig(seed=seed, variant=Variant.NCC1, random_ids=False, **overrides)
     )
+
+
+#: Shared word-cache bound under an ``<engine>-evicting`` label: small
+#: enough that any run carrying a few distinct payload scalars trims the
+#: caches again and again.
+EVICTING_WORD_CACHE_LIMIT = 2
+
+
+@pytest.fixture
+def engine(request, monkeypatch):
+    """The engine name behind an ``indirect`` ``engine`` parameter.
+
+    ``"fast"`` and ``"reference"`` pass through.  ``"<name>-evicting"``
+    runs engine ``<name>`` with the shared word caches of
+    :mod:`repro.ncc.message` bounded to a couple of entries, so they
+    evict in the fast engine's round prologues and on ``Message.words``
+    calls throughout the test: a result that depended on what the
+    caches hold shows up as a mismatch.  Such a test must evict.
+    """
+    name, _, regime = request.param.partition("-")
+    if not regime:
+        yield name
+        return
+    assert regime == "evicting", request.param
+    before = message_module.word_cache_evictions()
+    monkeypatch.setattr(
+        message_module, "_WORD_CACHE_LIMIT", EVICTING_WORD_CACHE_LIMIT
+    )
+    yield name
+    assert message_module.word_cache_evictions() > before, "caches never evicted"
 
 
 @pytest.fixture

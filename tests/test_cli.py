@@ -88,6 +88,23 @@ class TestCLI:
         assert main(["connectivity", "--rho", "2,2,1,1,1,1", "--fast",
                      "--engine", "reference"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--degrees", "3,2,2,1,1,1,2"],
+            ["connectivity", "--rho", "2,2,1,1,1,1", "--fast"],
+            ["approx", "--degrees", "3,3,2,2,2,2", "--fast"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_choice_does_not_change_output(self, argv, capsys):
+        outputs = {}
+        for engine in ("reference", "fast"):
+            assert main([*argv, "--engine", engine]) == 0
+            outputs[engine] = capsys.readouterr().out
+        assert outputs["fast"] == outputs["reference"]
+        assert "rounds" in outputs["fast"]
+
 
 class TestServiceCLI:
     def test_scenarios_listing(self, capsys):

@@ -22,10 +22,11 @@ from repro.ncc.network import Network
 from repro.primitives.protocol import run_protocol
 from repro.workloads import random_graphic_sequence
 
-#: "sharded" runs at the default shard count; the overdriving workloads
-#: below then cover the multiprocess engine's defer-spill bookkeeping
-#: (worker backlogs + the parent's deferred mirror) end to end.
-ENGINES = ("fast", "reference", "sharded")
+ENGINES = ("fast", "reference")
+#: Adds the fast engine with its shared word caches evicting throughout
+#: (see the ``engine`` fixture in ``conftest.py``): defer-mode requeues
+#: re-count message words, so a backlog must not depend on cache state.
+LABELS = ENGINES + ("fast-evicting",)
 NONSTRICT = (EnforcementMode.DEFER, EnforcementMode.UNBOUNDED)
 
 
@@ -97,12 +98,11 @@ class TestOverdrivingWorkloadDifferential:
             if mode is EnforcementMode.DEFER:
                 net.drain()
             outcomes[engine] = observable(net, trace)
-            net.close()
         for engine in ENGINES:
             assert outcomes[engine] == outcomes["reference"], engine
         assert outcomes["fast"][1] == 0  # nothing left queued
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", LABELS, indirect=True)
     def test_defer_delivers_fifo_and_charges_rounds(self, engine):
         net = ncc1_net(40, seed=3, engine=engine, mode=EnforcementMode.DEFER)
         trace = attach_trace(net)
@@ -155,7 +155,7 @@ class TestCorrectProtocolsAreModeInvariant:
     mode — the realizers' runs must not depend on enforcement."""
 
     @pytest.mark.parametrize("mode", NONSTRICT)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", LABELS, indirect=True)
     def test_degree_realization_matches_strict(self, mode, engine):
         seq = random_graphic_sequence(18, 0.3, seed=6)
         outcomes = {}

@@ -5,9 +5,8 @@ exceptions with the same attributes — and leave the same partial state —
 in strict and defer modes on every engine.  These tests build adversarial
 ``RoundPlan``s right at each boundary and one past it, plus a randomized
 plan fuzzer that cross-checks whole outcomes (inboxes, metrics, errors)
-between engines.  For the multiprocess sharded engine this is also the
-violation/fallback torture path: every boundary overshoot exercises the
-reference replay plus worker resync, at two shard counts.
+between engines.  For the fast engine this is also the violation/fallback
+torture path: every boundary overshoot exercises the reference replay.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.ncc.network import Network
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
     "reference": {"engine": "reference"},
-    "sharded2": {"engine": "sharded", "engine_shards": 2},
-    "sharded3": {"engine": "sharded", "engine_shards": 3},
 }
 ENGINES = tuple(ENGINE_CONFIGS)
 MODES = (EnforcementMode.STRICT, EnforcementMode.DEFER)
@@ -103,7 +100,6 @@ class TestSendCapBoundary:
             targets = ids[1 : 1 + net.send_cap + overshoot]
             sends = [(sender, dst, msg("x")) for dst in targets]
             outcomes[engine] = (run_plan(net, sends), snapshot(net))
-            net.close()
         result = outcomes["fast"][0]
         if overshoot:
             assert result[:2] == ("err", "send")
@@ -124,7 +120,6 @@ class TestRecvCapBoundary:
             senders = ids[1 : 1 + net.recv_cap + overshoot]
             sends = [(s, dst, msg("y")) for s in senders]
             outcomes[engine] = (run_plan(net, sends), snapshot(net))
-            net.close()
         result = outcomes["fast"][0]
         if overshoot:
             assert result[:2] == ("err", "recv")
@@ -150,7 +145,6 @@ class TestRecvCapBoundary:
             assert net.pending_deferred() == overshoot
             drained = net.drain()
             outcomes[engine] = (drained, snapshot(net))
-            net.close()
         assert_all_match_reference(outcomes)
         assert outcomes["fast"][1][3] == 0  # backlog fully drained
 
@@ -173,7 +167,6 @@ class TestRecvCapBoundary:
             assert kinds[:overshoot] == ["first"] * overshoot
             assert kinds[overshoot] == "second"
             outcomes[engine] = snapshot(net)
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -202,7 +195,6 @@ class TestWordBudgetBoundary:
             assert outcomes[engine][0][0] == "ok"
             assert outcomes[engine][1][:2] == ("err", "size")
             assert outcomes[engine][1][2] == max_words + 1
-            net.close()
         assert_all_match_reference(outcomes)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -225,7 +217,6 @@ class TestWordBudgetBoundary:
             assert outcomes[engine][0][0] == "ok"
             assert outcomes[engine][1][:2] == ("err", "size")
             assert outcomes[engine][1][2] == max_words + 1
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -241,12 +232,11 @@ class TestGatingErrors:
                 snapshot(net),
             )
             assert outcomes[engine][0][:2] == ("err", "unknown")
-            net.close()
         assert_all_match_reference(outcomes)
 
     def test_nonscalar_payload_type_error_identical(self):
         """A non-scalar payload raises the same TypeError on every
-        engine (the sharded engine must fall back, not crash a worker)."""
+        engine."""
         outcomes = {}
         for engine, net in ncc1_pair(8, seed=11).items():
             ids = list(net.node_ids)
@@ -255,7 +245,6 @@ class TestGatingErrors:
                 outcomes[engine] = ("ok",)
             except TypeError as exc:
                 outcomes[engine] = ("type_error", str(exc), snapshot(net))
-            net.close()
         assert outcomes["fast"][0] == "type_error"
         assert_all_match_reference(outcomes)
 
@@ -265,7 +254,6 @@ class TestGatingErrors:
             v = net.node_ids[0]
             outcomes[engine] = (run_plan(net, [(v, v, msg("me"))]), snapshot(net))
             assert outcomes[engine][0][:2] == ("err", "protocol")
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -309,6 +297,5 @@ class TestPlanFuzz:
                     log.append(result)
                     break  # network state after an error is final
             outcomes[engine] = (log, snapshot(net), net.stats())
-            net.close()
         assert_all_match_reference(outcomes)
 

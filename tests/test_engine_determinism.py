@@ -5,7 +5,9 @@ runs being exactly reproducible — no dict-ordering or set-iteration
 nondeterminism may leak into ``RoundStats``.  Each case runs the same
 protocol twice on fresh networks and asserts the stats snapshots are
 byte-identical (via repr) and the realizations equal, for both engines
-and both variants.
+and both variants.  The ``-evicting`` labels repeat the cases with the
+shared word caches bounded so they evict throughout (see the ``engine``
+fixture in ``conftest.py``): runs must not depend on cache contents.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from repro.workloads import random_graphic_sequence, random_tree_sequence
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
     "reference": {"engine": "reference"},
-    "sharded2": {"engine": "sharded", "engine_shards": 2},
-    "sharded3": {"engine": "sharded", "engine_shards": 3},
 }
 ENGINES = tuple(ENGINE_CONFIGS)
+LABELS = ENGINES + ("fast-evicting", "reference-evicting")
 
 
 def fresh_net(n: int, seed: int, variant: Variant, engine: str) -> Network:
@@ -44,7 +45,7 @@ def fresh_net(n: int, seed: int, variant: Variant, engine: str) -> Network:
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", LABELS, indirect=True)
 @pytest.mark.parametrize("variant", [Variant.NCC0, Variant.NCC1])
 @pytest.mark.parametrize("n,seed", [(12, 0), (24, 7), (33, 42)])
 def test_sorting_stats_byte_identical(engine, variant, n, seed):
@@ -55,13 +56,12 @@ def test_sorting_stats_byte_identical(engine, variant, n, seed):
         table = {v: rng.randrange(n) for v in net.node_ids}
         _, order = run_protocol(net, distributed_sort(net, lambda v: table[v]))
         snapshots.append((order, net.stats()))
-        net.close()
     assert snapshots[0][0] == snapshots[1][0]
     assert snapshots[0][1] == snapshots[1][1]
     assert repr(snapshots[0][1]).encode() == repr(snapshots[1][1]).encode()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", LABELS, indirect=True)
 @pytest.mark.parametrize("n,seed", [(14, 3), (20, 11)])
 def test_degree_realization_byte_identical(engine, n, seed):
     seq = random_graphic_sequence(n, 0.4, seed=seed)
@@ -70,13 +70,12 @@ def test_degree_realization_byte_identical(engine, n, seed):
         net = fresh_net(n, seed, Variant.NCC0, engine)
         result = realize_degree_sequence(net, dict(zip(net.node_ids, seq)))
         snapshots.append(result)
-        net.close()
     assert snapshots[0] == snapshots[1]
     assert repr(snapshots[0].stats).encode() == repr(snapshots[1].stats).encode()
     assert snapshots[0].edges == snapshots[1].edges
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", LABELS, indirect=True)
 @pytest.mark.parametrize("n,seed", [(10, 5), (18, 23)])
 def test_tree_realization_byte_identical(engine, n, seed):
     seq = random_tree_sequence(n, seed=seed)
@@ -85,7 +84,6 @@ def test_tree_realization_byte_identical(engine, n, seed):
         net = fresh_net(n, seed, Variant.NCC0, engine)
         result = realize_tree(net, dict(zip(net.node_ids, seq)))
         snapshots.append(result)
-        net.close()
     assert snapshots[0] == snapshots[1]
     assert repr(snapshots[0].stats).encode() == repr(snapshots[1].stats).encode()
 
@@ -101,11 +99,10 @@ def test_engines_agree_with_each_other_deterministically(n, seed):
             table = {v: rng.randrange(n) for v in net.node_ids}
             run_protocol(net, distributed_sort(net, lambda v: table[v]))
             reprs.add(repr(net.stats()))
-            net.close()
     assert len(reprs) == 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", LABELS, indirect=True)
 @pytest.mark.parametrize("n,seed", [(16, 4), (24, 13)])
 def test_random_script_replay_byte_identical(engine, n, seed):
     """The same random send script, run twice on fresh networks,
@@ -130,5 +127,4 @@ def test_random_script_replay_byte_identical(engine, n, seed):
             inboxes = net.deliver(plan)
             log.append(sorted((d, list(b)) for d, b in inboxes.items()))
         snapshots.append((log, repr(net.stats())))
-        net.close()
     assert snapshots[0] == snapshots[1]

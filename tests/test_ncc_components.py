@@ -1,5 +1,6 @@
 """Unit tests for NCC components: ids, config, knowledge graphs, metrics."""
 
+import dataclasses
 import math
 
 import pytest
@@ -77,6 +78,15 @@ class TestConfig:
         assert other.seed == 2
         assert other.variant is Variant.NCC1
         assert config.seed == 1  # frozen original untouched
+
+    def test_fields_are_pinned(self):
+        """The settable surface: adding or dropping a knob is a visible
+        change here, not a silent one."""
+        assert [f.name for f in dataclasses.fields(NCCConfig)] == [
+            "variant", "send_cap_factor", "recv_cap_factor", "min_cap",
+            "max_words", "word_value_bits_factor", "enforcement", "engine",
+            "id_space_exponent", "random_ids", "seed",
+        ]
 
     def test_enforcement_modes_exist(self):
         assert EnforcementMode.STRICT.value == "strict"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ncc.config import EnforcementMode, NCCConfig, Variant
+from repro.ncc.engine import ENGINES, engine_names, make_engine
 from repro.ncc.errors import (
     MessageTooLarge,
     ProtocolError,
@@ -221,3 +222,24 @@ class TestTracing:
         trace.detach()
         net.step([(ids[2], ids[3], msg("late"))])
         assert len(trace.deliveries) == 2
+
+
+class TestEngineRegistry:
+    def test_fast_and_reference_are_the_engines(self):
+        assert engine_names() == ("fast", "reference")
+
+    @pytest.mark.parametrize("name", ["fast", "reference"])
+    def test_each_name_builds_its_engine(self, name):
+        net = Network(4, NCCConfig(engine=name))
+        assert type(net.engine) is ENGINES[name]
+        assert net.engine.name == name
+        other = make_engine(name, net)
+        assert type(other) is ENGINES[name] and other is not net.engine
+
+    def test_unknown_engine_names_the_choices(self):
+        net = Network(4, NCCConfig())
+        with pytest.raises(ValueError) as info:
+            make_engine("warp", net)
+        assert str(info.value) == (
+            "unknown NCC engine 'warp'; expected one of ['fast', 'reference']"
+        )

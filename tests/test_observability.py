@@ -387,41 +387,47 @@ class TestExecutorTracing:
         assert "repro_breaker_state 0" in text
         assert "repro_request_execution_seconds_count 1" in text
 
-    def test_engine_meters_exported_and_moved_by_sharded_runs(self):
-        """The three ``repro_engine_*`` families reach the exposition,
-        and only the sharded engine (whose inboxes are column slices)
-        moves the materialisation counter."""
-        families = (
-            "repro_engine_messages_materialized_total",
-            "repro_engine_messages_stayed_columnar_total",
-            "repro_engine_word_cache_evictions_total",
-        )
+    def test_word_cache_evictions_is_the_only_engine_family(self):
+        """The word-cache eviction counter reaches the exposition; the
+        removed column-batch materialisation families do not."""
+        executor = BatchExecutor(pool=NetworkPool())
+        try:
+            executor.handle(req())
+            names = {
+                line.partition(" ")[0]
+                for line in executor.metrics.render().splitlines()
+                if line.startswith("repro_engine_")
+            }
+        finally:
+            executor.close()
+        assert names == {"repro_engine_word_cache_evictions_total"}
+
+    def test_word_cache_evictions_counter_moves_with_engine_runs(
+        self, monkeypatch
+    ):
+        """With the shared word caches bounded to two entries, one
+        executed request evicts, and the scraped counter shows it."""
+        import repro.ncc.message as message_module
+
+        family = "repro_engine_word_cache_evictions_total"
 
         def scrape(executor):
-            samples = {}
             for line in executor.metrics.render().splitlines():
                 name, _, value = line.partition(" ")
-                if name in families:
-                    samples[name] = float(value)
-            return samples
+                if name == family:
+                    return float(value)
+            raise AssertionError(f"{family} not rendered")
 
-        materialized = families[0]
+        monkeypatch.setattr(message_module, "_WORD_CACHE_LIMIT", 2)
         executor = BatchExecutor(pool=NetworkPool())
         try:
             before = scrape(executor)
-            assert set(before) == set(families)
-            sharded = executor.handle(
-                req(seed=1, engine="sharded", shards=2, request_id="s")
-            )
-            after_sharded = scrape(executor)
-            fast = executor.handle(req(seed=1, engine="fast", request_id="f"))
-            after_fast = scrape(executor)
+            response = executor.handle(req(seed=3, request_id="evict"))
+            after = scrape(executor)
         finally:
             executor.close()
-        assert sharded.verdict == fast.verdict == "REALIZED"
-        assert not fast.cached  # a distinct cache key: the run executed
-        assert after_sharded[materialized] > before[materialized]
-        assert after_fast[materialized] == after_sharded[materialized]
+        assert response.verdict == "REALIZED" and not response.cached
+        assert after > before
 
     def test_observer_does_not_change_results(self):
         # Bit-identity: the same request with and without tracing.
@@ -441,7 +447,6 @@ class TestExecutorTracing:
         assert net.round_observer is not None
         net.reset()
         assert net.round_observer is None
-        net.close()
 
 
 class TestProcessTracing:

@@ -8,12 +8,6 @@ import pytest
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
-from repro.ncc.wire import (
-    ColumnarInbox,
-    ColumnarRoundBatch,
-    encode_routed_entries,
-    materialized_total,
-)
 from repro.primitives.protocol import (
     Fork,
     InboxView,
@@ -26,7 +20,7 @@ from repro.primitives.protocol import (
     take_one,
 )
 
-from tests.conftest import make_net
+from tests.conftest import make_ncc1, make_net
 
 
 def test_single_protocol_counts_rounds():
@@ -342,40 +336,20 @@ class TestInboxView:
         assert take(plain, 4, "k") == [m]
         assert take_one(plain, 4, "k") is m
 
-    def _columnar_box(self):
-        """Node 5's inbox as the sharded engine returns it: a lazy
-        column slice over a batch rebuilt from the routed wire form."""
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_indexes_an_engine_delivered_round(self, engine):
+        """Over the inboxes a real round returns, kinds group per node
+        in arrival order and nodes without mail index as empty."""
+        net = make_ncc1(10, engine=engine)
         sends = [(7, 5, msg("a", data=(1,))), (8, 5, msg("b", data=(2,))),
-                 (9, 5, msg("a", data=(3,)))]
-        routed = encode_routed_entries(
-            [(i, src, dst, m) for i, (src, dst, m) in enumerate(sends)]
-        )
-        box = ColumnarInbox(ColumnarRoundBatch.from_wire(routed[1]), range(3))
-        return box, [m.with_src(src) for src, _, m in sends]
-
-    def test_unforced_columnar_inbox_indexes_on_columns(self):
-        """Taking one kind builds only that kind's messages; the other
-        kinds at the node stay columnar."""
-        box, (m1, m2, m3) = self._columnar_box()
-        view = InboxView({5: box})
-        before = materialized_total()
-        taken = take(view, 5, "a")
-        assert materialized_total() == before  # the split is index-only
-        assert taken == [m1, m3]
-        assert materialized_total() - before == 2
-        assert take(view, 5, "a") is taken
-        assert take(view, 5, "zzz") == []
-        assert take_one(view, 5, "b") == m2
-        assert materialized_total() - before == 3
-
-    def test_forced_columnar_inbox_indexes_its_messages(self):
-        box, (m1, m2, m3) = self._columnar_box()
-        forced = list(box)
-        before = materialized_total()
-        view = InboxView({5: box})
+                 (9, 5, msg("a", data=(3,))), (5, 6, msg("a", data=(4,)))]
+        view = InboxView(net.step(sends))
+        m1, m2, m3, m4 = (m.with_src(src) for src, _, m in sends)
         assert view.kind_index(5) == {"a": [m1, m3], "b": [m2]}
-        assert take(view, 5, "a")[1] is forced[2]  # the cached objects
-        assert materialized_total() == before
+        assert take(view, 5, "a") == [m1, m3]
+        assert take_one(view, 5, "b") == m2
+        assert take(view, 6, "a") == [m4]
+        assert take(view, 7, "a") == []
 
 
 def test_fresh_ns_unique():

@@ -1,5 +1,5 @@
 """Streaming ``serve --mode processes``, the async submit API, and the
-shard-count validation satellites.
+rejection of unknown engine names and request fields.
 
 The acceptance property for streaming is *incrementality*: a client that
 writes one line and then blocks on the response must see it without
@@ -24,6 +24,7 @@ import pytest
 
 import repro.service.executor as executor_module
 from repro.ncc.config import NCCConfig
+from repro.ncc.network import Network
 from repro.service import (
     BatchExecutor,
     FaultPlan,
@@ -442,47 +443,86 @@ class TestWordCacheBound:
         assert message_module.word_cache_evictions(48) - before == 6
         assert message_module.word_cache_evictions() >= 6
 
+    def test_fast_engine_round_prologue_enforces_the_bound(self, monkeypatch):
+        """The fast engine fills the caches through direct references
+        that bypass ``word_caches``; its once-per-round prologue call
+        trims what the previous round added."""
+        import repro.ncc.message as message_module
+        from repro.ncc.config import Variant
+        from repro.ncc.message import msg
 
-class TestShardsValidation:
-    def test_cli_rejects_out_of_range_shards(self):
+        # Fresh caches: the engine binds its pair at construction.
+        monkeypatch.setattr(message_module, "_WORD_CACHES", {})
+        monkeypatch.setattr(message_module, "_WORD_CACHE_LIMIT", 8)
+        net = Network(
+            16, NCCConfig(seed=1, variant=Variant.NCC1, random_ids=False)
+        )
+        int_cache, _ = message_module.word_caches(net.word_bits)
+        ids = list(net.node_ids)
+        net.step(
+            [(ids[i], ids[i + 1], msg("v", data=(1000 + i,))) for i in range(12)]
+        )
+        assert list(int_cache) == [1000 + i for i in range(12)]  # over the bound
+        before = message_module.word_cache_evictions(net.word_bits)
+        net.idle_round()
+        assert list(int_cache) == [1008, 1009, 1010, 1011]  # newest half kept
+        assert message_module.word_cache_evictions(net.word_bits) - before == 8
+
+
+class TestRemovedEngineNames:
+    """``sharded`` and ``shards`` are rejected like any unknown name."""
+
+    BASE = {"kind": "degree_implicit", "scenario": "regular", "n": 8,
+            "request_id": "x"}
+
+    def test_sharded_engine_is_an_unknown_engine(self):
+        messages = {}
+        for engine in ("sharded", "warp"):
+            with pytest.raises(ServiceError) as info:
+                RealizationRequest.from_dict({**self.BASE, "engine": engine})
+            messages[engine] = str(info.value)
+        assert messages["warp"] == "unknown engine 'warp'"
+        assert messages["sharded"] == messages["warp"].replace("warp", "sharded")
+
+    def test_sharded_engine_error_envelope_matches_unknown_engine(self):
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        try:
+            sharded, warp = (
+                executor.handle_dict({**self.BASE, "engine": engine})
+                for engine in ("sharded", "warp")
+            )
+        finally:
+            executor.close()
+        assert sharded.verdict == warp.verdict == "ERROR"
+        assert sharded.error_code == warp.error_code
+        assert sharded.error == "unknown engine 'sharded'"
+        assert sharded.error == warp.error.replace("warp", "sharded")
+
+    def test_shards_is_an_unknown_request_field(self):
+        with pytest.raises(ServiceError) as info:
+            RealizationRequest.from_dict({**self.BASE, "shards": 2})
+        assert str(info.value) == "unknown request field(s): ['shards']"
+
+    def test_cli_rejects_sharded_engine_choice(self, capsys):
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit, match="--shards must be >= 1"):
-            main(["realize", "--degrees", "3,3,2,2", "--fast",
-                  "--engine", "sharded", "--shards", "0"])
-        with pytest.raises(SystemExit, match="exceeds the network size"):
-            main(["realize", "--degrees", "3,3,2,2", "--fast",
-                  "--engine", "sharded", "--shards", "9"])
+        with pytest.raises(SystemExit) as info:
+            main(["realize", "--degrees", "3,3,2,2", "--engine", "sharded"])
+        assert info.value.code == 2
+        assert "argument --engine: invalid choice: 'sharded'" in (
+            capsys.readouterr().err
+        )
 
-    def test_cli_default_shards_still_clamp(self, capsys):
-        """No explicit --shards: tiny networks keep working (engine
-        default, clamped) instead of erroring on the default of 2."""
-        from repro.__main__ import main
-
-        assert main(["tree", "--degrees", "1,1", "--fast",
-                     "--engine", "sharded"]) == 0
-        assert "REALIZED" in capsys.readouterr().out
-
-    def test_config_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=0)
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=-2)
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=True)  # True == 1 must not slip through
-
-    def test_request_rejects_shards_above_n(self):
-        with pytest.raises(ServiceError, match="cannot exceed n"):
-            req(n=8, engine="sharded", shards=9).validate()
-        req(n=8, engine="sharded", shards=8).validate()
-        # Only the sharded engine consumes the knob; a stray value on an
-        # in-process engine stays neutralised (and cache-key-invisible).
-        req(n=8, shards=9).validate()
+    def test_network_rejects_sharded_engine(self):
+        with pytest.raises(ValueError) as info:
+            Network(8, NCCConfig(engine="sharded"))
+        assert "unknown NCC engine 'sharded'" in str(info.value)
+        assert "['fast', 'reference']" in str(info.value)
 
 
 class TestWireEnvelopes:
     def test_request_wire_round_trip(self):
-        request = req(seed=5, shards=0, max_rounds=70, request_id="w")
+        request = req(seed=5, max_rounds=70, request_id="w")
         clone = RealizationRequest.from_wire(request.to_wire())
         assert clone == request and hash(clone) == hash(request)
         inline = RealizationRequest(
@@ -505,3 +545,92 @@ class TestWireEnvelopes:
         clone = RealizationResponse.from_wire(response.to_wire())
         assert clone == response
         assert clone.fingerprint() == response.fingerprint()
+
+
+#: One non-default value per request field, each valid on top of
+#: ``REQUEST_BASE`` (``degrees`` replaces the scenario spelling).
+REQUEST_BASE = {"kind": "degree_implicit", "scenario": "regular", "n": 12}
+REQUEST_FIELD_VALUES = {
+    "kind": {"kind": "tree"},
+    "request_id": {"request_id": "r-9"},
+    "degrees": {"degrees": (3, 3, 2, 2), "scenario": None, "n": None},
+    "scenario": {"scenario": "power_law"},
+    "params": {"params": (("d", 4),)},
+    "n": {"n": 20},
+    "seed": {"seed": 7},
+    "engine": {"engine": "reference"},
+    "sort_fidelity": {"sort_fidelity": "full"},
+    "tree_variant": {"tree_variant": "max_diameter"},
+    "model": {"model": "ncc1"},
+    "repairs": {"repairs": 2},
+    "explicit_envelope": {"explicit_envelope": True},
+    "max_rounds": {"max_rounds": 70},
+    "deadline_ms": {"deadline_ms": 5000},
+    "idempotency_key": {"idempotency_key": "k-9"},
+}
+
+#: One non-default value per response field.
+RESPONSE_BASE = {"request_id": "r", "kind": "tree", "ok": True,
+                 "verdict": "REALIZED"}
+RESPONSE_FIELD_VALUES = {
+    "request_id": "r-9",
+    "kind": "connectivity",
+    "ok": False,
+    "verdict": "ERROR",
+    "num_edges": 11,
+    "rounds": 120,
+    "simulated_rounds": 90,
+    "charged_rounds": 30,
+    "messages": 400,
+    "words": 512,
+    "detail": (("diameter", 3),),
+    "cached": True,
+    "elapsed_sec": 0.25,
+    "error": "boom",
+    "error_code": "BUDGET_EXCEEDED",
+}
+
+
+class TestWireSlots:
+    """Each field travels in its own ``_WIRE_KEYS`` slot: setting one
+    field moves no other slot, and both mappings give it back."""
+
+    def test_tables_cover_every_field(self):
+        from repro.service import RealizationResponse
+
+        assert set(REQUEST_FIELD_VALUES) == set(RealizationRequest._WIRE_KEYS)
+        assert set(RESPONSE_FIELD_VALUES) == set(RealizationResponse._WIRE_KEYS)
+
+    @pytest.mark.parametrize("field", sorted(REQUEST_FIELD_VALUES))
+    def test_request_field_has_its_own_slot(self, field):
+        keys = RealizationRequest._WIRE_KEYS
+        overrides = REQUEST_FIELD_VALUES[field]
+        base = RealizationRequest(**REQUEST_BASE).validate()
+        request = RealizationRequest(**{**REQUEST_BASE, **overrides}).validate()
+        wire = request.to_wire()
+        assert len(wire) == len(keys)
+        slot = wire[keys.index(field)]
+        if field == "degrees":
+            slot = tuple(slot)
+        assert slot == overrides[field] == getattr(request, field)
+        for key, value, base_value in zip(keys, wire, base.to_wire()):
+            if key not in overrides:
+                assert value == base_value, key
+        assert RealizationRequest.from_wire(wire) == request
+        assert RealizationRequest.from_dict(request.to_dict()) == request
+
+    @pytest.mark.parametrize("field", sorted(RESPONSE_FIELD_VALUES))
+    def test_response_field_has_its_own_slot(self, field):
+        from repro.service import RealizationResponse
+
+        keys = RealizationResponse._WIRE_KEYS
+        value = RESPONSE_FIELD_VALUES[field]
+        base = RealizationResponse(**RESPONSE_BASE)
+        response = RealizationResponse(**{**RESPONSE_BASE, field: value})
+        wire = response.to_wire()
+        assert len(wire) == len(keys)
+        assert wire[keys.index(field)] == value
+        for key, slot, base_slot in zip(keys, wire, base.to_wire()):
+            if key != field:
+                assert slot == base_slot, key
+        assert RealizationResponse.from_wire(wire) == response

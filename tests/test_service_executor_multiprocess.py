@@ -362,17 +362,7 @@ class TestRoundBudget:
             req(max_rounds=0).validate()
         with pytest.raises(ServiceError, match="max_rounds"):
             req(max_rounds=True).validate()
-        with pytest.raises(ServiceError, match="shards"):
-            req(shards=-1).validate()
-        req(max_rounds=10, shards=2).validate()
-
-    def test_shards_neutralized_in_cache_key_for_inprocess_engines(self):
-        a = req(seed=1, shards=3)
-        b = req(seed=1)
-        assert a.cache_key() == b.cache_key()
-        sharded_a = req(seed=1, engine="sharded", shards=2)
-        sharded_b = req(seed=1, engine="sharded", shards=3)
-        assert sharded_a.cache_key() != sharded_b.cache_key()
+        req(max_rounds=10).validate()
 
 
 class TestModeSurface:

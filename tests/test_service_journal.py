@@ -35,9 +35,11 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.ncc.wire import crc32c
 from repro.service import (
     BatchExecutor,
     FaultPlan,
@@ -104,6 +106,13 @@ def record_offsets(path):
 
 
 class TestJournalFraming:
+    def test_crc32c_known_answer_and_chaining(self):
+        """The record checksum is CRC-32C (Castagnoli): its published
+        check value, also when computed in two chained pieces."""
+        assert crc32c(b"123456789") == 0xE3069283
+        assert crc32c(b"6789", crc32c(b"12345")) == 0xE3069283
+        assert crc32c(b"") == 0
+
     def test_round_trip_and_restart_replay(self, tmp_path):
         path = str(tmp_path / "j.bin")
         journal = RequestJournal(path, fsync="never")
@@ -262,6 +271,76 @@ class TestJournalFraming:
             assert replay is not None and strip(replay) == strip(baseline)
         finally:
             journal2.close()
+
+
+class TestLegacyShardsSlot:
+    """Older journals wrote request envelopes with a ``shards`` slot
+    between ``max_rounds`` and ``deadline_ms``; recovery drops it."""
+
+    @staticmethod
+    def legacy_admission(seq, request_id, key, engine, shards):
+        wire = (
+            "degree_implicit", request_id, None, "regular", (), 12, 1, engine,
+            "charged", "min_diameter", "ncc0", 0, False, None, shards, 5000,
+            key,
+        )
+        assert len(wire) == len(RealizationRequest._WIRE_KEYS) + 1
+        return RequestJournal._frame(("admitted", seq, "", -1, key, wire))
+
+    def test_legacy_admissions_recover_in_current_format(self, tmp_path):
+        path = str(tmp_path / "j.bin")
+        with open(path, "wb") as fh:
+            fh.write(self.legacy_admission(1, "old", "k-old", "fast", 0))
+            fh.write(
+                self.legacy_admission(2, "old-sh", "k-sh", "sharded", 2)
+            )
+        journal = RequestJournal(path, fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            recovered = [r for *_, r in journal.recover().incomplete]
+            assert [(r.engine, r.deadline_ms, r.idempotency_key)
+                    for r in recovered] == [
+                ("fast", 5000, "k-old"), ("sharded", 5000, "k-sh")]
+            assert recovered[0] == replace(
+                make_request("old", key="k-old"), deadline_ms=5000
+            )
+            executor.recover_journal()
+            again = executor.handle(make_request("again", key="k-old"))
+            sharded = journal.replay_idempotent(make_request("x", key="k-sh"))
+        finally:
+            executor.close()
+            journal.close()
+        assert again.verdict == "REALIZED"
+        assert again.request_id == "again"
+        assert journal.stats()["replays"] == 2  # both answered from the log
+        assert sharded.verdict == "ERROR"
+        assert sharded.error == "unknown engine 'sharded'"
+
+    def test_compaction_rewrites_a_legacy_admission_in_current_format(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "j.bin")
+        with open(path, "wb") as fh:
+            fh.write(self.legacy_admission(1, "old", "k-old", "fast", 0))
+        journal = RequestJournal(path, fsync="never")
+        try:
+            [(_, _, _, before)] = journal.recover().incomplete
+            journal.compact()
+        finally:
+            journal.close()
+        blob = open(path, "rb").read()
+        record, end = RequestJournal._read_record(blob, 0)
+        assert end == len(blob)  # the one admission, nothing else
+        assert record[0] == "admitted"
+        assert record[-1] == before.to_wire()
+        assert len(record[-1]) == len(RealizationRequest._WIRE_KEYS)
+        reopened = RequestJournal(path, fsync="never")
+        try:
+            [(_, _, _, after)] = reopened.recover().incomplete
+        finally:
+            reopened.close()
+        assert after == before
+        assert (after.deadline_ms, after.idempotency_key) == (5000, "k-old")
 
 
 # --------------------------------------------------------------------- #

@@ -4,8 +4,10 @@ A network leased from the pool must be indistinguishable from a freshly
 constructed one: a workload run on a ``reset()`` network is bit-identical
 — rounds, messages, RoundStats, knowledge sets, realization result — to
 the same workload on a fresh ``Network`` with the same parameters, for
-both engines.  The pool layers lease/release bookkeeping on top; this
-file proves both.
+both engines, and for the fast engine also while the shared word caches
+evict (the ``fast-evicting`` label, see ``conftest.py``): the caches
+outlive ``reset()``, so their contents must never leak into a run.  The
+pool layers lease/release bookkeeping on top; this file proves both.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from repro.primitives.sorting import distributed_sort
 from repro.service.pool import NetworkPool
 from repro.workloads import random_graphic_sequence, random_tree_sequence
 
-#: "sharded" runs with the default shard count (2): the reset gate then
-#: also proves the engine's replica-resync path (reset must rebuild the
-#: worker-process state bit-identically, or pooled sharded leases drift).
-ENGINES = ("fast", "reference", "sharded")
+ENGINES = ("fast", "reference")
+LABELS = ENGINES + ("fast-evicting",)
 
 
 def run_degree(net: Network):
@@ -83,7 +83,7 @@ def dirty(net: Network) -> None:
 class TestResetDifferentialGate:
     """reset() ≡ fresh construction, bit for bit, on both engines."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", LABELS, indirect=True)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("n,seed", [(16, 0), (24, 5)])
     def test_workload_after_reset_bit_identical(self, engine, workload, n, seed):
@@ -100,7 +100,7 @@ class TestResetDifferentialGate:
         assert reused_outcome == fresh_outcome
         assert observable_state(reused) == observable_state(fresh)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", LABELS, indirect=True)
     def test_ncc1_reset_restores_complete_knowledge(self, engine):
         config = NCCConfig(seed=2, engine=engine, variant=Variant.NCC1, random_ids=False)
         net = Network(18, config)

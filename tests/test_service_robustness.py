@@ -32,7 +32,6 @@ import pytest
 from repro.ncc.config import NCCConfig
 from repro.ncc.errors import DeadlineExceeded
 from repro.ncc.network import Network
-from repro.ncc.sharded import _shutdown_workers
 from repro.service import (
     BatchExecutor,
     CircuitBreaker,
@@ -707,55 +706,3 @@ class TestServeChaos:
             assert server._emit_bound(conn) == 60.0
         finally:
             executor.close()
-
-
-# ---------------------------------------------------------------------- #
-# Sharded teardown escalation                                            #
-# ---------------------------------------------------------------------- #
-
-
-class _FakeProc:
-    """A worker that ignores the first ``survive`` kill attempts."""
-
-    def __init__(self, survive=0):
-        self.survive = survive
-        self.terminated = False
-        self.killed = False
-
-    def join(self, timeout=None):
-        pass
-
-    def is_alive(self):
-        if self.survive > 0:
-            self.survive -= 1
-            return True
-        return False
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.killed = True
-
-
-class TestShardedTeardown:
-    def test_escalation_counts_terminate_and_kill(self):
-        cooperative = _FakeProc(survive=0)
-        needs_term = _FakeProc(survive=1)
-        needs_kill = _FakeProc(survive=2)
-        escalations = {"terminated": 0, "killed": 0}
-        _shutdown_workers([], [cooperative, needs_term, needs_kill],
-                          escalations)
-        assert escalations == {"terminated": 2, "killed": 1}
-        assert not cooperative.terminated and not cooperative.killed
-        assert needs_term.terminated and not needs_term.killed
-        assert needs_kill.terminated and needs_kill.killed
-
-    def test_engine_surfaces_worker_stats(self):
-        net = Network(8, NCCConfig(seed=0, engine="sharded", engine_shards=2))
-        try:
-            net.idle_round()  # spawn the workers
-            stats = net.engine.worker_stats()
-            assert stats == {"shards": 2, "terminated": 0, "killed": 0}
-        finally:
-            net.close()
