@@ -416,6 +416,7 @@ def cmd_serve(args) -> int:
             executor.close()
             if metrics_httpd is not None:
                 metrics_httpd.shutdown()
+                metrics_httpd.server_close()
     else:
         try:
             handled, errors = serve(sys.stdin, sys.stdout, executor, window=window)
@@ -423,6 +424,7 @@ def cmd_serve(args) -> int:
             executor.close()
             if metrics_httpd is not None:
                 metrics_httpd.shutdown()
+                metrics_httpd.server_close()
     if journal is not None:
         # Clean drain: every admitted request has its completed record,
         # so compaction shrinks the journal to the replay/session tail.

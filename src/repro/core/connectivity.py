@@ -21,6 +21,7 @@ at most twice the optimal edge count ``⌈Σρ/2⌉``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -38,7 +39,7 @@ from repro.core.result import (
 from repro.primitives.bbst import build_indexed_path
 from repro.primitives.broadcast import global_aggregate, global_broadcast
 from repro.primitives.path_ops import build_undirected_path
-from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol, take
+from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol
 from repro.primitives.sorting import distributed_sort
 
 
@@ -172,9 +173,12 @@ def connectivity_ncc0_protocol(
     # Step 4: every x_i (i > d0+1) floods its ID to its rho(x_i)
     # predecessors, hop by hop along the sorted path; recipients record
     # the edge and reply with their own IDs (explicitness).
-    tag, reply_tag = f"{srt_ns}:flood", f"{srt_ns}:intro"
+    tag = sys.intern(f"{srt_ns}:flood")
+    reply_tag = sys.intern(f"{srt_ns}:intro")
     share = max(1, net.send_cap // 3)
-    queues: Dict[int, deque] = {v: deque() for v in net.node_ids}
+    node_ids = net.node_ids
+    index_of = net.ids.index_of
+    queues: Dict[int, deque] = {v: deque() for v in node_ids}
     introductions = 0
     expected = 0
     for pos in range(head_count, n):
@@ -187,10 +191,11 @@ def connectivity_ncc0_protocol(
     limit = 8 * (n + expected + 8)
     while introductions < expected:
         sends = []
-        for v in net.node_ids:
+        for v in node_ids:
             queue = queues[v]
-            state = ns_state(net, v, srt_ns)
-            pred = state.get("pred")
+            if not queue:
+                continue
+            pred = ns_state(net, v, srt_ns).get("pred")
             for _ in range(min(len(queue), share)):
                 origin, ttl = queue.popleft()
                 if pred is None:
@@ -199,9 +204,12 @@ def connectivity_ncc0_protocol(
         if not sends and introductions < expected:
             raise ProtocolError("predecessor flood stalled")
         inboxes = yield sends
+        # Receivers in node order: their replies go out in that order.
         reply_sends = []
-        for v in net.node_ids:
-            for message in take(inboxes, v, tag):
+        for v in sorted(inboxes, key=index_of):
+            for message in inboxes[v]:
+                if message.kind != tag:
+                    continue
                 origin, ttl = message.ids[0], message.data[0]
                 record_edge(net, v, origin)
                 reply_sends.append((v, origin, msg(reply_tag, ids=(v,))))
@@ -209,10 +217,12 @@ def connectivity_ncc0_protocol(
                     queues[v].append((origin, ttl - 1))
         if reply_sends:
             inboxes = yield reply_sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, reply_tag):
-                    record_edge(net, v, message.ids[0])
-                    introductions += 1
+            # A reply only updates its receiver's edges: any order will do.
+            for v, box in inboxes.items():
+                for message in box:
+                    if message.kind == reply_tag:
+                        record_edge(net, v, message.ids[0])
+                        introductions += 1
         guard += 1
         if guard > limit:
             raise ProtocolError("predecessor flood exceeded its round guard")

@@ -37,7 +37,7 @@ from repro.primitives.bbst import build_indexed_path
 from repro.primitives.butterfly import ColGroup
 from repro.primitives.groups import token_collect
 from repro.primitives.path_ops import build_undirected_path
-from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol, take
+from repro.primitives.protocol import Proto, fresh_ns, run_protocol
 
 
 def explicit_conversion_protocol(net: Network, method: str = "collection") -> Proto:
@@ -97,19 +97,28 @@ def explicit_conversion_protocol(net: Network, method: str = "collection") -> Pr
                 for (u, target) in schedule.get(r, ())
             ]
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
-                    record_edge(net, v, message.ids[0])
-                    done += 1
+            done += _record_introductions(net, inboxes, tag)
         while done < total:
             inboxes = yield []
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
-                    record_edge(net, v, message.ids[0])
-                    done += 1
+            done += _record_introductions(net, inboxes, tag)
         return total
 
     raise ValueError(f"unknown conversion method {method!r}")
+
+
+def _record_introductions(net: Network, inboxes, tag: str) -> int:
+    """Record each ``tag`` introduction this round's receivers got.
+
+    A receiver updates only its own edges, so receiver order does not
+    matter.  Returns the number recorded.
+    """
+    recorded = 0
+    for v, box in inboxes.items():
+        for message in box:
+            if message.kind == tag:
+                record_edge(net, v, message.ids[0])
+                recorded += 1
+    return recorded
 
 
 def realize_degree_sequence_explicit(

@@ -22,10 +22,13 @@ interchangeable engines, selected by ``NCCConfig.engine``:
     * **amortized cap checking** — sends are bucketed in one pass and the
       send-cap test is a single ``max()`` over per-sender counts rather
       than a per-message branch;
-    * **in-place stamping** — a message submitted to a plan is
-      engine-owned from then on (protocols build one fresh ``msg`` per
-      send), so delivery fills the original instance's ``src`` slot
-      directly instead of materializing a stamped copy per message;
+    * **in-place stamping** — the engine owns a submitted message's
+      ``src`` (:class:`~repro.ncc.message.Message` documents the rule),
+      so delivery fills the original instance's ``src`` slot directly
+      instead of materializing a stamped copy per message.  Only an
+      object that already carries a different sender — one message
+      object sent twice — is copied, so no receiver ever sees its
+      message change;
     * **deferred-spill queue** — receivers with a defer-mode backlog are
       tracked in a pending set, so quiescent rounds do not re-scan every
       queue the run ever congested.
@@ -232,12 +235,13 @@ class FastEngine:
         # Pass 1 — validate, meter and bucket in one sweep, mutating no
         # network state.  Messages are stamped *in place* (their ``src``
         # slot is filled) so a violation-free round hands the staged
-        # buckets out as the inboxes verbatim with zero per-message
-        # allocation.  That is sound because a message submitted to a
-        # plan is engine-owned from that point on: protocol code builds
-        # one fresh ``msg(...)`` per send and never touches the object
-        # again, and ``src`` is a pure function of the send tuple, so
-        # even replaying a recorded plan re-stamps identical values.
+        # buckets out as the inboxes verbatim, allocating nothing per
+        # message.  That is sound because the engine owns ``src`` and
+        # protocols treat messages as read-only.  A fresh message
+        # carries ``src == -1``; one that already carries this sender
+        # (a replayed plan) needs no write; one stamped by a different
+        # sender is copied, so the receiver that got it first keeps
+        # what it got.
         # The total word count is accumulated once for the whole round.
         # Scheduler plans cluster a task's consecutive sends, so the
         # sender's knowledge set is cached across iterations.
@@ -300,7 +304,13 @@ class FastEngine:
                 violation = True
                 break
             round_words += words
-            message.__dict__["src"] = src
+            stamped = message.src
+            if stamped == -1:
+                message.src = src
+            elif stamped != src:
+                # Already stamped by another sender (the object was sent
+                # twice): stamp a copy, so no receiver's message changes.
+                message = Message(message.kind, ids, data, src)
             if dst == last_dst:
                 bucket.append(message)
                 gained.append(src)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -136,9 +135,8 @@ def word_caches(word_bits: int) -> Tuple[Dict[int, int], Dict[Tuple[type, Any], 
     return caches
 
 
-@dataclass(frozen=True)
 class Message:
-    """One NCC message.
+    """One NCC message: a slotted value object.
 
     Attributes
     ----------
@@ -151,12 +149,46 @@ class Message:
     src:
         Filled in by the network at delivery time: the sender's ID.  The
         receiver learns it (receiving a message always reveals the sender).
+
+    Equality and hashing compare all four fields, as a value type's
+    should.  The class has ``__slots__`` and no instance dict: a message
+    is four pointers, and building, reading and stamping one are plain
+    slot operations.
+
+    **Ownership.**  The engine owns ``src``: a message submitted to a
+    round is stamped with its sender at delivery (the fast engine fills
+    the slot in place, copying the message only when the object already
+    carries a different sender), and protocols treat every message they
+    build or receive as read-only.  Nothing else writes the fields after
+    construction.
     """
 
-    kind: str
-    ids: Tuple[int, ...] = ()
-    data: Tuple[Any, ...] = ()
-    src: int = -1
+    __slots__ = ("kind", "ids", "data", "src")
+
+    def __init__(
+        self,
+        kind: str,
+        ids: Tuple[int, ...] = (),
+        data: Tuple[Any, ...] = (),
+        src: int = -1,
+    ) -> None:
+        self.kind = kind
+        self.ids = ids
+        self.data = data
+        self.src = src
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Message:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.ids == other.ids
+            and self.data == other.data
+            and self.src == other.src
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.ids, self.data, self.src))
 
     def words(self, word_bits: int) -> int:
         """Size of this message in words for the given word width.
@@ -179,7 +211,7 @@ class Message:
 
     def with_src(self, src: int) -> "Message":
         """Copy of this message stamped with its sender (delivery step)."""
-        return Message(kind=self.kind, ids=self.ids, data=self.data, src=src)
+        return Message(self.kind, self.ids, self.data, src)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Message({self.kind!r}, ids={self.ids}, data={self.data}, src={self.src})"
@@ -191,24 +223,22 @@ def msg(kind: str, *, ids: Tuple[int, ...] = (), data: Tuple[Any, ...] = ()) -> 
     The header is interned: protocol namespaces re-create the same
     ``"<ns>:<tag>"`` strings at every round, and interning collapses them
     to one shared object (kind comparisons then usually short-circuit on
-    identity).
+    identity).  ``ids`` and ``data`` are coerced to tuples.
 
-    Construction fills the instance dict directly instead of going
-    through the frozen-dataclass ``__init__``/``__setattr__`` machinery —
-    protocols build one message per send, which makes this the hottest
-    allocation site of a full-fidelity run.  The result is
-    indistinguishable from ``Message(...)`` (same fields, same equality
-    and hashing).
-
-    The densest send loops (``primitives/bbst.py`` and
-    ``primitives/traversal.py``) inline this dict-fill to skip even the
-    call overhead — when the field layout changes, keep those copies in
-    lockstep.
+    Construction writes the four slots of a blank instance instead of
+    running ``__init__``: protocols build one message per send, which
+    makes this the hottest allocation site of a full-fidelity run.  The
+    result equals ``Message(...)`` field for field.  The densest send
+    loops (``primitives/bbst.py`` and ``primitives/traversal.py``)
+    inline the same four slot writes to skip even the call; when the
+    fields change, keep those copies in step.
     """
-    stamped = Message.__new__(Message)
-    inner = stamped.__dict__
-    inner["kind"] = sys.intern(kind)
-    inner["ids"] = ids if ids.__class__ is tuple else tuple(ids)
-    inner["data"] = data if data.__class__ is tuple else tuple(data)
-    inner["src"] = -1
-    return stamped
+    message = _new_message(Message)
+    message.kind = sys.intern(kind)
+    message.ids = ids if ids.__class__ is tuple else tuple(ids)
+    message.data = data if data.__class__ is tuple else tuple(data)
+    message.src = -1
+    return message
+
+
+_new_message = Message.__new__

@@ -131,8 +131,10 @@ def start_metrics_http(
 ) -> Tuple[ThreadingHTTPServer, threading.Thread]:
     """Serve ``registry.render()`` at ``http://host:port/metrics``.
 
-    Runs in a daemon thread; call ``server.shutdown()`` to stop.  Pass
-    ``port=0`` to bind an ephemeral port (``server.server_address``
+    Runs in a daemon thread.  To stop, call ``server.shutdown()`` and
+    then ``server.server_close()``: ``shutdown()`` only ends the serve
+    loop, and the listening socket stays open until ``server_close()``.
+    Pass ``port=0`` to bind an ephemeral port (``server.server_address``
     reports the real one).
     """
     handler = type("_BoundMetricsHandler", (_MetricsHandler,), {"registry": registry})

@@ -29,7 +29,8 @@ member state once up front, hoist message tags out of the per-member
 loops, and scan each round's actual receivers instead of filtering every
 member's inbox — re-sorting into member order wherever handling order
 feeds a later send loop, so the emitted message stream stays
-byte-identical to the naive formulation.
+byte-identical to the naive formulation
+(``tests/test_send_stream_pin.py`` pins it to recorded digests).
 """
 
 from __future__ import annotations
@@ -87,25 +88,23 @@ def build_levels(
         append = sends.append
         # Message construction is inlined (the grand-neighbour exchange
         # is the densest send loop of the whole sort): a blank shell's
-        # instance dict is assigned wholesale, exactly what ``msg`` does
+        # four slots are written directly, exactly what ``msg`` does
         # minus the call overhead.
         for v, state in pairs:
             pred, succ = state[prev_p], state[prev_s]
             if succ is not None:
                 shell = _new_message(Message)
-                inner = shell.__dict__
-                inner["kind"] = tag_p
-                inner["ids"] = (pred,) if pred is not None else ()
-                inner["data"] = ()
-                inner["src"] = -1
+                shell.kind = tag_p
+                shell.ids = (pred,) if pred is not None else ()
+                shell.data = ()
+                shell.src = -1
                 append((v, succ, shell))
             if pred is not None:
                 shell = _new_message(Message)
-                inner = shell.__dict__
-                inner["kind"] = tag_s
-                inner["ids"] = (succ,) if succ is not None else ()
-                inner["data"] = ()
-                inner["src"] = -1
+                shell.kind = tag_s
+                shell.ids = (succ,) if succ is not None else ()
+                shell.data = ()
+                shell.src = -1
                 append((v, pred, shell))
         inboxes = yield sends
         lp_key, ls_key = f"lp{i}", f"ls{i}"
@@ -195,22 +194,20 @@ def controlled_bfs(
                 pred_i = state.get(lp_key)
                 if pred_i is not None:
                     shell = _new_message(Message)
-                    inner = shell.__dict__
-                    inner["kind"] = inv_l
-                    inner["ids"] = ()
-                    inner["data"] = ()
-                    inner["src"] = -1
+                    shell.kind = inv_l
+                    shell.ids = ()
+                    shell.data = ()
+                    shell.src = -1
                     append((v, pred_i, shell))
                     state["sp"] = sp = False
             if ss:
                 succ_i = state.get(ls_key)
                 if succ_i is not None:
                     shell = _new_message(Message)
-                    inner = shell.__dict__
-                    inner["kind"] = inv_r
-                    inner["ids"] = ()
-                    inner["data"] = ()
-                    inner["src"] = -1
+                    shell.kind = inv_r
+                    shell.ids = ()
+                    shell.data = ()
+                    shell.src = -1
                     append((v, succ_i, shell))
                     state["ss"] = ss = False
             if sp or ss:
@@ -246,11 +243,10 @@ def controlled_bfs(
         for dst in accepted:
             state = states[dst]
             shell = _new_message(Message)
-            inner = shell.__dict__
-            inner["kind"] = acc
-            inner["ids"] = ()
-            inner["data"] = (state.pop("side"),)
-            inner["src"] = -1
+            shell.kind = acc
+            shell.ids = ()
+            shell.data = (state.pop("side"),)
+            shell.src = -1
             sends.append((dst, state["parent"], shell))
         inboxes = yield sends
 

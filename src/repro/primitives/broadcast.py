@@ -12,12 +12,13 @@ in the paper where the root is the head of ``Gk``.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take, take_one
+from repro.primitives.protocol import Proto, ns_state, ns_states, take_one
 from repro.primitives.traversal import broadcast_from_root
 
 
@@ -65,10 +66,13 @@ def global_aggregate(
     The result is returned and stored at the leader under ``key``.
     ``O(log n)`` rounds over the tree.
     """
+    tag = sys.intern(f"{ns}:agg")
+    states = ns_states(net, members, ns)
+    states_get = states.get
+    index_of = {v: i for i, v in enumerate(states)}.__getitem__
     pending = {}
     ready = []
-    for v in members:
-        state = ns_state(net, v, ns)
+    for v, state in states.items():  # member order
         kids = [c for c in (state.get("left"), state.get("right")) if c is not None]
         pending[v] = len(kids)
         state["agg_acc"] = value_of(v)
@@ -80,24 +84,32 @@ def global_aggregate(
     while done < len(members):
         sends = []
         for v in ready:
-            state = ns_state(net, v, ns)
+            state = states[v]
             parent = state.get("parent")
             done += 1
             if parent is not None:
-                sends.append((v, parent, msg(f"{ns}:agg", data=(state["agg_acc"],))))
+                sends.append((v, parent, msg(tag, data=(state["agg_acc"],))))
             else:
                 result = state["agg_acc"]
         ready = []
         if done >= len(members) and not sends:
             break
         inboxes = yield sends
-        for v in members:
-            for report in take(inboxes, v, f"{ns}:agg"):
-                state = ns_state(net, v, ns)
+        # Only this round's receivers report; completions go out next
+        # round in member order.
+        for v, box in inboxes.items():
+            state = states_get(v)
+            if state is None:
+                continue
+            for report in box:
+                if report.kind != tag:
+                    continue
                 state["agg_acc"] = combine(state["agg_acc"], report.data[0])
                 pending[v] -= 1
                 if pending[v] == 0:
                     ready.append(v)
+        if len(ready) > 1:
+            ready.sort(key=index_of)
 
     if result is None:
         raise ProtocolError("aggregation never reached the root")

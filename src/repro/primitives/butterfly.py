@@ -30,6 +30,7 @@ Dimension-ordered paths into one row form a tree, so
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -37,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take
+from repro.primitives.protocol import Proto, ns_state
 
 #: Aggregate operator codes carried in packets (one word).
 OPS: Dict[str, Callable[[int, int], int]] = {
@@ -170,8 +171,10 @@ class ButterflyEmulation:
         group's destination.
         """
         net, ns = self.net, self.ns
-        tag = f"{ns}:bfa"
-        fin = f"{ns}:bfafin"
+        tag = sys.intern(f"{ns}:bfa")
+        fin = sys.intern(f"{ns}:bfafin")
+        node_ids = net.node_ids
+        index_of = net.ids.index_of
         ops = {g.gid: g.op for g in groups}
         dests = {g.gid: g.dest for g in groups}
         expected: Dict[int, int] = {g.gid: len(g.members) for g in groups}
@@ -208,7 +211,7 @@ class ButterflyEmulation:
         while len(results) < len(groups):
             sends = []
             # Forward: one packet per dimension edge per node per round.
-            for v in net.node_ids:
+            for v in node_ids:
                 if not queues[v]:
                     continue
                 used_dims: Set[int] = set()
@@ -258,14 +261,18 @@ class ButterflyEmulation:
             if len(results) == len(groups):
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
-                    gid, value, count, _op_code = message.data
-                    enqueue(v, gid, value, count)
-                for message in take(inboxes, v, fin):
-                    gid, value = message.data
-                    ns_state(net, v, ns)[f"agg:{gid}"] = value
-                    results[gid] = value
+            # Receivers in node order: the accumulators and results they
+            # fill are dicts whose order decides the next reports.
+            for v in sorted(inboxes, key=index_of):
+                for message in inboxes[v]:
+                    kind = message.kind
+                    if kind == tag:
+                        gid, value, count, _op_code = message.data
+                        enqueue(v, gid, value, count)
+                    elif kind == fin:
+                        gid, value = message.data
+                        ns_state(net, v, ns)[f"agg:{gid}"] = value
+                        results[gid] = value
             guard += 1
             if guard > limit:
                 raise ProtocolError("aggregation exceeded its round guard")
@@ -282,8 +289,9 @@ class ButterflyEmulation:
         total number of member deliveries.
         """
         net, ns = self.net, self.ns
-        join_tag, tok_tag = f"{ns}:bfj", f"{ns}:bft"
-        group_by_gid = {g.gid: g for g in groups}
+        join_tag = sys.intern(f"{ns}:bfj")
+        tok_tag = sys.intern(f"{ns}:bft")
+        node_ids = net.node_ids
 
         # join_state[v][gid] = set of child node ids (reverse-path tree).
         join_state: Dict[int, Dict[int, Set[int]]] = {v: {} for v in net.node_ids}
@@ -307,7 +315,9 @@ class ButterflyEmulation:
         limit = 8 * (sum(len(g.members) for g in groups) + self.k + 8)
         while joins_in_flight:
             sends = []
-            for v in net.node_ids:
+            for v in node_ids:
+                if not join_queue[v]:
+                    continue
                 used_dims: Set[int] = set()
                 deferred = deque()
                 while join_queue[v]:
@@ -329,8 +339,11 @@ class ButterflyEmulation:
             if not sends:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, join_tag):
+            # Each receiver updates only its own state: any order will do.
+            for v, box in inboxes.items():
+                for message in box:
+                    if message.kind != join_tag:
+                        continue
                     gid = message.data[0]
                     if gid in join_state[v]:
                         join_state[v][gid].add(message.src)
@@ -367,7 +380,9 @@ class ButterflyEmulation:
         guard = 0
         while deliveries < expected:
             sends = []
-            for v in net.node_ids:
+            for v in node_ids:
+                if not tok_queue[v] and not down_queue[v]:
+                    continue
                 # Ascending tokens: one per dimension edge.
                 used_dims: Set[int] = set()
                 deferred = deque()
@@ -412,8 +427,11 @@ class ButterflyEmulation:
             if deliveries >= expected and not sends:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tok_tag):
+            # Each receiver updates only its own state: any order will do.
+            for v, box in inboxes.items():
+                for message in box:
+                    if message.kind != tok_tag:
+                        continue
                     gid, descending = message.data[0], message.data[1]
                     data = tuple(message.data[2:])
                     token_ids = message.ids
@@ -446,8 +464,10 @@ class ButterflyEmulation:
         ``col:<gid>``; returns ``{gid: [(ids, data), ...]}``.
         """
         net, ns = self.net, self.ns
-        tag, fin = f"{ns}:bfc", f"{ns}:bfcfin"
-        claim_tag = f"{ns}:bfclaim"
+        tag = sys.intern(f"{ns}:bfc")
+        fin = sys.intern(f"{ns}:bfcfin")
+        claim_tag = sys.intern(f"{ns}:bfclaim")
+        node_ids = net.node_ids
         expected = {g.gid: len(g.token_items()) for g in groups}
         # Destination resolution at the rendezvous: either carried by the
         # group spec (dest known to members) or learned from a claim.
@@ -499,7 +519,9 @@ class ButterflyEmulation:
         limit = 10 * (total + self.k + 16)
         while done < total:
             sends = []
-            for v in net.node_ids:
+            for v in node_ids:
+                if not claim_queue[v] and not queues[v] and not outbox[v]:
+                    continue
                 used_dims: Set[int] = set()
                 # Claims ride the same dimension-ordered routing.
                 deferred_claims = deque()
@@ -566,30 +588,36 @@ class ButterflyEmulation:
             if done >= total:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, claim_tag):
-                    gid = message.data[0]
-                    if self._pos[v] == self.rendezvous_row(gid):
-                        rendezvous_dest[gid] = message.ids[0]
-                    else:
-                        # Forward the claim onward next round.
-                        claim_queue[v].append((gid, message.ids[0]))
-                for message in take(inboxes, v, tag):
-                    gid = message.data[0]
-                    token_ids = message.ids
-                    if known_dest.get(gid) is not None:
-                        token_ids = token_ids[1:]  # strip the carried dest
-                    token_data = tuple(message.data[1:])
-                    if self._pos[v] == self.rendezvous_row(gid):
-                        outbox[v].append((gid, token_ids, token_data))
-                    else:
-                        queues[v].append((gid, token_ids, token_data))
-                for message in take(inboxes, v, fin):
-                    gid = message.data[0]
-                    token = (message.ids, tuple(message.data[1:]))
-                    ns_state(net, v, ns).setdefault(f"col:{gid}", []).append(token)
-                    results[gid].append(token)
-                    done += 1
+            # Each receiver updates only its own queues, and a group's
+            # finals all reach one node, so any receiver order will do.
+            # Per receiver, claims, tokens and finals touch disjoint
+            # state, so one pass in arrival order handles all three.
+            for v, box in inboxes.items():
+                for message in box:
+                    kind = message.kind
+                    if kind == claim_tag:
+                        gid = message.data[0]
+                        if self._pos[v] == self.rendezvous_row(gid):
+                            rendezvous_dest[gid] = message.ids[0]
+                        else:
+                            # Forward the claim onward next round.
+                            claim_queue[v].append((gid, message.ids[0]))
+                    elif kind == tag:
+                        gid = message.data[0]
+                        token_ids = message.ids
+                        if known_dest.get(gid) is not None:
+                            token_ids = token_ids[1:]  # strip the carried dest
+                        token_data = tuple(message.data[1:])
+                        if self._pos[v] == self.rendezvous_row(gid):
+                            outbox[v].append((gid, token_ids, token_data))
+                        else:
+                            queues[v].append((gid, token_ids, token_data))
+                    elif kind == fin:
+                        gid = message.data[0]
+                        token = (message.ids, tuple(message.data[1:]))
+                        ns_state(net, v, ns).setdefault(f"col:{gid}", []).append(token)
+                        results[gid].append(token)
+                        done += 1
             guard += 1
             if guard > limit:
                 raise ProtocolError("collection exceeded its round guard")

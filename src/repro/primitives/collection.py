@@ -14,6 +14,7 @@ stream gets a third of the receive cap.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
@@ -51,7 +52,8 @@ def global_collect(
 
     k = len(holders)
     collected: List[Token] = []
-    up_tag, fin_tag = f"{ns}:col", f"{ns}:fin"
+    up_tag = sys.intern(f"{ns}:col")
+    fin_tag = f"{ns}:fin"
     share = max(1, net.recv_cap // 3)
     root_out: deque = deque()
 
@@ -69,11 +71,11 @@ def global_collect(
 
         sends = []
         for v in members:
-            if v == root:
-                continue
             queue = queues[v]
+            if not queue or v == root:
+                continue
             parent = ns_state(net, v, ns).get("parent")
-            if queue and parent is None:
+            if parent is None:
                 raise ProtocolError(f"token stranded at parentless node {v}")
             for _ in range(min(len(queue), share)):
                 token_ids, token_data = queue.popleft()
@@ -86,9 +88,14 @@ def global_collect(
         if not sends:
             raise ProtocolError("collection stalled with tokens missing")
         inboxes = yield sends
-        for v in members:
-            for message in take(inboxes, v, up_tag):
-                queues[v].append((message.ids, message.data))
+        # Each receiver queues only into its own queue: any order will do.
+        for v, box in inboxes.items():
+            queue = queues.get(v)
+            if queue is None:
+                continue
+            for message in box:
+                if message.kind == up_tag:
+                    queue.append((message.ids, message.data))
         for message in take(inboxes, leader, fin_tag):
             collected.append((message.ids, message.data))
         guard += 1

@@ -8,12 +8,13 @@ strictly smaller positions.  ``O(height) = O(log n)`` rounds.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take, take_one
+from repro.primitives.protocol import Proto, ns_states
 
 
 def prefix_sums(
@@ -30,13 +31,16 @@ def prefix_sums(
     node's own value is excluded.  Results land in ``state[key]``;
     returns the grand total at the root.
     """
-    up_tag, down_tag = f"{ns}:psum", f"{ns}:pacc"
+    up_tag = sys.intern(f"{ns}:psum")
+    down_tag = sys.intern(f"{ns}:pacc")
+    states = ns_states(net, members, ns)
+    states_get = states.get
+    index_of = {v: i for i, v in enumerate(states)}.__getitem__
 
     # Pass 1: subtree value sums (convergecast).
     pending = {}
     ready = []
-    for v in members:
-        state = ns_state(net, v, ns)
+    for v, state in states.items():  # member order
         state["val"] = value_of(v)
         state["lsum"] = 0
         state["rsum"] = 0
@@ -50,7 +54,7 @@ def prefix_sums(
     while done < len(members):
         sends = []
         for v in ready:
-            state = ns_state(net, v, ns)
+            state = states[v]
             parent = state.get("parent")
             done += 1
             if parent is not None:
@@ -59,9 +63,15 @@ def prefix_sums(
         if done >= len(members) and not sends:
             break
         inboxes = yield sends
-        for v in members:
-            for report in take(inboxes, v, up_tag):
-                state = ns_state(net, v, ns)
+        # Only this round's receivers are handled; completions report
+        # next round in member order.
+        for v, box in inboxes.items():
+            state = states_get(v)
+            if state is None:
+                continue
+            for report in box:
+                if report.kind != up_tag:
+                    continue
                 if state.get("left") == report.src:
                     state["lsum"] = report.data[0]
                 else:
@@ -70,21 +80,18 @@ def prefix_sums(
                 if pending[v] == 0:
                     state["vsum"] = state["val"] + state["lsum"] + state["rsum"]
                     ready.append(v)
+        if len(ready) > 1:
+            ready.sort(key=index_of)
 
     # Pass 2: accumulate downward.
-    root_state = ns_state(net, root, ns)
+    root_state = states[root]
     total = root_state["vsum"]
-
-    def settle(v: int, acc: int) -> None:
-        state = ns_state(net, v, ns)
-        state[key] = acc + state["lsum"]
-
-    settle(root, 0)
+    root_state[key] = root_state["lsum"]
     frontier = [(root, 0)]
     while frontier:
         sends = []
         for v, acc in frontier:
-            state = ns_state(net, v, ns)
+            state = states[v]
             left, right = state.get("left"), state.get("right")
             if left is not None:
                 sends.append((v, left, msg(down_tag, data=(acc,))))
@@ -95,9 +102,22 @@ def prefix_sums(
             break
         inboxes = yield sends
         frontier = []
-        for v in members:
-            accepted = take_one(inboxes, v, down_tag)
+        for v, box in inboxes.items():
+            state = states_get(v)
+            if state is None:
+                continue
+            accepted = None
+            for message in box:
+                if message.kind == down_tag:
+                    if accepted is not None:
+                        raise ProtocolError(
+                            f"node {v} expected at most one {down_tag!r}"
+                        )
+                    accepted = message
             if accepted is not None:
-                settle(v, accepted.data[0])
-                frontier.append((v, accepted.data[0]))
+                acc = accepted.data[0]
+                state[key] = acc + state["lsum"]
+                frontier.append((v, acc))
+        if len(frontier) > 1:
+            frontier.sort(key=lambda entry: index_of(entry[0]))
     return total

@@ -5,8 +5,8 @@ marks one synchronous NCC round:
 
 * yielding a **list of sends** ``[(src, dst, Message), ...]`` submits those
   messages for the round and resumes, after delivery, with the round's
-  inbox view ``{node_id: [Message, ...]}`` (shared by all concurrent
-  tasks — tasks look up only the nodes they drive);
+  inboxes ``{node_id: [Message, ...]}`` exactly as the engine returned
+  them (shared by all concurrent tasks, so tasks only read them);
 * yielding :class:`Fork` runs child generators **concurrently** with each
   other and with every other active task; the parent resumes with the
   list of child results once all children finish.  Forking does not by
@@ -25,12 +25,19 @@ The trampoline is the hottest loop in a full-fidelity run, so it is
 written for throughput: live tasks are counted instead of scanned, the
 ready/waiting queues are reused across rounds, completed tasks are
 dropped immediately (a long-lived scheduler holds only live tasks), and
-each round's inboxes are handed to tasks as an :class:`InboxView` — a
-dict with a lazy per-node, per-``kind`` index that :func:`take` /
-:func:`take_one` use instead of re-scanning inbox lists at every call
-site.  None of this changes observable behaviour: the task advancement
-order, the per-round send order, and every metric are identical to a
-naive trampoline (the determinism suite enforces this).
+the engine's inbox dict goes to the waiting tasks as is.  None of this
+changes observable behaviour: the task advancement order, the per-round
+send order, and every metric are identical to a naive trampoline
+(``tests/test_send_stream_pin.py`` pins the send stream to recorded
+digests).
+
+Round loops that handle a whole round's mail iterate the round's
+receivers (``inboxes.items()``) rather than calling :func:`take` for
+every node they drive: most nodes get nothing in most rounds.  The
+inbox dict's key order is engine-specific, so wherever handling order
+feeds a later send or a dict's insertion order, the loop first sorts the
+receivers into member (or node) order and keeps arrival order within
+each receiver.
 
 Message namespacing: concurrent protocol instances tag their message
 ``kind`` as ``"<ns>:<tag>"`` and filter inboxes with :func:`take`.  The
@@ -66,43 +73,6 @@ class Fork:
     """Run ``children`` concurrently; parent resumes with their results."""
 
     children: Sequence[Proto]
-
-
-class InboxView(dict):
-    """One round's inboxes, with a lazy per-node ``kind`` index.
-
-    Behaves exactly like the plain ``{node_id: [Message, ...]}`` dict the
-    engines produce (protocols index and ``.get`` it directly), but the
-    first :func:`take`/:func:`take_one` at a node builds that node's
-    ``{kind: [messages]}`` index once, so every subsequent filter at the
-    node is two dict lookups instead of a list scan.  The view is shared
-    by all tasks parked on the same round barrier, so the index is built
-    at most once per (node, round) no matter how many protocols poll it.
-    """
-
-    __slots__ = ("_by_kind",)
-
-    def __init__(self, inboxes=()) -> None:
-        dict.__init__(self, inboxes)
-        self._by_kind: Dict[int, Dict[str, List[Message]]] = {}
-
-    def kind_index(self, node: int) -> Dict[str, List[Message]]:
-        """The node's ``{kind: [messages]}`` map (built on first use)."""
-        index = self._by_kind.get(node)
-        if index is None:
-            index = {}
-            box = dict.get(self, node)
-            if box:
-                index_get = index.get
-                for message in box:
-                    kind = message.kind
-                    bucket = index_get(kind)
-                    if bucket is None:
-                        index[kind] = [message]
-                    else:
-                        bucket.append(message)
-            self._by_kind[node] = index
-        return index
 
 
 class _Task:
@@ -245,10 +215,9 @@ class Scheduler:
                 raise ProtocolError(
                     f"protocol exceeded round budget of {max_rounds}"
                 )
-            view = InboxView(inboxes)
             for task in waiting:
                 task.status = READY
-                task.resume_value = view
+                task.resume_value = inboxes
                 ready_append(task)
             waiting.clear()
 
@@ -266,11 +235,6 @@ def run_protocol(net: Network, gen: Proto, max_rounds: int = 10_000_000) -> Any:
 
 _ns_counter = itertools.count()
 
-#: Shared empty result for kind-filters that match nothing.  Callers
-#: treat `take` results as read-only (iterate/index/concatenate); never
-#: mutate this list.
-_NO_MESSAGES: List[Message] = []
-
 
 def fresh_ns(prefix: str) -> str:
     """A short unique namespace for one protocol instance's messages."""
@@ -278,17 +242,13 @@ def fresh_ns(prefix: str) -> str:
 
 
 def take(inboxes: Inboxes, node: int, kind: str) -> List[Message]:
-    """Messages of exactly ``kind`` delivered to ``node`` this round.
+    """Messages of exactly ``kind`` delivered to ``node`` this round,
+    in arrival order.
 
-    The returned list is read-only (it may be shared by the round's
-    :class:`InboxView` index or by other callers).
+    One scan of the node's inbox list.  Loops that handle a whole
+    round's mail iterate ``inboxes.items()`` instead of calling this per
+    node, so they touch only the round's receivers.
     """
-    if inboxes.__class__ is InboxView:
-        index = inboxes._by_kind.get(node)
-        if index is None:
-            index = inboxes.kind_index(node)
-        hit = index.get(kind)
-        return hit if hit is not None else _NO_MESSAGES
     return [m for m in inboxes.get(node, ()) if m.kind == kind]
 
 

@@ -15,12 +15,13 @@ covered — constant words.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take
+from repro.primitives.protocol import Proto, ns_state
 
 Token = Tuple[Tuple[int, ...], Tuple]
 
@@ -48,7 +49,7 @@ def range_multicast(
 
     Rounds: ``O(log max_width)``.  Returns the number of deliveries.
     """
-    tag = f"{ns}:rm"
+    tag = sys.intern(f"{ns}:rm")
     # Validate and initialise: each source knows only its own request.
     intervals: List[Tuple[int, int]] = []
     for source, lo, hi, _token in requests:
@@ -94,14 +95,18 @@ def range_multicast(
         )
 
     guard = 0
+    index_of = net.ids.index_of
     while sends or active:
         inboxes = yield sends
-        for v in net.node_ids:
-            for message in take(inboxes, v, tag):
+        # Only this round's receivers, in node order: the order new
+        # carriers join ``active`` is the order they send next round.
+        for v in sorted(inboxes, key=index_of):
+            for message in inboxes[v]:
+                if message.kind != tag:
+                    continue
                 direction, bound = message.data[0], message.data[1]
                 token = (message.ids, tuple(message.data[2:]))
-                state = ns_state(net, v, ns)
-                state[key] = token
+                ns_state(net, v, ns)[key] = token
                 deliveries += 1
                 active[v] = (direction, bound, token)
 

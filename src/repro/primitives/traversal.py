@@ -25,7 +25,7 @@ convergecast over ``m`` members costs ``O(m)`` message handling total
 instead of ``O(m * height)`` scanning.  Wherever handling order feeds a
 later send loop, receivers are re-sorted into member order first, so the
 emitted message stream is byte-identical to the member-scan formulation
-(the determinism suites pin this down).
+(``tests/test_send_stream_pin.py`` pins it to recorded digests).
 """
 
 from __future__ import annotations
@@ -82,11 +82,10 @@ def _sizes_pass(net: Network, ns: str, states, index_of) -> Proto:
             reported += 1
             if parent is not None:
                 shell = new_message(Message)
-                inner = shell.__dict__
-                inner["kind"] = size_tag
-                inner["ids"] = ()
-                inner["data"] = (state["size"],)
-                inner["src"] = -1
+                shell.kind = size_tag
+                shell.ids = ()
+                shell.data = (state["size"],)
+                shell.src = -1
                 sends.append((v, parent, shell))
         ready = []
         if reported >= total_members and not sends:
@@ -147,19 +146,17 @@ def _positions_pass(net: Network, ns: str, states, index_of, root: int) -> Proto
             left, right = state["left"], state["right"]
             if left is not None:
                 shell = new_message(Message)
-                inner = shell.__dict__
-                inner["kind"] = base_tag
-                inner["ids"] = ()
-                inner["data"] = (base, total)
-                inner["src"] = -1
+                shell.kind = base_tag
+                shell.ids = ()
+                shell.data = (base, total)
+                shell.src = -1
                 sends.append((v, left, shell))
             if right is not None:
                 shell = new_message(Message)
-                inner = shell.__dict__
-                inner["kind"] = base_tag
-                inner["ids"] = ()
-                inner["data"] = (state["pos"] + 1, total)
-                inner["src"] = -1
+                shell.kind = base_tag
+                shell.ids = ()
+                shell.data = (state["pos"] + 1, total)
+                shell.src = -1
                 sends.append((v, right, shell))
         if not sends:
             break

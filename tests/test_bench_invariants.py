@@ -1,0 +1,117 @@
+"""The committed benchmark records' invariant fields, recomputed.
+
+``BENCH_protocol.json``, ``BENCH_engine.json`` and ``BENCH_service.json``
+carry timing numbers next to fields that do not depend on the machine:
+rounds, messages, and the service batch's request counts.  This module
+recomputes those fields with the benchmark scripts' own workload code
+and asserts them equal to the committed values, so protocol drift fails
+tier-1.  No timing is asserted: the engine replay reports its CPU
+seconds, and this module ignores them.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.primitives.protocol import run_protocol
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "benchmarks"))
+
+import bench_engine_throughput as engine_bench  # noqa: E402
+import bench_protocol_wallclock as protocol_bench  # noqa: E402
+import bench_service_throughput as service_bench  # noqa: E402
+from common import make_net  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def gc_paused():
+    """The benchmarks pause GC around their runs; so does this module,
+    which holds a whole recorded sort in memory while it replays it."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def committed(name: str):
+    with open(REPO / name, encoding="utf-8") as record:
+        return json.load(record)["results"]
+
+
+def _case_id(row) -> str:
+    return f"{row['workload']}-{row['n']}"
+
+
+@pytest.mark.parametrize(
+    "row", committed("BENCH_protocol.json"), ids=_case_id
+)
+def test_protocol_rows(row):
+    net = make_net(row["n"], seed=row["seed"])
+    run_protocol(
+        net, protocol_bench._proto_for(row["workload"], row["n"], row["seed"], net)
+    )
+    stats = net.stats()
+    assert (stats.rounds, stats.messages) == (row["rounds"], row["messages"])
+
+
+#: BENCH_engine.json rows carry no seed; the benchmark fixes one per case.
+ENGINE_CASES = {
+    ("thm03_sorting", 256): (7, engine_bench._sorting_proto(256, 7)),
+    ("thm03_sorting", 512): (5, engine_bench._sorting_proto(512, 5)),
+    ("thm05_collection", 256): (11, engine_bench._collection_proto(256, 64, 11)),
+    ("thm05_collection", 512): (11, engine_bench._collection_proto(512, 128, 11)),
+}
+
+
+@pytest.mark.parametrize("row", committed("BENCH_engine.json"), ids=_case_id)
+def test_engine_rows(row):
+    seed, factory = ENGINE_CASES[row["workload"], row["n"]]
+    plans = engine_bench._record(row["n"], seed, factory)
+    _elapsed, messages, _stats = engine_bench._replay_once(
+        row["n"], seed, plans, "fast"
+    )
+    assert (len(plans), messages) == (row["rounds"], row["messages"])
+
+
+def test_service_rows():
+    """One warm drain of the benchmark batch gives every invariant of
+    both rows: the cold drain answers the same responses by contract
+    (``bench_service_throughput`` asserts it), with its caches off."""
+    rows = {row["workload"]: row for row in committed("BENCH_service.json")}
+    batch = service_bench.build_batch()
+    executor = service_bench._warm_executor()
+    try:
+        responses = executor.run(batch)
+        stats = executor.stats()
+    finally:
+        executor.close()
+    assert all(response.error is None for response in responses)
+    recomputed = {
+        "requests": len(batch),
+        "distinct": len(service_bench.DISTINCT),
+        "kinds": sorted({request.kind for request in batch}),
+        "sizes": sorted({request.size for request in batch}),
+        "rounds": sum(response.rounds for response in responses),
+        "messages": sum(response.messages for response in responses),
+    }
+    for row in rows.values():
+        assert {key: row[key] for key in recomputed} == recomputed
+    warm = rows["service_batch_warm"]
+    assert (
+        stats["response_cache_hits"],
+        stats["scenario_cache_hits"],
+        stats["pool"]["pool_hits"],
+        stats["pool"]["constructions"],
+    ) == (
+        warm["response_cache_hits"],
+        warm["scenario_cache_hits"],
+        warm["pool_hits"],
+        warm["network_constructions"],
+    )

@@ -238,24 +238,34 @@ scalars = st.one_of(
 @st.composite
 def send_lists(draw, n=12, max_size=25):
     """Random ``(src, dst, Message)`` sends over the IDs ``1..n`` of a
-    ``random_ids=False`` network, self-sends left out."""
+    ``random_ids=False`` network, self-sends left out.
+
+    Sends draw their messages from a small pool, so one ``Message``
+    object often rides several sends, from one sender or from several:
+    every receiver must still see its own sender."""
+    pool = draw(
+        st.lists(
+            st.builds(
+                lambda kind, ids, data: msg(kind, ids=tuple(ids), data=tuple(data)),
+                st.sampled_from(["ping", "agg", "ns:invite", "ns:route"]),
+                st.lists(st.integers(1, n), max_size=3),
+                st.lists(scalars, max_size=4),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
     entries = draw(
         st.lists(
             st.tuples(
                 st.integers(1, n),
                 st.integers(1, n),
-                st.sampled_from(["ping", "agg", "ns:invite", "ns:route"]),
-                st.lists(st.integers(1, n), max_size=3),
-                st.lists(scalars, max_size=4),
+                st.integers(0, len(pool) - 1),
             ),
             max_size=max_size,
         )
     )
-    return [
-        (src, dst, msg(kind, ids=tuple(ids), data=tuple(data)))
-        for src, dst, kind, ids, data in entries
-        if src != dst
-    ]
+    return [(src, dst, pool[i]) for src, dst, i in entries if src != dst]
 
 
 def ncc1_nets(mode: EnforcementMode, **overrides):
@@ -333,6 +343,29 @@ class TestPayloadDifferential:
         assert_all_match_reference(outcomes)
         stats = outcomes["fast"][1]
         assert (stats.rounds, stats.messages, stats.words) == (2, 0, 0)
+
+
+class TestSharedMessageObjects:
+    """One ``Message`` object on several sends: each receiver sees its
+    own sender, on every engine, now and after later rounds."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_object_from_two_senders_in_one_round(self, engine):
+        net = Network(6, NCCConfig(engine=engine, variant=Variant.NCC1,
+                                   random_ids=False))
+        shared = msg("x", data=(1,))
+        inboxes = net.step([(1, 3, shared), (2, 4, shared)])
+        assert [m.src for m in inboxes[3]] == [1]
+        assert [m.src for m in inboxes[4]] == [2]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_later_resend_leaves_an_earlier_inbox_alone(self, engine):
+        net = Network(6, NCCConfig(engine=engine, variant=Variant.NCC1,
+                                   random_ids=False))
+        shared = msg("x", data=(1,))
+        (held,) = net.step([(1, 3, shared)])[3]
+        (again,) = net.step([(2, 4, shared)])[4]
+        assert (held.src, again.src) == (1, 2)
 
 
 class TestKnowledgeEdgeCases:

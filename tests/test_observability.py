@@ -17,6 +17,7 @@ import asyncio
 import io
 import json
 import multiprocessing
+import sys
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 
@@ -267,6 +268,37 @@ class TestExporters:
             assert "up_total 3" in text
         finally:
             httpd.shutdown()
+            httpd.server_close()
+
+    @pytest.mark.parametrize("transport", ["stdio", "socket"])
+    def test_serve_closes_the_metrics_socket_on_stop(self, monkeypatch, transport):
+        """Both ``serve`` stop paths close the listener's socket, not
+        just its serve loop."""
+        import repro.obs
+        import repro.service.server
+        from repro.__main__ import main
+
+        started = []
+        start = repro.obs.start_metrics_http
+
+        def recording_start(*args, **kwargs):
+            server, thread = start(*args, **kwargs)
+            started.append(server)
+            return server, thread
+
+        monkeypatch.setattr(repro.obs, "start_metrics_http", recording_start)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        argv = ["serve", "--metrics-port", "0"]
+        if transport == "socket":
+            # The socket server itself is not under test: it returns at
+            # once, as after a clean drain with nothing handled.
+            monkeypatch.setattr(
+                repro.service.server, "serve_socket", lambda *a, **k: (0, 0)
+            )
+            argv += ["--port", "0"]
+        assert main(argv) == 0
+        (server,) = started
+        assert server.socket.fileno() == -1
 
 
 # ---------------------------------------------------------------------- #

@@ -2,15 +2,15 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
 
 from repro.ncc.errors import ProtocolError
-from repro.ncc.message import msg
+from repro.ncc.message import Message, msg
 from repro.primitives.protocol import (
     Fork,
-    InboxView,
     Scheduler,
     fresh_ns,
     idle,
@@ -295,61 +295,77 @@ def test_scheduler_stats_byte_identical_multi_root():
     assert snapshots[0] == snapshots[1]
 
 
-class TestInboxView:
-    """The per-round inbox view: dict compatibility + kind index."""
+class TestTakeOverDeliveredRounds:
+    """``take``/``take_one`` over the inboxes a real round returns."""
 
-    def _view(self):
-        m1 = msg("a", data=(1,)).with_src(7)
-        m2 = msg("b", data=(2,)).with_src(8)
-        m3 = msg("a", data=(3,)).with_src(9)
-        return InboxView({5: [m1, m2, m3]}), (m1, m2, m3)
-
-    def test_behaves_like_the_plain_dict(self):
-        view, (m1, m2, m3) = self._view()
-        assert view[5] == [m1, m2, m3]
-        assert view.get(6) is None
-        assert list(view) == [5]
-
-    def test_take_filters_by_kind_in_arrival_order(self):
-        view, (m1, _m2, m3) = self._view()
-        assert take(view, 5, "a") == [m1, m3]
-        assert take(view, 5, "zzz") == []
-        assert take(view, 6, "a") == []
-
-    def test_take_one_enforces_uniqueness(self):
-        view, (_m1, m2, _m3) = self._view()
-        assert take_one(view, 5, "b") is m2
-        assert take_one(view, 5, "nope") is None
-        with pytest.raises(ProtocolError):
-            take_one(view, 5, "a")
-
-    def test_index_is_cached_and_consistent(self):
-        view, _ = self._view()
-        first = take(view, 5, "a")
-        again = take(view, 5, "a")
-        assert first is again  # served from the per-node index
-        assert view.kind_index(5)["b"] == take(view, 5, "b")
-
-    def test_plain_dict_fallback(self):
-        m = msg("k").with_src(3)
-        plain = {4: [m]}
-        assert take(plain, 4, "k") == [m]
-        assert take_one(plain, 4, "k") is m
-
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_indexes_an_engine_delivered_round(self, engine):
-        """Over the inboxes a real round returns, kinds group per node
-        in arrival order and nodes without mail index as empty."""
-        net = make_ncc1(10, engine=engine)
+    @pytest.fixture(params=["fast", "reference"])
+    def round_inboxes(self, request):
+        net = make_ncc1(10, engine=request.param)
         sends = [(7, 5, msg("a", data=(1,))), (8, 5, msg("b", data=(2,))),
                  (9, 5, msg("a", data=(3,))), (5, 6, msg("a", data=(4,)))]
-        view = InboxView(net.step(sends))
-        m1, m2, m3, m4 = (m.with_src(src) for src, _, m in sends)
-        assert view.kind_index(5) == {"a": [m1, m3], "b": [m2]}
-        assert take(view, 5, "a") == [m1, m3]
-        assert take_one(view, 5, "b") == m2
-        assert take(view, 6, "a") == [m4]
-        assert take(view, 7, "a") == []
+        expected = [Message(m.kind, m.ids, m.data, src) for src, _, m in sends]
+        return net.step(sends), expected
+
+    def test_take_filters_by_kind_in_arrival_order(self, round_inboxes):
+        inboxes, (m1, m2, m3, m4) = round_inboxes
+        assert take(inboxes, 5, "a") == [m1, m3]
+        assert take(inboxes, 5, "b") == [m2]
+        assert take(inboxes, 6, "a") == [m4]
+        assert take(inboxes, 5, "zzz") == []
+        assert take(inboxes, 7, "a") == []  # a node without mail
+
+    def test_take_one_returns_the_unique_message(self, round_inboxes):
+        inboxes, (_m1, m2, _m3, m4) = round_inboxes
+        assert take_one(inboxes, 5, "b") == m2
+        assert take_one(inboxes, 6, "a") == m4
+        assert take_one(inboxes, 5, "nope") is None
+        assert take_one(inboxes, 8, "a") is None
+
+    def test_take_one_rejects_a_second_message_of_the_kind(self, round_inboxes):
+        inboxes, _ = round_inboxes
+        with pytest.raises(ProtocolError, match="expected at most one 'a', got 2"):
+            take_one(inboxes, 5, "a")
+
+
+class TestMessageValue:
+    """``Message`` is a value: equal fields mean equal messages."""
+
+    def test_equality_and_hash_cover_every_field(self):
+        m = Message("k", (1, 2), (3,), 4)
+        assert m == Message("k", (1, 2), (3,), 4)
+        assert hash(m) == hash(Message("k", (1, 2), (3,), 4))
+        for other in (Message("j", (1, 2), (3,), 4), Message("k", (1,), (3,), 4),
+                      Message("k", (1, 2), (5,), 4), Message("k", (1, 2), (3,), 9)):
+            assert m != other
+        assert m != ("k", (1, 2), (3,), 4)
+        assert len({m, Message("k", (1, 2), (3,), 4)}) == 1
+
+    def test_keyword_construction_and_defaults(self):
+        m = Message(kind="k", ids=(1,), data=(2,), src=3)
+        assert (m.kind, m.ids, m.data, m.src) == ("k", (1,), (2,), 3)
+        bare = Message("k")
+        assert (bare.ids, bare.data, bare.src) == ((), (), -1)
+
+    def test_with_src_copies(self):
+        m = msg("k", ids=(1,), data=(2,))
+        stamped = m.with_src(7)
+        assert stamped is not m
+        assert stamped == Message("k", (1,), (2,), 7)
+        assert m.src == -1
+
+    def test_msg_interns_the_kind_and_coerces_tuples(self):
+        kind = "".join(["ns", ":", "tag"])  # a fresh, uninterned string
+        m = msg(kind, ids=[1, 2], data=iter([3]))
+        assert m.kind is sys.intern(kind)
+        assert m.ids == (1, 2) and m.ids.__class__ is tuple
+        assert m.data == (3,) and m.data.__class__ is tuple
+        assert m == Message("ns:tag", (1, 2), (3,))
+
+    def test_slots_and_no_instance_dict(self):
+        m = msg("k")
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.extra = 1
 
 
 def test_fresh_ns_unique():

@@ -91,7 +91,8 @@ def strip(row):
 def record_offsets(path):
     """Byte offsets of each framed record in a journal file."""
     header = struct.Struct("<II")
-    blob = open(path, "rb").read()
+    with open(path, "rb") as journal_file:
+        blob = journal_file.read()
     offsets, pos = [], 0
     while pos + header.size <= len(blob):
         length, _ = header.unpack_from(blob, pos)
@@ -328,7 +329,8 @@ class TestLegacyShardsSlot:
             journal.compact()
         finally:
             journal.close()
-        blob = open(path, "rb").read()
+        with open(path, "rb") as journal_file:
+            blob = journal_file.read()
         record, end = RequestJournal._read_record(blob, 0)
         assert end == len(blob)  # the one admission, nothing else
         assert record[0] == "admitted"
@@ -780,6 +782,7 @@ class TestKillNineIntegration:
             port2 = int(
                 watcher.expect(r"listening on 127\.0\.0\.1:(\d+)").group(1)
             )
+            reader.close()
             sock.close()
 
             sock2, reader2 = _connect(port2)
@@ -800,6 +803,7 @@ class TestKillNineIntegration:
             jstats = stats["executor"]["journal"]
             assert jstats["replays"] >= 1
             assert jstats["incomplete"] == 0
+            reader2.close()
             sock2.close()
 
             proc.send_signal(signal.SIGTERM)
@@ -808,3 +812,4 @@ class TestKillNineIntegration:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stderr.close()

@@ -277,6 +277,7 @@ class TestSocketServe:
             first = await recv(reader)
             second = await recv(reader)
             counts = await server.wait_done()
+            await close(writer)
             return first, second, counts
 
         first, second, counts = run(scenario())
