@@ -2,18 +2,19 @@
 
 Recorded to ``BENCH_multiprocess.json``: the service benchmark's mixed
 60-request batch (five kinds, n ∈ {64, 256}) drained with the response
-cache disabled — every request actually executes — through the threaded
-drain vs the process drain, both with ``DRAIN_WORKERS`` workers and warm
-pools (per-worker pools in the process drain).  Responses are asserted
-field-identical between modes.  Request handling is pure Python, so the
-threaded drain is GIL-serialized while the process drain runs one
-request per core: on a >= ``DRAIN_WORKERS``-core host the target ratio
-is ``TARGET_SPEEDUP`` (2x).  Hosts with fewer cores cannot express the
-parallelism — there the gate degrades to an *overhead bound*
-(``floor_for_cores``): the process drain must stay within IPC-tax
-distance of the threaded drain.  The recorded JSON carries the measured
-ratio, the host core count, and both targets, so a record produced on a
-small container is still an honest, regression-guardable measurement.
+cache disabled — every request actually executes — through the
+sequential drain (one request at a time in-process, warm pool) vs the
+process drain (``DRAIN_WORKERS`` workers, each with its own warm pool).
+Responses are asserted field-identical between modes.  Request handling
+is pure Python and holds the GIL, so the process drain's one request
+per core is the only parallelism there is: on a >= ``DRAIN_WORKERS``-
+core host the target ratio is ``TARGET_SPEEDUP`` (2x).  Hosts with
+fewer cores cannot express the parallelism — there the gate degrades to
+an *overhead bound* (``floor_for_cores``): the process drain must stay
+within IPC-tax distance of the sequential drain.  The recorded JSON
+carries the measured ratio, the host core count, and both targets, so a
+record produced on a small container is still an honest,
+regression-guardable measurement.
 
 Timing is wall-clock (``time.perf_counter``), not process CPU time —
 child-process work is invisible to the parent's CPU clock, and wall
@@ -34,7 +35,7 @@ from bench_service_throughput import BATCH_SIZE, DISTINCT, build_batch
 #: Drain acceptance on hosts with >= DRAIN_WORKERS usable cores.
 TARGET_SPEEDUP = 2.0
 
-#: Worker count for both drains (the acceptance configuration).
+#: Worker count of the process drain (the acceptance configuration).
 DRAIN_WORKERS = 4
 
 REPS = 2
@@ -53,8 +54,8 @@ def floor_for_cores(cores: int) -> float:
     >= DRAIN_WORKERS cores: the full 2x parallel-speedup target.  Two to
     three cores: proportionally reduced.  One core: no parallelism
     exists — bound the process drain's overhead instead (it must deliver
-    at least 0.6x the threaded drain's throughput, i.e. the IPC tax may
-    not eat more than ~40%).
+    at least 0.6x the sequential drain's throughput, i.e. the IPC tax
+    may not eat more than ~40%).
     """
     if cores >= DRAIN_WORKERS:
         return TARGET_SPEEDUP
@@ -85,7 +86,7 @@ def _wall(run):
 
 
 # ---------------------------------------------------------------------- #
-# Process drain vs threaded drain (cold: cache disabled)                 #
+# Process drain vs sequential drain (cold: cache disabled)               #
 # ---------------------------------------------------------------------- #
 
 
@@ -95,7 +96,7 @@ def _drain_executor(mode: str):
         registry=default_registry(),
         cache_responses=False,  # cold: all 60 requests actually execute
         mode=mode,
-        workers=DRAIN_WORKERS,
+        workers=DRAIN_WORKERS if mode == "processes" else 1,
     )
 
 
@@ -104,7 +105,7 @@ def measure_drains():
     rows = []
     canonical = None
     throughput = {}
-    for mode in ("threads", "processes"):
+    for mode in ("sequential", "processes"):
         def run(mode=mode):
             executor = _drain_executor(mode)
             try:
@@ -130,7 +131,7 @@ def measure_drains():
                 "n": 0,  # mixed batch
                 "requests": len(batch),
                 "distinct": len(DISTINCT),
-                "workers": DRAIN_WORKERS,
+                "workers": stats["workers"],
                 "rounds": sum(r.rounds for r in responses),
                 "messages": sum(r.messages for r in responses),
                 "elapsed_sec": round(elapsed, 4),
@@ -138,7 +139,7 @@ def measure_drains():
                 "worker_crashes": stats["worker_crashes"],
             }
         )
-    speedup = round(throughput["processes"] / throughput["threads"], 3)
+    speedup = round(throughput["processes"] / throughput["sequential"], 3)
     return rows, speedup
 
 
@@ -184,9 +185,9 @@ def experiment() -> Experiment:
         shape_holds=speedup >= floor,
         notes=(
             f"The mixed {BATCH_SIZE}-request service batch, response "
-            f"cache disabled, {DRAIN_WORKERS} workers; responses "
-            "asserted field-identical between threaded and process "
-            f"drains.  Measured process/threads ratio {speedup:.2f}x on "
+            f"cache disabled, {DRAIN_WORKERS} process workers; responses "
+            "asserted field-identical between sequential and process "
+            f"drains.  Measured process/sequential ratio {speedup:.2f}x on "
             f"{cores} usable core(s); gate {floor:.2f}x (the full "
             f"{TARGET_SPEEDUP}x parallel target applies on >= "
             f"{DRAIN_WORKERS} cores — fewer cores cannot express it, so "
@@ -199,11 +200,11 @@ def experiment() -> Experiment:
 def test_multiprocess_smoke(benchmark):
     """Smoke-scale: tiny drain through both modes, answers preserved."""
     batch = build_batch()[:6]
-    threaded = _drain_executor("threads")
+    sequential = _drain_executor("sequential")
     try:
-        expected = [r.fingerprint() for r in threaded.run(list(batch))]
+        expected = [r.fingerprint() for r in sequential.run(list(batch))]
     finally:
-        threaded.close()
+        sequential.close()
     processes = _drain_executor("processes")
 
     def run():

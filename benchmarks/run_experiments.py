@@ -127,12 +127,13 @@ Two benchmarks also track *implementation* performance across PRs:
   rounds/messages are the regression-guard invariants.
 - **X-MP** (`bench_multiprocess.py` -> `BENCH_multiprocess.json`): the
   multiprocess execution layer, the process drain.  *Drain rows*
-  (`drain_threads` / `drain_processes`): the mixed 60-request service
-  batch drained cold (response cache disabled, so all 60 execute) with
-  4 workers per mode; responses asserted field-identical.  Schema:
+  (`drain_sequential` / `drain_processes`): the mixed 60-request
+  service batch drained cold (response cache disabled, so all 60
+  execute) one request at a time in-process vs across 4 worker
+  processes; responses asserted field-identical.  Schema:
   `{{workload, n (0 = mixed), requests, distinct, workers, rounds,
   messages, elapsed_sec, requests_per_sec, worker_crashes}}`, plus
-  top-level `drain_speedup` (processes/threads), `usable_cores`, and
+  top-level `drain_speedup` (processes/sequential), `usable_cores`, and
   `effective_target` — the 2x parallel target applies on >= 4 cores;
   hosts below that cannot express the parallelism, so the gate degrades
   to an IPC-overhead bound (see the module docstring).  Timing is
@@ -339,7 +340,7 @@ def write_serve_json(path: str) -> dict:
 
 
 def write_multiprocess_json(path: str) -> dict:
-    """Write the BENCH_multiprocess.json record (process-vs-thread
+    """Write the BENCH_multiprocess.json record (process-vs-sequential
     drain).  Uses the module's cached
     ``bench_results()`` so EXPERIMENTS.md and the JSON report one
     measurement."""
@@ -351,8 +352,8 @@ def write_multiprocess_json(path: str) -> dict:
         "benchmark": "multiprocess",
         "description": (
             "the mixed 60-request service batch drained cold (response cache "
-            "disabled) through the threaded vs process executor, 4 workers "
-            "each, responses asserted field-identical; wall-clock "
+            "disabled) through the sequential vs process executor (4 "
+            "workers), responses asserted field-identical; wall-clock "
             "best-of-reps (child CPU is invisible to the parent CPU clock)"
         ),
         "target_speedup": bench_multiprocess.TARGET_SPEEDUP,
@@ -616,7 +617,7 @@ def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
         (
             "BENCH_multiprocess",
             write_multiprocess_json,
-            "process-vs-thread drain",
+            "process-vs-sequential drain",
             "drain_speedup",
             "drain_speedup",
         ),

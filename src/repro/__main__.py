@@ -17,11 +17,13 @@ writing a script:
 * ``batch requests.jsonl`` (or ``-`` for stdin) — drain a JSONL request
   batch through the warm-pool executor, one JSON response per line
   (``--mode processes --workers N`` drains across worker processes,
-  each with its own warm network pool);
-* ``serve`` — long-lived JSONL service on stdin/stdout
-  (``--mode processes --workers N`` streams: requests enter the worker
-  pool as their lines arrive, responses are emitted in input order as
-  they complete); with ``--port`` it becomes a multi-client TCP socket
+  each with its own warm network pool; ``sequential``, the default,
+  runs misses one at a time in-process);
+* ``serve`` — long-lived JSONL service on stdin/stdout that streams in
+  both modes: requests enter the executor as their lines arrive and
+  responses are emitted in input order as they complete
+  (``--mode processes --workers N`` runs the misses across worker
+  processes); with ``--port`` it becomes a multi-client TCP socket
   server with bounded admission (``--window``) and typed
   ``ADMISSION_REJECTED`` overflow responses; requests may carry a
   ``deadline_ms`` wall-clock budget (typed ``DEADLINE_EXCEEDED``), and
@@ -54,6 +56,12 @@ from typing import List
 
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.network import Network
+
+
+#: The executor's drain modes (``repro.service.executor.EXECUTOR_MODES``),
+#: spelled out so that building the parser never imports the service
+#: stack.
+_MODES = ("sequential", "processes")
 
 
 def _parse_ints(text: str) -> List[int]:
@@ -601,12 +609,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="JSONL file with one request object per line")
     p.add_argument(
         "--mode",
-        choices=("sequential", "threads", "processes"),
+        choices=_MODES,
         default="sequential",
-        help="drain strategy (processes = one warm NetworkPool per worker "
+        help="where cache misses run (sequential = one at a time "
+        "in-process; processes = one warm NetworkPool per worker "
         "process, true parallel execution)",
     )
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument(
+        "--workers", type=int, default=4,
+        help="worker processes for --mode processes (default %(default)s)",
+    )
     p.add_argument("--no-pool", action="store_true", help="fresh network per request")
     p.add_argument("--no-cache", action="store_true", help="disable response cache")
     p.set_defaults(fn=cmd_batch)
@@ -616,14 +628,18 @@ def build_parser() -> argparse.ArgumentParser:
         # the child's `serve` argv from this same namespace).
         p.add_argument(
             "--mode",
-            choices=("sequential", "threads", "processes"),
+            choices=_MODES,
             default="sequential",
-            help="request handling: sequential/threads handle each line in "
-            "turn; processes streams — lines are submitted to the worker "
-            "pool as they arrive and responses are emitted, in input order, "
-            "as they complete",
+            help="where cache misses run: sequential = one at a time on "
+            "the in-process lane, processes = across --workers worker "
+            "processes.  Both stream: each line is submitted as it is "
+            "read and responses are emitted, in input order, as they "
+            "complete",
         )
-        p.add_argument("--workers", type=int, default=4)
+        p.add_argument(
+            "--workers", type=int, default=4,
+            help="worker processes for --mode processes (default %(default)s)",
+        )
         p.add_argument("--no-pool", action="store_true", help="fresh network per request")
         p.add_argument("--no-cache", action="store_true", help="disable response cache")
         p.add_argument(
@@ -675,8 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--metrics-port", type=int, default=None, metavar="PORT",
             help="also expose the Prometheus text exposition on "
             "http://127.0.0.1:PORT/metrics (0 = ephemeral; the bound "
-            "address is printed to stderr).  The same text is available "
-            "in-band via a {\"kind\": \"metrics\"} request line",
+            "address is printed to stderr).  On --port connections the "
+            "same text is also available in-band via a "
+            "{\"kind\": \"metrics\"} request line",
         )
         p.add_argument(
             "--journal", default=None, metavar="PATH",
@@ -737,12 +754,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mode",
-        choices=("sequential", "threads", "processes"),
+        choices=_MODES,
         default="sequential",
         help="drain strategy (processes: worker-side spans ship back "
         "over the wire and reassemble under each request's trace)",
     )
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument(
+        "--workers", type=int, default=4,
+        help="worker processes for --mode processes (default %(default)s)",
+    )
     p.add_argument("--no-pool", action="store_true", help="fresh network per request")
     p.add_argument("--no-cache", action="store_true", help="disable response cache")
     p.set_defaults(fn=cmd_trace)

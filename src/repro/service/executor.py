@@ -21,16 +21,12 @@ the warm-path layers a long-lived service wants:
   populates — a follower list per in-flight key, resolved when the
   leader's execution completes, in every mode.
 
-Three drain modes; they differ only in where a cache miss executes:
+Two drain modes; they differ only in where a cache miss executes:
 
 ``sequential`` (default)
-    One request at a time, on the executor's in-parent lane: a single
-    thread.
-
-``threads``
-    The in-parent lane grows to ``workers`` threads sharing the pool
-    and caches.  Request handling is pure Python, so threads buy
-    overlap (and coalescing pressure relief), not parallel speedup.
+    On the executor's in-parent lane: a single thread, one miss at a
+    time.  Request handling is pure Python and holds the GIL, so a
+    wider lane would buy no parallel speedup.
 
 ``processes``
     A ``ProcessPoolExecutor`` of persistent workers, each owning its
@@ -45,13 +41,15 @@ Three drain modes; they differ only in where a cache miss executes:
     request cannot wedge the batch.  Requests and responses cross the
     boundary as compact wire envelopes (``to_wire``/``from_wire``), not
     pickled dataclasses.  ``benchmarks/bench_multiprocess.py`` records
-    the process-vs-thread drain ratio.
+    the process-vs-sequential drain ratio.
 
 Every request, in every mode, goes through one core,
 ``BatchExecutor._submit`` (a future per request).  Validation failures,
 cache hits and journal replays resolve at once, in the caller's thread;
 a miss goes to the lane or the worker pool and resolves when it
-completes.  :meth:`BatchExecutor.handle` blocks on that future;
+completes.  Either way the miss runs through one function,
+:func:`lease_and_run`.  :meth:`BatchExecutor.handle` blocks on that
+future and :meth:`BatchExecutor.submit` returns it;
 :meth:`BatchExecutor.run` submits a whole batch and gathers the futures
 in input order (sequential mode handles one request at a time); and the
 serve front ends *stream* — requests are submitted as their lines
@@ -108,7 +106,7 @@ from repro.service.registry import (
 )
 from repro.service.robustness import CircuitBreaker, RetryPolicy
 
-EXECUTOR_MODES = ("sequential", "threads", "processes")
+EXECUTOR_MODES = ("sequential", "processes")
 
 
 class _ExecutorClosed(RuntimeError):
@@ -309,6 +307,68 @@ def _run_request(
     )
 
 
+def lease_and_run(
+    request: RealizationRequest,
+    pool: Optional[NetworkPool],
+    registry: ScenarioRegistry = DEFAULT_REGISTRY,
+    cache_scenarios: bool = True,
+    deadline: Optional[float] = None,
+    span: Optional[Span] = None,
+    phase_histogram: Optional[Histogram] = None,
+) -> RealizationResponse:
+    """Run one validated miss: the one lease-and-run path.
+
+    A pool worker and the executor's in-parent lane both call this, each
+    with its own warm state.  Never raises — every failure envelopes
+    (the serve loops depend on that).  ``deadline`` is absolute
+    ``time.monotonic()`` seconds (system-wide, so a parent's stamp holds
+    in a worker); one that expired while the request queued answers a
+    typed ``DEADLINE_EXCEEDED`` without touching a network.  ``pool``
+    ``None`` builds a fresh ``Network`` (the cold path).
+
+    ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
+    children; ``phase_histogram`` receives engine phase timings.
+    """
+    try:
+        if deadline is not None and time.monotonic() >= deadline:
+            if span is not None:
+                span.tag("queued_expired", True)
+            return error_response(
+                request.request_id,
+                request.kind,
+                "wall-clock deadline expired before dispatch",
+                code="DEADLINE_EXCEEDED",
+            )
+        workload = resolve_workload(request, registry, use_cache=cache_scenarios)
+        n, config = request.size, request.config()
+        if pool is None:
+            net = Network(n, config)
+        elif span is None:
+            net = pool.lease(n, config)
+        else:
+            lease_span = span.child("pool.lease", n=n)
+            net = pool.lease(n, config)
+            lease_span.finish()
+        try:
+            return run_request(
+                request, net, workload, registry, deadline,
+                span=span.child("run") if span is not None else None,
+                phase_histogram=phase_histogram,
+            )
+        finally:
+            if pool is not None:
+                pool.release(net)
+    except ServiceError as exc:
+        return error_response(request.request_id, request.kind, str(exc))
+    except Exception as exc:  # last resort: a long-lived serve loop
+        # must envelope even unforeseen failures, not die mid-stream.
+        return error_response(
+            request.request_id,
+            request.kind,
+            f"internal error: {type(exc).__name__}: {exc}",
+        )
+
+
 # ---------------------------------------------------------------------- #
 # Process-drain worker side                                              #
 # ---------------------------------------------------------------------- #
@@ -318,7 +378,7 @@ def _run_request(
 #: in-memory state with the parent — only pickled requests/responses
 #: cross the boundary; the parent's response cache stays authoritative).
 _WORKER_POOL: Optional[NetworkPool] = None
-_WORKER_REGISTRY: Optional[ScenarioRegistry] = None
+_WORKER_REGISTRY: ScenarioRegistry = DEFAULT_REGISTRY
 _WORKER_CACHE_SCENARIOS = True
 
 
@@ -337,7 +397,7 @@ def _process_worker_init(use_pool: bool, cache_scenarios: bool) -> None:
 
 
 def _process_worker_run_wire(wire: tuple, deadline: Optional[float] = None) -> tuple:
-    """Wire-form shim around :func:`_process_worker_run`.
+    """One request on this worker's warm state, in wire form.
 
     The process boundary ships compact positional envelopes
     (``RealizationRequest.to_wire`` / ``RealizationResponse.to_wire``)
@@ -357,29 +417,16 @@ def _process_worker_run_wire(wire: tuple, deadline: Optional[float] = None) -> t
     """
     trace = RealizationRequest.wire_trace(wire)
     request = RealizationRequest.from_wire(wire)
-    plan = faults.active()
-    if plan is not None and plan.match("wire_error", request.request_id):
-        # Injected transport fault: a tuple from_wire() cannot zip — the
-        # parent's decode raises and envelopes a transport failure.
-        return ("\x00bad-wire",)
-    if trace is None:
-        return _process_worker_run(request, deadline).to_wire()
-    span = Span.from_context("worker", trace, pid=os.getpid())
-    response = _process_worker_run(request, deadline, span=span)
-    if response.error_code is not None:
-        span.tag("error_code", response.error_code)
-    span.finish()
-    return response.to_wire(spans=encode_span_columns(span))
-
-
-def _process_worker_run(
-    request: RealizationRequest,
-    deadline: Optional[float] = None,
-    span: Optional[Span] = None,
-) -> RealizationResponse:
-    """One request on this worker's warm state (the in-worker ``handle``)."""
+    span = None
+    if trace is not None:
+        span = Span.from_context("worker", trace, pid=os.getpid())
     plan = faults.active()
     if plan is not None:
+        if plan.match("wire_error", request.request_id):
+            # Injected transport fault: a tuple from_wire() cannot zip —
+            # the parent's decode raises and envelopes a transport
+            # failure.
+            return ("\x00bad-wire",)
         if plan.match("crash", request.request_id):
             os._exit(70)
         rule = plan.match("hang", request.request_id) or plan.match(
@@ -387,50 +434,16 @@ def _process_worker_run(
         )
         if rule is not None:
             time.sleep(rule.sleep_sec())
-    if deadline is not None and time.monotonic() >= deadline:
-        # Expired while queued behind other pool jobs (or slowed by an
-        # injected fault): answer without touching a network.
-        if span is not None:
-            span.tag("queued_expired", True)
-        return error_response(
-            request.request_id,
-            request.kind,
-            "wall-clock deadline expired before the worker started this request",
-            code="DEADLINE_EXCEEDED",
-        )
-    registry = _WORKER_REGISTRY if _WORKER_REGISTRY is not None else DEFAULT_REGISTRY
-    try:
-        workload = resolve_workload(
-            request, registry, use_cache=_WORKER_CACHE_SCENARIOS
-        )
-        n, config = request.size, request.config()
-        if _WORKER_POOL is not None:
-            if span is None:
-                with _WORKER_POOL.network(n, config) as net:
-                    return run_request(request, net, workload, registry, deadline)
-            lease_span = span.child("pool.lease", n=n)
-            net = _WORKER_POOL.lease(n, config)
-            lease_span.finish()
-            try:
-                return run_request(
-                    request, net, workload, registry, deadline,
-                    span=span.child("run"),
-                )
-            finally:
-                _WORKER_POOL.release(net)
-        run_span = span.child("run") if span is not None else None
-        return run_request(
-            request, Network(n, config), workload, registry, deadline,
-            span=run_span,
-        )
-    except ServiceError as exc:
-        return error_response(request.request_id, request.kind, str(exc))
-    except Exception as exc:  # pragma: no cover - defensive envelope
-        return error_response(
-            request.request_id,
-            request.kind,
-            f"internal error: {type(exc).__name__}: {exc}",
-        )
+    response = lease_and_run(
+        request, _WORKER_POOL, _WORKER_REGISTRY, _WORKER_CACHE_SCENARIOS,
+        deadline, span,
+    )
+    if span is None:
+        return response.to_wire()
+    if response.error_code is not None:
+        span.tag("error_code", response.error_code)
+    span.finish()
+    return response.to_wire(spans=encode_span_columns(span))
 
 
 def _resolve_future(out: "Future", response: RealizationResponse) -> None:
@@ -525,6 +538,10 @@ class _WatchEntry:
 class BatchExecutor:
     """Drains request batches/queues over a shared pool and caches.
 
+    Every entry point answers through one request core (:meth:`_submit`);
+    the mode decides only where a miss runs, and both places run it
+    through :func:`lease_and_run`.
+
     Parameters
     ----------
     pool:
@@ -551,9 +568,8 @@ class BatchExecutor:
         Use the registry's memoized materialization; disable to force
         regeneration per request (the benchmark's cold mode).
     mode / workers:
-        ``"sequential"``, ``"threads"`` or ``"processes"`` (+ worker
-        count): where misses execute — the in-parent lane (one thread
-        for sequential, ``workers`` threads for threads) or a pool of
+        ``"sequential"`` or ``"processes"`` (+ worker count): where
+        misses execute — the in-parent lane (one thread) or a pool of
         ``workers`` processes.  Lane and pool spin up lazily on the
         first miss and persist, warm, until :meth:`close`.
     retry_policy:
@@ -576,7 +592,7 @@ class BatchExecutor:
         Watchdog tuning: how far past a request's deadline a worker may
         run before being killed (the cooperative in-run check should
         fire first), and how often the watchdog scans.  Process-mode
-        only — threads cannot be killed.
+        only — the lane's thread cannot be killed.
     """
 
     def __init__(
@@ -646,10 +662,10 @@ class BatchExecutor:
         self._stats_snapshot: Optional[Dict[str, Any]] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_pool_broken = False
-        # The in-parent lane: the threads that execute misses in
-        # sequential/threads mode, and processes-mode work while the
-        # breaker is open, so no caller of _submit ever blocks on a run.
-        # Built lazily, torn down by close().
+        # The in-parent lane: the one thread that executes misses in
+        # sequential mode, and processes-mode work while the breaker is
+        # open, so no caller of _submit ever blocks on a run.  Built
+        # lazily, torn down by close().
         self._lane: Optional[ThreadPoolExecutor] = None
         # Hung-worker watchdog: in-flight pool futures -> _WatchEntry,
         # scanned by a daemon thread that SIGKILLs pools whose workers
@@ -970,11 +986,11 @@ class BatchExecutor:
     ) -> None:
         """Run one leader job in-parent, on the lane.
 
-        Every miss takes this path in sequential/threads mode; in
-        processes mode only while the breaker is open.  Responses are
-        deterministic, so a lane answer is field-identical to a pooled
-        one — a degraded process drain loses parallelism, which beats
-        feeding a pool that keeps breaking.
+        Every miss takes this path in sequential mode; in processes mode
+        only while the breaker is open.  Responses are deterministic, so
+        a lane answer is field-identical to a pooled one — a degraded
+        process drain loses parallelism, which beats feeding a pool that
+        keeps breaking.
         """
         # Submitting under the pool lock orders this job against close():
         # either it reaches the lane before close() takes the lane (and
@@ -983,8 +999,7 @@ class BatchExecutor:
             if not self._closed:
                 if self._lane is None:
                     self._lane = ThreadPoolExecutor(
-                        max_workers=self.workers if self.mode == "threads" else 1,
-                        thread_name_prefix="executor-lane",
+                        max_workers=1, thread_name_prefix="executor-lane"
                     )
                 self._lane.submit(self._run_lane, request, key, out, deadline, span)
                 return
@@ -998,13 +1013,12 @@ class BatchExecutor:
         deadline: Optional[float],
         span: Optional["Span"] = None,
     ) -> None:
-        self._finish_async(
-            request,
-            key,
-            out,
-            self._execute(request, deadline, span=span),
-            span=span,
+        response = lease_and_run(
+            request, self.pool, self.registry, self.cache_scenarios,
+            deadline, span,
+            self.engine_phase_hist if span is not None else None,
         )
+        self._finish_async(request, key, out, response, span=span)
 
     # ---------------------------------------------------------------- #
     # Observability plumbing                                           #
@@ -1134,71 +1148,6 @@ class BatchExecutor:
     # Single requests                                                  #
     # ---------------------------------------------------------------- #
 
-    def _execute(
-        self,
-        request: RealizationRequest,
-        deadline: Optional[float] = None,
-        span: Optional[Span] = None,
-    ) -> RealizationResponse:
-        """The stateless run: resolve the workload, lease a network, run.
-
-        Never raises — every failure envelopes (the serve loops depend
-        on that).  ``deadline`` is absolute ``time.monotonic()``
-        seconds; an already-expired one short-circuits to a typed
-        ``DEADLINE_EXCEEDED`` without touching a network (the
-        expired-before-dispatch path every drain mode shares).
-
-        ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
-        children — the in-parent mirror of the worker-side subtree —
-        and engine phase timings feed the registry histogram.
-        """
-        try:
-            if deadline is not None and time.monotonic() >= deadline:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired before dispatch",
-                    code="DEADLINE_EXCEEDED",
-                )
-            workload = resolve_workload(
-                request, self.registry, use_cache=self.cache_scenarios
-            )
-            n, config = request.size, request.config()
-            if self.pool is not None:
-                if span is None:
-                    with self.pool.network(n, config) as net:
-                        return run_request(
-                            request, net, workload, self.registry, deadline
-                        )
-                lease_span = span.child("pool.lease", n=n)
-                net = self.pool.lease(n, config)
-                lease_span.finish()
-                try:
-                    return run_request(
-                        request, net, workload, self.registry, deadline,
-                        span=span.child("run"),
-                        phase_histogram=self.engine_phase_hist,
-                    )
-                finally:
-                    self.pool.release(net)
-            run_span = span.child("run") if span is not None else None
-            return run_request(
-                request, Network(n, config), workload, self.registry, deadline,
-                span=run_span,
-                phase_histogram=(
-                    self.engine_phase_hist if span is not None else None
-                ),
-            )
-        except ServiceError as exc:
-            return error_response(request.request_id, request.kind, str(exc))
-        except Exception as exc:  # last resort: a long-lived serve loop
-            # must envelope even unforeseen failures, not die mid-stream.
-            return error_response(
-                request.request_id,
-                request.kind,
-                f"internal error: {type(exc).__name__}: {exc}",
-            )
-
     def _journal_replay(
         self, request: RealizationRequest
     ) -> Optional[RealizationResponse]:
@@ -1272,15 +1221,12 @@ class BatchExecutor:
         own attempt); the victims of a pool break retry one at a time
         on fresh pools (:meth:`_retry_async`), so a crashing worker
         earns only its own request a typed ``WORKER_CRASHED`` error.
-        In ``processes`` mode a miss's future comes back pending; in
-        ``sequential``/``threads`` mode ``submit`` waits for the lane,
-        like :meth:`handle`, and an already-completed future comes back.
+        In every mode a miss's future comes back pending and resolves
+        when the lane or the worker pool finishes it; :meth:`handle` is
+        the blocking entry.
         """
         self._reopen()  # public entry re-opens after close()
-        out = self._submit(request, Future())
-        if self.mode != "processes":
-            out.result()
-        return out
+        return self._submit(request, Future())
 
     def _submit(
         self,
@@ -1392,8 +1338,8 @@ class BatchExecutor:
         deadline: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> Optional["Future"]:
-        """Dispatch one leader job: to the lane in sequential/threads
-        mode or while the breaker is open, else to the worker pool
+        """Dispatch one leader job: to the lane in sequential mode or
+        while the breaker is open, else to the worker pool
         (wire-encoded).
 
         ``attempt`` is 1-based; a pool break queues the job for attempt
@@ -1729,7 +1675,7 @@ class BatchExecutor:
         Every request goes through the one core — the same cache,
         coalescing, crash-recovery, journal and tracing path the serve
         front ends stream through.  ``sequential`` handles one request
-        at a time; the other modes submit the whole batch and gather the
+        at a time; ``processes`` submits the whole batch and gathers the
         futures in input order.
         """
         batch = list(requests)
@@ -1922,56 +1868,29 @@ def serve(
     ``executor.requests_handled`` counts only the requests that reached
     the executor) and how many of them carried ``verdict="ERROR"``, so
     front ends can propagate a nonzero exit code like ``batch`` does.
-    The loop ends at EOF.
+    The loop ends at EOF.  Without an ``executor`` it builds one and
+    closes it on the way out; a caller's executor stays open.
 
-    With a ``mode="processes"`` executor the loop *streams*: a reader
-    thread parses lines and submits each request to the worker pool as
-    it arrives (:meth:`BatchExecutor.submit`), while the calling thread
-    emits responses in input order as their futures complete.  A client
-    that writes one line and waits sees its response without closing
-    stdin; a client that pipelines N lines gets the pool's parallelism.
+    The loop *streams*, in every mode: a reader thread parses lines and
+    submits each request to the executor's request core as it arrives,
+    while the calling thread emits responses in input order as their
+    futures complete — the same core the socket server admits through.
+    A client that writes one line and waits sees its response without
+    closing stdin.  The executor's mode decides only where misses run:
+    on its one lane thread (``sequential``) or its worker pool
+    (``processes``, where pipelined lines run in parallel).  A line's
+    ``deadline_ms`` clock starts when the reader reads it, so time
+    queued behind earlier lines counts against it; a line identical to
+    one still in flight joins that execution as a coalesced follower
+    (its emitted line is a cache hit's; ``coalesced_hits`` counts it).
     ``window`` bounds how far the reader may run ahead of the writer
     (default :data:`SERVE_STREAM_WINDOW`, validated >= 1 — the same
-    knob the socket front end rejects on).  Other modes handle each
-    line synchronously, as before.
+    knob the socket front end rejects on).
     """
     window = validate_window(window)
     if executor is None:
-        executor = BatchExecutor(pool=NetworkPool())
-    if executor.mode == "processes":
-        return _serve_streaming(in_stream, out_stream, executor, window)
-    handled = errors = 0
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        parsed = parse_request_line(line)
-        if isinstance(parsed, RealizationResponse):
-            response = parsed
-        else:
-            response = executor.handle(parsed)
-        out_stream.write(json.dumps(response.to_dict()) + "\n")
-        out_stream.flush()
-        handled += 1
-        if response.verdict == "ERROR":
-            errors += 1
-    return handled, errors
-
-
-def _serve_streaming(
-    in_stream: io.TextIOBase,
-    out_stream: io.TextIOBase,
-    executor: BatchExecutor,
-    window: int,
-) -> Tuple[int, int]:
-    """The incremental drain behind ``serve --mode processes``.
-
-    Emission order is input order (deterministic per request id): a
-    response is written as soon as its future completes *and* every
-    earlier response has been written.  The bounded queue gives
-    backpressure — the reader stops ``window`` requests ahead of the
-    writer.
-    """
+        with BatchExecutor(pool=NetworkPool()) as owned:
+            return serve(in_stream, out_stream, owned, window)
     queue: "Queue" = Queue(maxsize=window)
     reader_failure: List[BaseException] = []
     stop = threading.Event()
@@ -2026,9 +1945,8 @@ def _serve_streaming(
         raise
     reader.join()
     if reader_failure:
-        # A dying reader must not masquerade as clean EOF — the
-        # synchronous modes propagate stream failures to the caller, so
-        # the streaming mode does too (after emitting what completed).
+        # A dying reader must not masquerade as clean EOF: the stream
+        # failure reaches the caller, after what completed is emitted.
         raise reader_failure[0]
     return handled, errors
 
@@ -2037,12 +1955,17 @@ def run_batch_lines(
     lines: Iterable[str],
     executor: Optional[BatchExecutor] = None,
 ) -> List[RealizationResponse]:
-    """Parse a JSONL batch and drain it through ``executor``."""
+    """Parse a JSONL batch and drain it through ``executor``.
+
+    Without an ``executor`` it builds one and closes it on the way out;
+    a caller's executor stays open.
+    """
     if executor is None:
-        executor = BatchExecutor(pool=NetworkPool())
+        with BatchExecutor(pool=NetworkPool()) as owned:
+            return run_batch_lines(lines, owned)
     # Parse every line first (parse errors become in-place ERROR
     # responses), then drain the well-formed requests as one batch so
-    # the executor's threaded/process modes can overlap them.
+    # the process drain can overlap them.
     responses: List[Optional[RealizationResponse]] = []
     requests: List[RealizationRequest] = []
     for line in lines:

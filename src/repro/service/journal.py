@@ -131,8 +131,9 @@ class JournalRecovery:
 class RequestJournal:
     """Append-only, CRC-framed, fsync-policy-configurable request log.
 
-    Thread-safe: appends arrive from the serve event loop, the threaded
-    drain's workers and the process pool's callback threads at once.
+    Thread-safe: appends arrive from the serve event loop, the stdio
+    reader, the executor's lane thread and the process pool's callback
+    threads at once.
     """
 
     def __init__(

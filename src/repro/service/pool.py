@@ -15,8 +15,8 @@ fresh ``Network(n, config)``.  Networks built with a custom ``knowledge``
 graph are not poolable (the key cannot see it) — construct those
 directly.
 
-All operations are thread-safe; the batch executor's thread-pooled mode
-shares one pool across workers.
+All operations are thread-safe, so executors and caller threads may
+share one pool.
 """
 
 from __future__ import annotations

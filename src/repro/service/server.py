@@ -15,8 +15,8 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   core (``BatchExecutor._submit``) on the event loop, in every mode.
   Cache hits, journal replays and validation errors come back already
   answered and are queued for emission at once, holding no window slot;
-  misses run on the executor's in-parent lane (sequential/threads) or
-  its process pool and stream back when done.  A request's
+  misses run on the executor's in-parent lane (sequential) or its
+  process pool and stream back when done.  A request's
   ``deadline_ms`` clock starts at admission.
 * **Per-connection in-order streaming.**  Every connection owns a FIFO
   of pending items; a response is written as soon as its future

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import pytest
 
@@ -24,6 +25,23 @@ def make_ncc1(n: int, seed: int = 0, **overrides) -> Network:
     return Network(
         n, NCCConfig(seed=seed, variant=Variant.NCC1, random_ids=False, **overrides)
     )
+
+
+def block_execute(executor, request_id):
+    """Hold ``request_id``'s run on the executor's lane (``_run_lane``)
+    until the returned ``release`` event is set; ``started`` fires on
+    entry.  The lane is one thread, so later misses queue behind it."""
+    started, release = threading.Event(), threading.Event()
+    run_lane = executor._run_lane
+
+    def blocking(request, *args, **kwargs):
+        if request.request_id == request_id:
+            started.set()
+            assert release.wait(timeout=60), "test never released the run"
+        return run_lane(request, *args, **kwargs)
+
+    executor._run_lane = blocking
+    return started, release
 
 
 #: Shared word-cache bound under an ``<engine>-evicting`` label: small

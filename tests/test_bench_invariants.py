@@ -1,12 +1,12 @@
 """The committed benchmark records' invariant fields, recomputed.
 
-``BENCH_protocol.json``, ``BENCH_engine.json`` and ``BENCH_service.json``
-carry timing numbers next to fields that do not depend on the machine:
-rounds, messages, and the service batch's request counts.  This module
-recomputes those fields with the benchmark scripts' own workload code
-and asserts them equal to the committed values, so protocol drift fails
-tier-1.  No timing is asserted: the engine replay reports its CPU
-seconds, and this module ignores them.
+``BENCH_protocol.json``, ``BENCH_engine.json``, ``BENCH_service.json``
+and ``BENCH_multiprocess.json`` carry timing numbers next to fields that
+do not depend on the machine: rounds, messages, and the service batch's
+request counts.  This module recomputes those fields with the benchmark
+scripts' own workload code and asserts them equal to the committed
+values, so protocol drift fails tier-1.  No timing is asserted: the
+engine replay reports its CPU seconds, and this module ignores them.
 """
 
 from __future__ import annotations
@@ -82,8 +82,10 @@ def test_engine_rows(row):
 
 def test_service_rows():
     """One warm drain of the benchmark batch gives every invariant of
-    both rows: the cold drain answers the same responses by contract
-    (``bench_service_throughput`` asserts it), with its caches off."""
+    both service rows: the cold drain answers the same responses by
+    contract (``bench_service_throughput`` asserts it), with its caches
+    off.  Both drain rows of ``BENCH_multiprocess.json`` drain the same
+    batch cold, so they carry the same sums."""
     rows = {row["workload"]: row for row in committed("BENCH_service.json")}
     batch = service_bench.build_batch()
     executor = service_bench._warm_executor()
@@ -103,6 +105,16 @@ def test_service_rows():
     }
     for row in rows.values():
         assert {key: row[key] for key in recomputed} == recomputed
+    drains = committed("BENCH_multiprocess.json")
+    assert sorted(row["workload"] for row in drains) == [
+        "drain_processes", "drain_sequential",
+    ]
+    pinned = ("requests", "distinct", "rounds", "messages")
+    for row in drains:
+        assert {key: row[key] for key in pinned} == {
+            key: recomputed[key] for key in pinned
+        }
+        assert row["worker_crashes"] == 0
     warm = rows["service_batch_warm"]
     assert (
         stats["response_cache_hits"],

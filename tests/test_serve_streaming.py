@@ -1,5 +1,5 @@
-"""Streaming ``serve --mode processes``, the async submit API, and the
-rejection of unknown engine names and request fields.
+"""Streaming stdio ``serve`` in both drain modes, the async submit API,
+and the rejection of unknown engine names and request fields.
 
 The acceptance property for streaming is *incrementality*: a client that
 writes one line and then blocks on the response must see it without
@@ -15,10 +15,12 @@ real ``python -m repro serve`` over real pipes).
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import queue
 import threading
+import time
 
 import pytest
 
@@ -33,9 +35,11 @@ from repro.service import (
     RealizationRequest,
     ServiceError,
     default_registry,
+    run_batch_lines,
     serve,
 )
 from repro.service import faults
+from tests.conftest import block_execute
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -58,6 +62,8 @@ class _LineSource:
 
     def __init__(self):
         self._lines: "queue.Queue" = queue.Queue()
+        self._asked = 0
+        self._asked_changed = threading.Condition()
 
     def put(self, text: str) -> None:
         self._lines.put(text + "\n")
@@ -65,10 +71,21 @@ class _LineSource:
     def close(self) -> None:
         self._lines.put(self._EOF)
 
+    def wait_asked(self, count: int, timeout: float = 10.0) -> bool:
+        """True once the reader asks for its ``count``-th line: every
+        earlier line has then been read and submitted."""
+        with self._asked_changed:
+            return self._asked_changed.wait_for(
+                lambda: self._asked >= count, timeout
+            )
+
     def __iter__(self):
         return self
 
     def __next__(self):
+        with self._asked_changed:
+            self._asked += 1
+            self._asked_changed.notify_all()
         item = self._lines.get()
         if item is self._EOF:
             raise StopIteration
@@ -127,10 +144,19 @@ def processes_executor():
     executor.close()
 
 
+@pytest.fixture(params=["sequential", "processes"])
+def serve_executor(request):
+    """An executor of each drain mode: both stream through one loop."""
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                             mode=request.param, workers=2)
+    yield executor
+    executor.close()
+
+
 class TestStreamingServe:
-    def test_interleaved_write_read_cycle(self, processes_executor):
+    def test_interleaved_write_read_cycle(self, serve_executor):
         """One line in, its response out, stdin still open — repeated."""
-        harness = _ServeHarness(processes_executor)
+        harness = _ServeHarness(serve_executor)
         for i in range(3):
             harness.send(line(f"r{i}", seed=i))
             response = harness.recv()  # must arrive before the next write
@@ -138,9 +164,9 @@ class TestStreamingServe:
             assert response["verdict"] == "REALIZED"
         assert harness.finish() == (3, 0)
 
-    def test_pipelined_lines_emit_in_input_order(self, processes_executor):
+    def test_pipelined_lines_emit_in_input_order(self, serve_executor):
         """A burst of lines (slow first) still comes back in input order."""
-        harness = _ServeHarness(processes_executor)
+        harness = _ServeHarness(serve_executor)
         harness.send(line("slow", n=64, seed=5))  # largest => slowest
         for i in range(3):
             harness.send(line(f"q{i}", n=12, seed=i))
@@ -148,8 +174,8 @@ class TestStreamingServe:
         assert got == ["slow", "q0", "q1", "q2"]
         assert harness.finish() == (4, 0)
 
-    def test_parse_errors_interleave_without_stalling(self, processes_executor):
-        harness = _ServeHarness(processes_executor)
+    def test_parse_errors_interleave_without_stalling(self, serve_executor):
+        harness = _ServeHarness(serve_executor)
         harness.send("this is not json")
         bad = harness.recv()
         assert bad["verdict"] == "ERROR" and "bad JSON" in bad["error"]
@@ -157,8 +183,8 @@ class TestStreamingServe:
         assert harness.recv()["request_id"] == "after"
         assert harness.finish() == (2, 1)
 
-    def test_repeated_requests_hit_the_parent_cache(self, processes_executor):
-        harness = _ServeHarness(processes_executor)
+    def test_repeated_requests_hit_the_parent_cache(self, serve_executor):
+        harness = _ServeHarness(serve_executor)
         harness.send(line("first", seed=9))
         first = harness.recv()
         harness.send(line("second", seed=9))
@@ -192,9 +218,9 @@ class TestStreamingServe:
             faults.clear()
             executor.close()
 
-    def test_reader_failure_propagates_not_silent_eof(self, processes_executor):
-        """A dying input stream must raise from serve(), as the
-        synchronous modes do — not masquerade as a clean EOF."""
+    def test_reader_failure_propagates_not_silent_eof(self, serve_executor):
+        """A dying input stream must raise from serve(), not masquerade
+        as a clean EOF."""
 
         class _ExplodingSource(_LineSource):
             def __next__(self):
@@ -209,7 +235,7 @@ class TestStreamingServe:
 
         def run():
             try:
-                serve(source, sink, processes_executor)
+                serve(source, sink, serve_executor)
                 outcome.append("returned")
             except UnicodeDecodeError:
                 outcome.append("raised")
@@ -222,16 +248,67 @@ class TestStreamingServe:
         thread.join(timeout=60)
         assert outcome == ["raised"]
 
-    def test_sequential_mode_unchanged(self):
-        """Non-process executors keep the synchronous line loop."""
-        import io
 
+class TestStdioDecisions:
+    """The one stdio loop on a ``sequential`` executor: a line is read
+    and admitted while an earlier line's miss still runs on the lane."""
+
+    TWIN = {"kind": "degree_explicit", "scenario": "regular", "n": 32,
+            "seed": 4}
+
+    def twin(self, request_id):
+        return json.dumps({"request_id": request_id, **self.TWIN})
+
+    def test_pipelined_twin_coalesces_onto_the_run_in_flight(self):
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
-        out = io.StringIO()
-        handled = serve(io.StringIO(line("a") + "\n" + line("b") + "\n"), out, executor)
-        assert handled == (2, 0)
-        ids = [json.loads(text)["request_id"] for text in out.getvalue().splitlines()]
-        assert ids == ["a", "b"]
+        started, release = block_execute(executor, "a")
+        try:
+            harness = _ServeHarness(executor)
+            harness.send(self.twin("a"))
+            assert started.wait(timeout=60)
+            harness.send(self.twin("b"))
+            # The reader asks for a third line only once "b" is admitted.
+            assert harness.source.wait_asked(3)
+            release.set()
+            a, b = harness.recv(), harness.recv()
+            harness.send(self.twin("c"))  # after both: a plain cache hit
+            c = harness.recv()
+            assert harness.finish() == (3, 0)
+            stats = executor.stats()
+        finally:
+            release.set()
+            executor.close()
+        assert a["verdict"] == "REALIZED" and not a["cached"]
+        assert stats["coalesced_hits"] == 1
+        assert stats["response_cache_hits"] == 1
+        assert b["cached"] is True and b["elapsed_sec"] == 0.0
+        assert {**b, "request_id": "c"} == c
+
+    def test_queued_line_spends_its_deadline_behind_the_run(self):
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        started, release = block_execute(executor, "slow")
+        try:
+            harness = _ServeHarness(executor)
+            harness.send(line("slow", n=32, seed=1))
+            assert started.wait(timeout=60)
+            harness.send(json.dumps({
+                "request_id": "d", "kind": "tree", "scenario": "tree_random",
+                "n": 10, "seed": 2, "deadline_ms": 100,
+            }))
+            assert harness.source.wait_asked(3)
+            time.sleep(0.3)  # well past "d"'s 100 ms budget
+            release.set()
+            slow, late = harness.recv(), harness.recv()
+            assert harness.finish() == (2, 1)
+        finally:
+            release.set()
+            executor.close()
+        assert slow["verdict"] == "REALIZED"
+        assert (late["request_id"], late["error_code"]) == (
+            "d", "DEADLINE_EXCEEDED"
+        )
+        assert "before dispatch" in late["error"]
+        assert executor.stats()["deadline_exceeded"] == 1
 
 
 class TestSubmitApi:
@@ -263,10 +340,29 @@ class TestSubmitApi:
         # disjoint and must account for all three.
         assert stats["coalesced_hits"] + stats["response_cache_hits"] == 3
 
-    def test_sequential_submit_returns_completed_future(self):
+    def test_sequential_submit_returns_while_its_miss_runs(self):
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
-        future = executor.submit(req(seed=1, request_id="sync"))
-        assert future.done() and future.result().verdict == "REALIZED"
+        started, release = block_execute(executor, "held")
+        futures = []
+        caller = threading.Thread(
+            target=lambda: futures.append(
+                executor.submit(req(seed=1, request_id="held"))
+            ),
+            daemon=True,
+        )
+        try:
+            caller.start()
+            caller.join(timeout=10)
+            assert not caller.is_alive(), "submit() waited for the lane"
+            assert started.wait(timeout=60)
+            (future,) = futures
+            assert not future.done()
+            release.set()
+            assert future.result(timeout=120).verdict == "REALIZED"
+        finally:
+            release.set()
+            caller.join(timeout=60)
+            executor.close()
 
     def test_close_with_in_flight_requests_resolves_their_futures(self):
         """close() cancels queued work; every handed-out future must
@@ -314,13 +410,11 @@ class TestServeWindowKnob:
                 validate_window(bad)
 
     def test_serve_rejects_bad_window_before_reading(self):
-        import io
-
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         with pytest.raises(ValueError, match="window"):
             serve(io.StringIO(line("x") + "\n"), io.StringIO(), executor, window=0)
 
-    def test_streaming_with_window_one_stays_in_order(self, processes_executor):
+    def test_streaming_with_window_one_stays_in_order(self, serve_executor):
         """The plumbed knob reaches the bounded queue: the tightest
         window still drains a pipelined burst correctly and in order."""
         source = _LineSource()
@@ -328,7 +422,7 @@ class TestServeWindowKnob:
         result = []
 
         def run():
-            result.append(serve(source, sink, processes_executor, window=1))
+            result.append(serve(source, sink, serve_executor, window=1))
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
@@ -341,6 +435,39 @@ class TestServeWindowKnob:
         assert not thread.is_alive()
         assert got == [f"w{i}" for i in range(4)]
         assert result == [(4, 0)]
+
+
+class TestOwnedExecutor:
+    """``serve`` and ``run_batch_lines`` close an executor they built,
+    and leave a caller's executor open."""
+
+    def new_threads(self, before):
+        return [t.name for t in threading.enumerate() if t not in before]
+
+    def test_serve_closes_the_executor_it_builds(self):
+        before = set(threading.enumerate())
+        out = io.StringIO()
+        assert serve(io.StringIO(line("own-s") + "\n"), out) == (1, 0)
+        assert json.loads(out.getvalue())["verdict"] == "REALIZED"
+        assert self.new_threads(before) == []
+
+    def test_run_batch_lines_closes_the_executor_it_builds(self):
+        before = set(threading.enumerate())
+        (response,) = run_batch_lines([line("own-b", seed=2)])
+        assert response.verdict == "REALIZED"
+        assert self.new_threads(before) == []
+
+    def test_a_callers_executor_stays_open(self):
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        try:
+            serve(io.StringIO(line("mine", seed=3) + "\n"), io.StringIO(),
+                  executor)
+            run_batch_lines([line("mine", seed=3)], executor)
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert stats["closed"] is False
+        assert stats["requests_handled"] == 2
 
 
 class TestExecutorLifecycle:

@@ -335,16 +335,6 @@ class TestExecutor:
         warm_fps = [r.fingerprint() for r in warm.run(batch)]
         assert warm_fps == cold_fps
 
-    def test_threaded_equals_sequential(self):
-        batch = request_mix() + request_mix(n=10, seed=7)
-        sequential = BatchExecutor(pool=NetworkPool(), mode="sequential",
-                                   registry=default_registry())
-        threaded = BatchExecutor(pool=NetworkPool(), mode="threads", workers=3,
-                                 registry=default_registry())
-        seq_fps = [r.fingerprint() for r in sequential.run(batch)]
-        thr_fps = [r.fingerprint() for r in threaded.run(batch)]
-        assert thr_fps == seq_fps
-
     def test_engine_choice_is_bit_identical(self):
         executor = BatchExecutor(pool=NetworkPool())
         fast = executor.handle(

@@ -3,9 +3,9 @@
 Covers the executor's ``mode="processes"`` drain (per-worker warm
 pools, parent-side response cache, crash recovery), the LRU eviction
 policy of the response and scenario caches (with the hit/evict counters
-surfaced in batch stats), in-flight request coalescing in the threaded
-and process drains, and the per-request ``max_rounds`` budget with its
-typed ``BUDGET_EXCEEDED`` error envelope.
+surfaced in batch stats), in-flight request coalescing under concurrent
+callers and in the process drain, and the per-request ``max_rounds``
+budget with its typed ``BUDGET_EXCEEDED`` error envelope.
 """
 
 from __future__ import annotations
@@ -232,14 +232,43 @@ class TestScenarioCacheLRU:
         assert executor.stats()["scenario_cache_evictions"] >= 1
 
 
+def in_threads(fn, count):
+    """Run ``fn(i)`` for each ``i < count`` on its own caller thread,
+    all released together, and wait for every one to finish."""
+    barrier = threading.Barrier(count)
+
+    def body(i):
+        barrier.wait(timeout=60)
+        fn(i)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestThreadedCoalescing:
+    """Caller threads sharing one sequential executor: many ``_submit``
+    callers race on the cache, the follower table and the counters,
+    while one lane thread runs the misses."""
+
     def test_concurrent_identical_requests_single_execution(self):
-        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
-                                 mode="threads", workers=4)
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         identical = [req(kind="degree_implicit", scenario="power_law", n=64,
                          seed=11, request_id=f"x{i}") for i in range(6)]
-        out = executor.run(identical)
-        stats = executor.stats()
+        out = [None] * len(identical)
+
+        def call(i):
+            out[i] = executor.handle(identical[i])
+
+        try:
+            in_threads(call, len(identical))
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert [r.request_id for r in out] == [f"x{i}" for i in range(6)]
         assert len({r.fingerprint() for r in out}) == 1
         # One execution; the other five were coalesced or cache-served
         # (the two counters are disjoint).
@@ -248,25 +277,33 @@ class TestThreadedCoalescing:
 
     def test_failed_leader_does_not_starve_followers(self):
         """If the leader errors (not cached), a follower re-runs the key."""
-        registry = default_registry()
-        executor = BatchExecutor(pool=NetworkPool(), registry=registry,
-                                 mode="threads", workers=3)
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         # An infeasible scenario errors for every runner, deterministically.
         bad = [RealizationRequest(kind="degree_implicit", scenario="capacity_classes",
                                   n=4, seed=1, request_id=f"e{i}",
                                   params={"super_fraction": 0.9,
                                           "regular_fraction": 0.9})
                for i in range(4)]
-        out = executor.run(bad)
+        out = [None] * len(bad)
+
+        def call(i):
+            out[i] = executor.handle(bad[i])
+
+        try:
+            in_threads(call, len(bad))
+            stats = executor.stats()
+        finally:
+            executor.close()
         assert all(r.verdict == "ERROR" for r in out)
-        assert executor.stats()["response_cache_hits"] == 0  # errors not cached
+        assert stats["response_cache_hits"] == 0  # errors not cached
+        assert stats["requests_handled"] == len(bad)
 
     def test_concurrent_batches_keep_every_counter_whole(self):
-        """Four batches racing through one threads-mode core (lane wider
-        than the cores, short switch interval): every answer is counted
-        once, and its latency sample lands before its future resolves."""
-        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
-                                 mode="threads", workers=4)
+        """Four batches racing through one sequential core (four caller
+        threads, one lane thread, short switch interval): every answer
+        is counted once, and its latency sample lands before its future
+        resolves."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         seeds = (1, 2, 3)
         batches = [
             [req(kind="tree", scenario="tree_random", n=16, seed=seeds[i % 3],
@@ -281,17 +318,11 @@ class TestThreadedCoalescing:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=drain, args=(t,))
-                       for t in range(len(batches))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            in_threads(drain, len(batches))
             stats = executor.stats()
         finally:
             sys.setswitchinterval(interval)
             executor.close()
-        assert not any(thread.is_alive() for thread in threads)
         rows = [r for batch in answers for r in batch]
         total = len(rows)
         assert total == 48
@@ -367,9 +398,30 @@ class TestRoundBudget:
 
 class TestModeSurface:
     def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            BatchExecutor(mode="fibers")
+        from repro.__main__ import _MODES
+
+        for bad in ("fibers", "threads"):
+            with pytest.raises(ValueError, match="mode") as info:
+                BatchExecutor(mode=bad)
+            assert "('sequential', 'processes')" in str(info.value)
         assert BatchExecutor(mode="processes").mode == "processes"
+        assert _MODES == executor_module.EXECUTOR_MODES
+
+    @pytest.mark.parametrize("command", [
+        ["batch", "-"],
+        ["serve"],
+        ["supervise", "--port", "0"],
+        ["trace", "-", "--out", "unused.json"],
+    ], ids=lambda command: command[0])
+    def test_cli_rejects_threads_mode(self, command, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(command + ["--mode", "threads"])
+        assert info.value.code == 2
+        assert "argument --mode: invalid choice: 'threads'" in (
+            capsys.readouterr().err
+        )
 
     def test_close_without_pool_is_noop(self):
         executor = BatchExecutor(mode="processes")

@@ -369,12 +369,13 @@ class TestIdempotencyKey:
         assert RealizationRequest.from_dict(req.to_dict()).idempotency_key == "k-42"
         assert make_request("r").to_dict().get("idempotency_key") is None
 
-    def test_threads_mode_replay_is_field_identical(self, tmp_path):
-        """Exactly-once holds on the futures drain path too (submit),
-        not just the sequential handle path."""
+    @pytest.mark.parametrize("mode", ["sequential", "processes"])
+    def test_submit_replay_is_field_identical(self, tmp_path, mode):
+        """Exactly-once holds on the futures path (submit) in both
+        modes, not just on the blocking handle path."""
         path = str(tmp_path / "j.bin")
         journal = RequestJournal(path, fsync="never")
-        executor = make_executor(journal=journal, mode="threads", workers=2)
+        executor = make_executor(journal=journal, mode=mode, workers=2)
         try:
             fresh = executor.submit(make_request("t1", key="kt")).result(timeout=120)
             dup = executor.submit(make_request("t2", key="kt")).result(timeout=120)

@@ -45,7 +45,7 @@ from repro.service import (
     default_registry,
 )
 from repro.service import faults
-from repro.service.executor import run_request
+from repro.service.executor import lease_and_run, run_request
 from repro.service.server import validate_timeout
 
 
@@ -366,7 +366,10 @@ class TestExecutorDeadlines:
 
     def test_expired_before_dispatch_sequential(self):
         with make_executor(mode="sequential") as executor:
-            response = executor._execute(req(), time.monotonic() - 1.0)
+            response = lease_and_run(
+                req(), executor.pool, executor.registry,
+                deadline=time.monotonic() - 1.0,
+            )
         assert response.error_code == "DEADLINE_EXCEEDED"
         assert "before dispatch" in response.error
 

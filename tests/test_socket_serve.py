@@ -39,6 +39,7 @@ from repro.service import (
 )
 from repro.service import faults
 from repro.service.server import ADMISSION_REJECTED
+from tests.conftest import block_execute
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -107,22 +108,6 @@ class _BlockingExecutor:
 
     def stats(self):
         return {"stub": True}
-
-
-def block_execute(executor, request_id):
-    """Hold ``request_id``'s run inside the executor's ``_execute`` until
-    the returned ``release`` event is set; ``started`` fires on entry."""
-    started, release = threading.Event(), threading.Event()
-    execute = executor._execute
-
-    def blocking(request, *args, **kwargs):
-        if request.request_id == request_id:
-            started.set()
-            assert release.wait(timeout=60), "test never released the run"
-        return execute(request, *args, **kwargs)
-
-    executor._execute = blocking
-    return started, release
 
 
 class TestSocketServe:
