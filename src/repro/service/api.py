@@ -17,7 +17,7 @@ so the CLI front ends can speak JSONL.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.ncc import wire
@@ -99,6 +99,9 @@ class RealizationRequest:
     deadline_ms: Optional[int] = None  # wall-clock budget from arrival (ms)
     idempotency_key: Optional[str] = None  # exactly-once replay identity
 
+    # Set on the instance once validate() passes (not a field: unannotated).
+    _validated = False
+
     def __post_init__(self) -> None:
         if self.degrees is not None and not isinstance(self.degrees, tuple):
             object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -136,7 +139,12 @@ class RealizationRequest:
     # ---------------------------------------------------------------- #
 
     def validate(self) -> "RealizationRequest":
-        """Raise :class:`ServiceError` on malformed requests; return self."""
+        """Raise :class:`ServiceError` on malformed requests; return self.
+
+        A request that passes is marked; its fields are frozen, so a later
+        call returns at once.  An invalid request raises on every call."""
+        if self._validated:
+            return self
         # Field types first: every later check (and the executor's cache
         # hashing and Network construction) assumes them.
         for attr, expected in (
@@ -218,6 +226,7 @@ class RealizationRequest:
             raise ServiceError(f"unknown connectivity model {self.model!r}")
         if self.repairs < 0:
             raise ServiceError("'repairs' must be >= 0")
+        object.__setattr__(self, "_validated", True)
         return self
 
     @property
@@ -238,31 +247,28 @@ class RealizationRequest:
             random_ids=not ncc1,
         )
 
-    def cache_key(self) -> "RealizationRequest":
-        """The request with its identity stripped and kind-irrelevant
-        options defaulted: equal keys ⇒ equal deterministic computations
-        ⇒ shareable responses (e.g. a stray ``repairs=3`` on a tree
-        request must not split the cache).  ``deadline_ms`` is neutral
-        too: the deadline bounds *when* an answer arrives, never *what*
-        it is (cache hits resolve instantly, so a hit always meets any
-        deadline; error envelopes are never cached).  ``idempotency_key``
-        is likewise neutral: it names the *submission* for journal
-        replay, never the computation."""
-        neutral = {"request_id": "", "deadline_ms": None, "idempotency_key": None}
-        if self.kind != "tree":
-            neutral["tree_variant"] = "min_diameter"
-        if self.kind != "connectivity":
-            neutral["model"] = "ncc0"
-        elif self.model == "ncc1":
-            # The NCC1 realizer takes no sorting-fidelity knob.
-            neutral["sort_fidelity"] = "charged"
-        if self.kind != "approximate":
-            neutral["repairs"] = 0
-        if self.kind != "degree_envelope":
-            neutral["explicit_envelope"] = False
-        if self.scenario is None:
-            neutral["params"] = ()
-        return replace(self, **neutral)
+    def cache_key(self) -> tuple:
+        """The computation's fields as a plain tuple: equal keys ⇒ equal
+        deterministic computations ⇒ shareable responses.  Left out or
+        ``None``: identity (``request_id``), ``deadline_ms`` (it bounds
+        *when* an answer arrives, never *what* it is), ``idempotency_key``
+        (it names the submission, not the computation), options the kind
+        ignores (a stray ``repairs=3`` must not split a tree request's
+        entry), NCC1's ``sort_fidelity`` (that realizer takes no sorting
+        knob) and ``params`` without a scenario."""
+        kind = self.kind
+        ncc1 = kind == "connectivity" and self.model == "ncc1"
+        return (
+            kind, self.degrees, self.scenario,
+            self.params if self.scenario is not None else None,
+            self.n, self.seed, self.engine,
+            None if ncc1 else self.sort_fidelity,
+            self.tree_variant if kind == "tree" else None,
+            self.model if kind == "connectivity" else None,
+            self.repairs if kind == "approximate" else None,
+            self.explicit_envelope if kind == "degree_envelope" else None,
+            self.max_rounds,
+        )
 
     # ---------------------------------------------------------------- #
     # Wire mapping (the process-drain boundary)                        #
@@ -481,6 +487,19 @@ class RealizationResponse:
     def wire_spans(cls, wire_tuple: tuple) -> Optional[tuple]:
         """The worker-side span columns trailer, or ``None``."""
         return wire.wire_trailer(wire_tuple, len(cls._WIRE_KEYS))
+
+    def reenvelope(self, request_id: str, cached: bool = False) -> "RealizationResponse":
+        """This answer under ``request_id``: a field copy filled as
+        :meth:`from_wire` fills.  ``cached=True`` marks a hit or coalesced
+        follower, which ran nothing itself (``elapsed_sec`` reads 0.0)."""
+        out = RealizationResponse.__new__(RealizationResponse)
+        inner = out.__dict__
+        inner.update(self.__dict__)
+        inner["request_id"] = request_id
+        if cached:
+            inner["cached"] = True
+            inner["elapsed_sec"] = 0.0
+        return out
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {

@@ -9,13 +9,13 @@ the warm-path layers a long-lived service wants:
 * the :class:`~repro.service.registry.ScenarioRegistry`'s memoized
   materialization so named workloads are generated once;
 * a response cache: the simulation is deterministic in the request's
-  ``cache_key()`` (everything but ``request_id``), so repeated requests
-  — the shape of real service traffic — are answered without re-running
-  the realizer.  The cache is LRU-bounded (``max_cached_responses``)
-  with hit/eviction counters in :meth:`BatchExecutor.stats`.  Cached
-  responses are field-identical to fresh ones
-  (``RealizationResponse.fingerprint()``; enforced by the tests and the
-  service benchmark) and are marked ``cached=True``;
+  ``cache_key()``, a plain tuple of the computation's fields, so
+  repeated requests are answered without re-running the realizer.  A
+  hit re-checks nothing a parsed request passed, and its answer is a
+  field copy (``RealizationResponse.reenvelope``).  The cache is
+  LRU-bounded (``max_cached_responses``), with hit/eviction counters in
+  :meth:`BatchExecutor.stats`.  Cached responses are field-identical to
+  fresh ones (``fingerprint()``) and are marked ``cached=True``;
 * in-flight coalescing: concurrent identical requests (same cache key)
   wait on one execution instead of all running before the cache
   populates — a follower list per in-flight key, resolved when the
@@ -58,7 +58,6 @@ arrive and responses are emitted, in input order, as futures complete.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -640,15 +639,11 @@ class BatchExecutor:
         self.hang_timeout = hang_timeout
         self.hang_grace = float(hang_grace)
         self.watchdog_interval = float(watchdog_interval)
-        self._response_cache: "OrderedDict[RealizationRequest, RealizationResponse]" = (
-            OrderedDict()
-        )
+        self._response_cache: "OrderedDict[tuple, RealizationResponse]" = OrderedDict()
         # One lock guards the cache, the follower table and the counters.
         self._cache_lock = threading.Lock()
         # In-flight key -> followers awaiting the leader's execution.
-        self._followers: Dict[
-            RealizationRequest, List[Tuple[RealizationRequest, Future]]
-        ] = {}
+        self._followers: Dict[tuple, List[Tuple[RealizationRequest, Future]]] = {}
         # Guards process-pool creation/replacement and the closed flag:
         # the async submit path reaches _ensure_process_pool from the
         # streaming reader thread and from pool callback threads
@@ -979,7 +974,7 @@ class BatchExecutor:
     def _dispatch_lane(
         self,
         request: RealizationRequest,
-        key: Optional[RealizationRequest],
+        key: Optional[tuple],
         out: "Future",
         deadline: Optional[float],
         span: Optional["Span"] = None,
@@ -1008,7 +1003,7 @@ class BatchExecutor:
     def _run_lane(
         self,
         request: RealizationRequest,
-        key: Optional[RealizationRequest],
+        key: Optional[tuple],
         out: "Future",
         deadline: Optional[float],
         span: Optional["Span"] = None,
@@ -1103,7 +1098,7 @@ class BatchExecutor:
 
     def _cache_lookup(
         self,
-        key: RealizationRequest,
+        key: tuple,
         request: RealizationRequest,
     ) -> Optional[RealizationResponse]:
         """LRU lookup; on a hit, counts the request as handled and
@@ -1121,15 +1116,10 @@ class BatchExecutor:
             self.requests_handled.inc()
             self.requests_by_kind.labels(kind=request.kind).inc()
             self.response_cache_hits.inc()
-        return dataclasses.replace(
-            hit,
-            request_id=request.request_id,
-            cached=True,
-            elapsed_sec=0.0,
-        )
+        return hit.reenvelope(request.request_id, cached=True)
 
     def _cache_store_locked(
-        self, key: RealizationRequest, response: RealizationResponse
+        self, key: tuple, response: RealizationResponse
     ) -> None:
         """Insert under the already-held cache lock (first writer wins —
         responses for one key are deterministic anyway)."""
@@ -1332,7 +1322,7 @@ class BatchExecutor:
     def _submit_async(
         self,
         request: RealizationRequest,
-        key: Optional[RealizationRequest],
+        key: Optional[tuple],
         out: "Future",
         attempt: int = 1,
         deadline: Optional[float] = None,
@@ -1526,7 +1516,7 @@ class BatchExecutor:
     def _retry_async(
         self,
         request: RealizationRequest,
-        key: Optional[RealizationRequest],
+        key: Optional[tuple],
         out: "Future",
         attempt: int,
         deadline: Optional[float],
@@ -1605,18 +1595,11 @@ class BatchExecutor:
                 self.coalesced_hits.inc(len(followers))
                 if key is not None:
                     self._cache_store_locked(key, response)
-            _resolve_future(
-                out, dataclasses.replace(response, request_id=request.request_id)
-            )
+            _resolve_future(out, response.reenvelope(request.request_id))
             for follower_request, follower_out in followers:
                 _resolve_future(
                     follower_out,
-                    dataclasses.replace(
-                        response,
-                        request_id=follower_request.request_id,
-                        cached=True,
-                        elapsed_sec=0.0,
-                    ),
+                    response.reenvelope(follower_request.request_id, cached=True),
                 )
         else:
             with self._cache_lock:
@@ -1630,18 +1613,14 @@ class BatchExecutor:
                 self.requests_handled.inc(emitted)
                 self.requests_by_kind.labels(kind=request.kind).inc(emitted)
                 self._note_code_locked(response)
-            _resolve_future(
-                out, dataclasses.replace(response, request_id=request.request_id)
-            )
+            _resolve_future(out, response.reenvelope(request.request_id))
             if not resubmit_followers:
                 # Executor closed: followers get the leader's envelope
                 # instead of an attempt that would rebuild the pool.
                 for follower_request, follower_out in followers:
                     _resolve_future(
                         follower_out,
-                        dataclasses.replace(
-                            response, request_id=follower_request.request_id
-                        ),
+                        response.reenvelope(follower_request.request_id),
                     )
                 return
             # Failures are never shared: each coalesced follower gets

@@ -60,7 +60,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ncc.wire import crc32c
@@ -323,7 +323,7 @@ class RequestJournal:
             self._counts["replays"] += 1
         response = RealizationResponse.from_wire(wire_resp)
         if response.request_id != request.request_id:
-            response = replace(response, request_id=request.request_id)
+            response = response.reenvelope(request.request_id)
         return response
 
     def recover(self) -> JournalRecovery:

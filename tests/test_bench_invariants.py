@@ -1,12 +1,14 @@
 """The committed benchmark records' invariant fields, recomputed.
 
-``BENCH_protocol.json``, ``BENCH_engine.json``, ``BENCH_service.json``
-and ``BENCH_multiprocess.json`` carry timing numbers next to fields that
-do not depend on the machine: rounds, messages, and the service batch's
-request counts.  This module recomputes those fields with the benchmark
-scripts' own workload code and asserts them equal to the committed
-values, so protocol drift fails tier-1.  No timing is asserted: the
-engine replay reports its CPU seconds, and this module ignores them.
+``BENCH_protocol.json``, ``BENCH_engine.json``, ``BENCH_service.json``,
+``BENCH_multiprocess.json`` and ``BENCH_serve.json`` carry timing
+numbers next to fields that do not depend on the machine: rounds,
+messages, the service batch's request counts and the durable serve
+row's journal record and fsync counts.  This module recomputes those
+fields with the benchmark scripts' own workload code and asserts them
+equal to the committed values, so protocol drift fails tier-1.  No
+timing is asserted: the engine replay reports its CPU seconds, and this
+module ignores them.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from pathlib import Path
 import pytest
 
 from repro.primitives.protocol import run_protocol
+from repro.service import BatchExecutor, NetworkPool, RequestJournal, default_registry
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 import bench_engine_throughput as engine_bench  # noqa: E402
 import bench_protocol_wallclock as protocol_bench  # noqa: E402
+import bench_serve as serve_bench  # noqa: E402
 import bench_service_throughput as service_bench  # noqa: E402
 from common import make_net  # noqa: E402
 
@@ -126,4 +130,50 @@ def test_service_rows():
         warm["scenario_cache_hits"],
         warm["pool_hits"],
         warm["network_constructions"],
+    )
+
+
+def test_serve_rows(tmp_path):
+    """The socket front ends answer what the direct drive answers
+    (``bench_serve`` asserts it), so one in-process drive of the traffic
+    gives the invariants of all three serve rows; 32 of its 40 requests
+    are cache hits.  The durable row's record and fsync counts come from
+    the durable traffic through an ``fsync="always"`` journal.  Its
+    ``journal_bytes`` varies from run to run and is not pinned."""
+    rows = {row["workload"]: row for row in committed("BENCH_serve.json")}
+    traffic = serve_bench.build_traffic()
+    _elapsed, responses, _latency, rejected = serve_bench._run_direct(traffic)
+    assert all(response["ok"] for response in responses)
+    distinct = len(serve_bench.DISTINCT)
+    recomputed = {
+        "requests": len(responses),
+        "distinct": distinct,
+        "rounds": sum(response["rounds"] for response in responses),
+        "messages": sum(response["messages"] for response in responses),
+        "rejected": rejected,
+    }
+    for mode in serve_bench.MODES:
+        assert {key: rows[mode][key] for key in recomputed} == recomputed
+    assert len({request.cache_key() for request in traffic}) == distinct
+    hits = sum(response["cached"] for response in responses)
+    assert hits == len(responses) - distinct
+
+    durable_traffic = serve_bench._durable_traffic()
+    journal = RequestJournal(str(tmp_path / "always.bin"), fsync="always")
+    executor = BatchExecutor(
+        pool=NetworkPool(), cache_responses=True,
+        registry=default_registry(), journal=journal,
+    )
+    try:
+        serve_bench._drive_direct_wall(executor, durable_traffic)
+    finally:
+        executor.close()
+    stats = journal.stats()
+    journal.close()
+    durable = rows["serve_durable"]
+    assert (durable["requests"], durable["distinct"]) == (
+        len(durable_traffic), distinct,
+    )
+    assert (stats["admitted"] + stats["completed"], stats["fsyncs"]) == (
+        durable["journal_records"], durable["fsyncs_always"],
     )

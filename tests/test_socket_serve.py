@@ -344,8 +344,12 @@ class TestSocketServe:
 
     def test_queue_wait_counts_the_wait_for_the_lane(self):
         """latency_stages splits each request's time at admission: the
-        request pipelined behind a real miss reports that wait."""
+        request pipelined behind a real miss reports that wait.  "slow"
+        is held on the lane until the server has admitted "next", so
+        "next" waits out slow's whole run however the threads are
+        scheduled."""
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        started, release = block_execute(executor, "slow")
         slow = json.dumps({
             "request_id": "slow", "kind": "degree_implicit",
             "scenario": "regular", "n": 32, "seed": 1,
@@ -357,6 +361,15 @@ class TestSocketServe:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write((slow + "\n" + line("next", n=12, seed=3) + "\n").encode())
             await writer.drain()
+
+            async def both_admitted():
+                while not (started.is_set() and server._inflight == 2):
+                    await asyncio.sleep(0.01)
+
+            try:
+                await asyncio.wait_for(both_admitted(), timeout=60)
+            finally:
+                release.set()
             rows = [await recv(reader) for _ in range(2)]
             await close(writer)
             server.drain()
