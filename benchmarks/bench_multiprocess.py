@@ -1,8 +1,9 @@
 """X-MP — the multiprocess execution layer: the process drain.
 
-Recorded to ``BENCH_multiprocess.json``: the service benchmark's mixed
-60-request batch (five kinds, n ∈ {64, 256}) drained with the response
-cache disabled — every request actually executes — through the
+Recorded to ``BENCH_multiprocess.json``: one mixed 60-request batch
+(``build_batch``: five kinds, n ∈ {64, 256}, each distinct request
+recurring as popular requests do) drained with the response cache
+disabled — every request actually executes — through the
 sequential drain (one request at a time in-process, warm pool) vs the
 process drain (``DRAIN_WORKERS`` workers, each with its own warm pool).
 Responses are asserted field-identical between modes.  Request handling
@@ -25,12 +26,16 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import time
 
 from common import Experiment
-from repro.service import BatchExecutor, NetworkPool, default_registry
-
-from bench_service_throughput import BATCH_SIZE, DISTINCT, build_batch
+from repro.service import (
+    BatchExecutor,
+    NetworkPool,
+    RealizationRequest,
+    default_registry,
+)
 
 #: Drain acceptance on hosts with >= DRAIN_WORKERS usable cores.
 TARGET_SPEEDUP = 2.0
@@ -39,6 +44,52 @@ TARGET_SPEEDUP = 2.0
 DRAIN_WORKERS = 4
 
 REPS = 2
+
+#: Distinct requests: (kind, scenario, n, seed, extra request fields).
+#: Five kinds across {64, 256}, grouped into shared *network identities*
+#: — requests with the same (n, seed, engine, variant) run on the same
+#: simulated deployment, which is exactly what the pool reuses across
+#: different workload kinds (seed is part of the pool key: it fixes the
+#: ID space, so distinct seeds are distinct deployments).
+DISTINCT = [
+    # Identity A: the (64, seed=3) NCC0 deployment, five workload kinds.
+    ("degree_implicit", "random_graphic", 64, 3, {}),
+    ("degree_envelope", "near_graphic", 64, 3, {}),
+    ("tree", "tree_random", 64, 3, {}),
+    ("connectivity", "rho_uniform", 64, 3, {}),
+    ("approximate", "regular", 64, 3, {}),
+    # Identity B: the (256, seed=5) NCC0 deployment, four kinds.
+    ("degree_implicit", "power_law", 256, 5, {}),
+    ("tree", "tree_caterpillar", 256, 5, {}),
+    ("connectivity", "rho_ranked", 256, 5, {}),
+    ("approximate", "regular", 256, 5, {}),
+    # Identity C: the NCC1 variant is its own deployment (pool key).
+    ("connectivity", "rho_bimodal", 256, 5, {"model": "ncc1"}),
+]
+
+#: Each distinct request recurs this many times in the traffic mix.
+REPEAT = 6
+
+BATCH_SIZE = len(DISTINCT) * REPEAT
+
+
+def build_batch():
+    """The deterministic mixed batch (shuffled, unique request_ids)."""
+    requests = []
+    for rep in range(REPEAT):
+        for kind, scenario, n, seed, extra in DISTINCT:
+            requests.append(
+                RealizationRequest(
+                    kind=kind,
+                    scenario=scenario,
+                    n=n,
+                    seed=seed,
+                    request_id=f"{kind}-{scenario}-{n}-r{rep}",
+                    **extra,
+                ).validate()
+            )
+    random.Random(0).shuffle(requests)
+    return requests
 
 
 def usable_cores() -> int:

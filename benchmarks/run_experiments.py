@@ -9,18 +9,21 @@ driver runs them all (full sweeps, deterministic seeds) and renders the
 paper-claim-vs-measured record.  Runtime: a few minutes.
 
 ``--smoke`` runs a one-scale subset (the engine-throughput replay, the
-end-to-end protocol wall-clock, plus one cheap protocol sweep) and
-writes to temporary files — a CI-sized check that the harness still
-executes end to end.
+end-to-end protocol wall-clock, the serve chaos drive, plus one cheap
+protocol sweep) and writes to temporary files — a CI-sized check that
+the harness still executes end to end.
 
-``--check`` is the benchmark regression guard: it re-measures the two
-tracked benchmarks and compares them against the *committed*
-``BENCH_engine.json``/``BENCH_protocol.json``.  Invariant fields
-(rounds, messages) must match exactly — a drift there means the
-protocols themselves changed — and throughput may not regress by more
-than ``--tolerance`` (default 15%).  Exits nonzero on either, so CI can
-fail the PR.  Throughput comparisons are only meaningful against
-records committed from comparable hardware.
+``--check`` is the benchmark regression guard: it re-measures the
+engine, protocol and multiprocess benchmarks and compares them against
+the *committed* ``BENCH_engine.json``/``BENCH_protocol.json``/
+``BENCH_multiprocess.json``.  Invariant fields (rounds, messages) must
+match exactly — a drift there means the protocols themselves changed —
+and throughput may not regress by more than ``--tolerance`` (default
+15%).  Exits nonzero on either, so CI can fail the PR.  Throughput
+comparisons are only meaningful against records committed from
+comparable hardware.  The serve stack's timing is perfbench's (see
+``BENCHMARK.json``); the invariants of ``BENCH_serve.json`` and of every
+other record are pinned in tier-1 by ``tests/test_bench_invariants.py``.
 
 The driver exits nonzero if any experiment *raises* or reports a shape
 mismatch, so CI can trust it.
@@ -65,7 +68,6 @@ MODULES = [
     "bench_ablation_fidelity",
     "bench_engine_throughput",
     "bench_protocol_wallclock",
-    "bench_service_throughput",
     "bench_multiprocess",
     "bench_serve",
 ]
@@ -74,7 +76,6 @@ SMOKE_MODULES = [
     "bench_thm01_bbst",
     "bench_engine_throughput",
     "bench_protocol_wallclock",
-    "bench_service_throughput",
     "bench_serve",
 ]
 
@@ -91,7 +92,8 @@ factors), not wall-clock constants: the substrate is a simulator, not the
 authors' testbed (the paper reports no experiments of its own — this
 harness turns every bound into a measurement).
 
-Two benchmarks also track *implementation* performance across PRs:
+Four benchmarks also track the *implementation* across PRs (the serve
+stack's throughput and latency are measured by `perfbench/`, not here):
 
 - **X-ENG** (`bench_engine_throughput.py` -> `BENCH_engine.json`):
   records a protocol's per-round send stream once, then replays it
@@ -110,27 +112,13 @@ Two benchmarks also track *implementation* performance across PRs:
   machine.  `run_experiments.py --check` compares fresh runs against
   the committed records and fails CI on >15% throughput regression or
   any rounds/messages drift.
-- **X-SVC** (`bench_service_throughput.py` -> `BENCH_service.json`):
-  drains one mixed service-traffic batch (five workload kinds, several
-  scenario families, n in {{64, 256}}, each distinct request recurring
-  as popular scenarios do) twice: *cold* (fresh scenario generation +
-  fresh `Network` + full realizer run per request — the one-shot
-  posture, minus interpreter startup) and *warm* (the service stack:
-  `NetworkPool` over the verified `Network.reset()` lease contract, the
-  registry's memoized materialization, and the deterministic response
-  cache).  Responses are asserted field-identical between modes.
-  Schema: per mode `{{workload ("service_batch_cold"/"_warm"), n (0 =
-  mixed), requests, distinct, kinds, sizes, rounds, messages,
-  elapsed_sec, requests_per_sec, response_cache_hits,
-  scenario_cache_hits, pool_hits, network_constructions}}`, plus
-  top-level `speedup` (warm/cold, target >= 1.5).  The summed
-  rounds/messages are the regression-guard invariants.
 - **X-MP** (`bench_multiprocess.py` -> `BENCH_multiprocess.json`): the
   multiprocess execution layer, the process drain.  *Drain rows*
-  (`drain_sequential` / `drain_processes`): the mixed 60-request
-  service batch drained cold (response cache disabled, so all 60
-  execute) one request at a time in-process vs across 4 worker
-  processes; responses asserted field-identical.  Schema:
+  (`drain_sequential` / `drain_processes`): one mixed 60-request
+  batch (10 distinct requests x6, five kinds, n in {{64, 256}})
+  drained cold (response cache disabled, so all 60 execute) one
+  request at a time in-process vs across 4 worker processes;
+  responses asserted field-identical.  Schema:
   `{{workload, n (0 = mixed), requests, distinct, workers, rounds,
   messages, elapsed_sec, requests_per_sec, worker_crashes}}`, plus
   top-level `drain_speedup` (processes/sequential), `usable_cores`, and
@@ -143,63 +131,23 @@ Two benchmarks also track *implementation* performance across PRs:
   sharded engine ran thm03 sorting (n = 128) at 0.16x `fast` with 2
   shards and 0.12x with 4, and was deleted (README, "Negative result").
 
-- **X-SERVE** (`bench_serve.py` -> `BENCH_serve.json`): the asyncio TCP
-  serve front end under load.  The X-SVC mixed traffic at socket scale
-  (40 requests = 8 distinct x5, five workload kinds, n in {{48, 96}}) is
-  driven three ways on fresh executors: `serve_direct` (in-process
-  `handle()` per request — the ceiling), `serve_closed_loop` (4
-  concurrent TCP clients, request-response arrival, client-observed
-  per-request latency), and `serve_pipelined` (the same clients
-  bursting their whole shard up front, sojourn latency from burst
-  start — queueing included).  Responses asserted field-identical per
-  `request_id` across all modes and reps; zero `ADMISSION_REJECTED` at
-  the default window.  Schema: per mode `{{workload, n (0 = mixed),
-  requests, distinct, connections (0 = direct), window, rounds,
-  messages, rejected, elapsed_sec, requests_per_sec, p50_ms, p99_ms}}`,
-  plus top-level `efficiency` (slowest-socket/direct req/s, target
-  >= 0.5).  The summed rounds/messages and request counts are the
-  regression-guard invariants.  A fourth row, `serve_chaos`, replays
-  the serve stack (processes mode, 2 workers, 2 connections) under a
-  seeded `FaultPlan`: one hung worker carrying a request deadline (the
+- **X-SERVE** (`bench_serve.py` -> `BENCH_serve.json`): the socket
+  serve stack under injected faults.  One row, `serve_chaos`: the
+  stack (processes mode, 2 workers, 2 connections) under a seeded
+  `FaultPlan` — one hung worker carrying a request deadline (the
   watchdog answers a typed `WORKER_TIMEOUT`) and one crashing worker
   (typed `WORKER_CRASHED` after retry exhaustion) alongside 12 clean
-  requests, every surviving answer asserted field-identical to a clean
+  requests from a 40-request mix (8 distinct x5, n in {{48, 96}}),
+  every surviving answer asserted field-identical to a clean
   sequential drain.  The chaos run collects request-scoped traces (a
   live `Tracer` on the executor): one reassembled span tree per
   admitted request, the faulty roots asserted to carry their typed
-  `error_code` tags and `crash_recovery` children.  Schema: `{{workload,
-  n (0), requests, faults, timeouts, crashes, ok, connections, window,
-  rounds, messages (survivors only), rejected, elapsed_sec,
-  clean_elapsed_sec, recovery_overhead_sec, traces, traced_faults}}` —
-  no `requests_per_sec` (the row is invariant-gated, not
-  throughput-gated); the typed-outcome and trace counts are
-  regression-guard invariants alongside rounds/messages.  A fifth row,
-  `serve_trace_overhead`, prices the observability layer on the direct
-  drive (interleaved best-of reps, fresh executors per rep): *baseline*
-  (span/stage plumbing instance-stubbed — the pre-instrumentation
-  stand-in), *disabled* (the shipped default, `tracer=None`), and
-  *traced* (a live `Tracer` collecting every request tree).  Schema:
-  `{{workload, n (0), requests, distinct, connections (0), window,
-  rejected, traces, elapsed_sec, baseline_rps, requests_per_sec
-  (disabled), traced_rps, disabled_overhead_pct, tracing_overhead_pct}}`.
-  `--check` gates `disabled_overhead_pct <= 5` as a *fresh-run*
-  property on every run (tracing you did not enable must be ~free);
-  `tracing_overhead_pct` is recorded honestly but not gated.  A sixth
-  row, `serve_durable`, prices the write-ahead request journal on the
-  direct drive the same way (every request carrying an
-  `idempotency_key`, fresh executor + fresh journal file per variant,
-  interleaved paired reps): journal-disabled vs fsync policies
-  {{never, batch, always}}, responses asserted field-identical across
-  all variants (durability is answer-preserving).  Schema: `{{workload,
-  n (0), requests, distinct, connections (0), window, rejected,
-  elapsed_sec, requests_per_sec (fsync=batch, the shipped default),
-  journal_off_rps, fsync_never_rps, fsync_batch_rps, fsync_always_rps,
-  durable_overhead_pct, fsync_never_overhead_pct,
-  fsync_always_overhead_pct, journal_records, journal_bytes,
-  fsyncs_always}}`.  `--check` gates `durable_overhead_pct <= 10` as a
-  fresh-run property and pins `journal_records` (2 records per executed
-  request — the write-ahead contract) as an invariant; `journal_bytes`
-  floats with response payload sizes and is recorded but not gated.
+  `error_code` tags and `crash_recovery` children.  Schema:
+  `{{workload, n (0), requests, faults, timeouts, crashes, ok,
+  connections, window, rounds, messages (survivors only), rejected,
+  elapsed_sec, clean_elapsed_sec, recovery_overhead_sec, traces,
+  traced_faults}}`.  The outcome, trace and rounds/messages counts are
+  invariants, pinned in tier-1; the times are recorded, not gated.
 
 Summary of the per-experiment verdicts:
 
@@ -270,68 +218,26 @@ def write_protocol_json(path: str) -> dict:
     return payload
 
 
-def write_service_json(path: str) -> dict:
-    """Write the BENCH_service.json record (cold vs warm service drains).
-
-    Uses the module's cached ``bench_results()`` so EXPERIMENTS.md and
-    the JSON report one measurement.
-    """
-    import bench_service_throughput
-
-    results = bench_service_throughput.bench_results()
-    payload = {
-        "benchmark": "service_throughput",
-        "description": (
-            "requests/sec draining one mixed service-traffic batch "
-            "(repeating distinct requests) cold — fresh scenario "
-            "generation + fresh Network + full run per request, no "
-            "caches — vs warm — NetworkPool over verified Network.reset() "
-            "+ memoized scenario materialization + deterministic response "
-            "cache; responses asserted field-identical across modes; "
-            "best-of-reps CPU seconds, fresh executor per rep"
-        ),
-        "target_speedup": bench_service_throughput.TARGET_SPEEDUP,
-        "results": results,
-        "speedup": bench_service_throughput.speedup(results),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
-
-
 def write_serve_json(path: str) -> dict:
-    """Write the BENCH_serve.json record (socket front end under load).
+    """Write the BENCH_serve.json record (the serve chaos drive).
 
     Uses the module's cached ``bench_results()`` so EXPERIMENTS.md and
     the JSON report one measurement.
     """
     import bench_serve
 
-    results = bench_serve.bench_results()
     payload = {
         "benchmark": "socket_serve",
         "description": (
-            "sustained req/sec + p50/p99 latency for the asyncio TCP serve "
-            "front end: the mixed service-traffic batch driven in-process "
-            "(direct), and by 4 concurrent TCP clients in closed-loop and "
-            "pipelined arrival processes against a live SocketServer; "
-            "responses asserted field-identical per request_id across all "
-            "modes; zero admission rejections at the default window; "
-            "best-of-reps wall-clock; plus a serve_chaos row replaying the "
-            "stack under a seeded FaultPlan (hung worker watchdogged into "
-            "WORKER_TIMEOUT, crashing worker typed WORKER_CRASHED, "
-            "survivors field-identical to a clean sequential drain), a "
-            "serve_trace_overhead row pricing the observability layer, and "
-            "a serve_durable row pricing the write-ahead request journal "
-            "across fsync policies (answers asserted identical with the "
-            "journal on and off)"
+            "the socket serve stack (processes mode, 2 workers, 2 "
+            "connections) under a seeded FaultPlan: a hung worker "
+            "watchdogged into WORKER_TIMEOUT and a crashing worker typed "
+            "WORKER_CRASHED alongside 12 clean requests, survivors "
+            "asserted field-identical to a clean sequential drain; the "
+            "outcome, trace and rounds/messages counts are invariants, the "
+            "times are recorded, not gated"
         ),
-        "target_min_efficiency": bench_serve.TARGET_MIN_EFFICIENCY,
-        "connections": bench_serve.CONNECTIONS,
-        "window": bench_serve.WINDOW,
-        "results": results,
-        "efficiency": bench_serve.efficiency(results),
+        "results": bench_serve.bench_results(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -390,8 +296,6 @@ def check_against_committed(tolerance: float = 0.15) -> int:
     import bench_engine_throughput
     import bench_multiprocess
     import bench_protocol_wallclock
-    import bench_serve
-    import bench_service_throughput
 
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     problems = []
@@ -411,36 +315,6 @@ def check_against_committed(tolerance: float = 0.15) -> int:
             bench_protocol_wallclock.bench_results,
             ("rounds", "messages"),
             ("msgs_per_sec",),
-        ),
-        (
-            "service",
-            os.path.join(repo_root, "BENCH_service.json"),
-            bench_service_throughput.bench_results,
-            ("rounds", "messages", "requests", "distinct"),
-            ("requests_per_sec",),
-        ),
-        (
-            # Rounds/messages are summed over the canonical responses —
-            # the socket transport's bit-identity trip-wire; rejected
-            # must stay 0 (the default window absorbs this load).  Only
-            # requests_per_sec is throughput-guarded; the latency
-            # percentiles are recorded but too host-noisy to gate on.
-            # The serve_chaos row additionally pins its typed-fault
-            # outcome counts (faults/timeouts/crashes/ok — deterministic
-            # by the seeded FaultPlan); the classic rows lack those keys
-            # on both sides, which passes, and the chaos row omits
-            # requests_per_sec, so it is invariant-gated only.
-            # The serve_durable row pins journal_records (2 framed
-            # records per executed request — admission + completion; a
-            # drift means the write-ahead contract changed) alongside
-            # the shared invariants; rows without the key pass vacuously.
-            "serve",
-            os.path.join(repo_root, "BENCH_serve.json"),
-            bench_serve.bench_results,
-            ("rounds", "messages", "requests", "distinct", "rejected",
-             "faults", "timeouts", "crashes", "ok", "traces",
-             "traced_faults", "journal_records"),
-            ("requests_per_sec",),
         ),
         (
             # The summed rounds/messages pin both drains' answers (the
@@ -489,71 +363,6 @@ def check_against_committed(tolerance: float = 0.15) -> int:
                     )
                 else:
                     print(f"[check] {label}: {key} {old:,} -> {new:,} ok")
-
-    # The tracing-overhead gate is a *fresh-run* property, not a diff
-    # against the committed record: every check re-measures the serve
-    # path with tracing disabled against the stubbed-out baseline, and
-    # fails if the instrumentation costs more than the published limit.
-    trace_row = next(
-        (
-            r
-            for r in bench_serve.bench_results()
-            if r["workload"] == "serve_trace_overhead"
-        ),
-        None,
-    )
-    if trace_row is None:
-        problems.append(
-            "serve: serve_trace_overhead row missing from fresh results"
-        )
-    else:
-        checked += 1
-        limit = bench_serve.TARGET_MAX_DISABLED_OVERHEAD_PCT
-        pct = trace_row["disabled_overhead_pct"]
-        if pct > limit:
-            problems.append(
-                f"serve:serve_trace_overhead/0: tracing-disabled serve "
-                f"path costs {pct:.1f}% vs the stubbed baseline (limit "
-                f"{limit:.0f}%) — instrumentation leaked into the "
-                "default path"
-            )
-        else:
-            print(
-                f"[check] serve:serve_trace_overhead/0: "
-                f"disabled_overhead_pct {pct:.1f}% <= {limit:.0f}% ok "
-                f"(traced overhead {trace_row['tracing_overhead_pct']:.1f}%)"
-            )
-
-    # Same fresh-run treatment for the durability layer: every check
-    # re-prices the journaled serve path at the shipped fsync=batch
-    # default against the journal-disabled drive and fails if write-
-    # ahead logging costs more than the published limit.
-    durable_row = next(
-        (
-            r
-            for r in bench_serve.bench_results()
-            if r["workload"] == "serve_durable"
-        ),
-        None,
-    )
-    if durable_row is None:
-        problems.append("serve: serve_durable row missing from fresh results")
-    else:
-        checked += 1
-        limit = bench_serve.TARGET_MAX_DURABLE_OVERHEAD_PCT
-        pct = durable_row["durable_overhead_pct"]
-        if pct > limit:
-            problems.append(
-                f"serve:serve_durable/0: journaled serve path (fsync="
-                f"batch) costs {pct:.1f}% vs journal-off (limit "
-                f"{limit:.0f}%) — durability leaked into the hot path"
-            )
-        else:
-            print(
-                f"[check] serve:serve_durable/0: durable_overhead_pct "
-                f"{pct:.1f}% <= {limit:.0f}% ok (fsync=always "
-                f"{durable_row['fsync_always_overhead_pct']:.1f}%)"
-            )
 
     if problems:
         print(f"\nREGRESSION CHECK FAILED ({len(problems)} problem(s)):")
@@ -608,26 +417,13 @@ def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
             "max_sort_speedup_vs_baseline",
         ),
         (
-            "BENCH_service",
-            write_service_json,
-            "warm-vs-cold service throughput",
-            "speedup",
-            "speedup",
-        ),
-        (
             "BENCH_multiprocess",
             write_multiprocess_json,
             "process-vs-sequential drain",
             "drain_speedup",
             "drain_speedup",
         ),
-        (
-            "BENCH_serve",
-            write_serve_json,
-            "socket-vs-direct serve efficiency",
-            "efficiency",
-            "efficiency",
-        ),
+        ("BENCH_serve", write_serve_json, "serve chaos drive", None, None),
     ]
     for stem, writer, label, lo_key, hi_key in json_writers:
         json_path = os.path.join(out_dir, stem + suffix)

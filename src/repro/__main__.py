@@ -205,8 +205,7 @@ def _make_executor(args, tracer=None, journal=None):
 
     try:
         return BatchExecutor(
-            pool=None if getattr(args, "no_pool", False) else NetworkPool(),
-            cache_responses=not getattr(args, "no_cache", False),
+            pool=NetworkPool(),
             mode=getattr(args, "mode", "sequential"),
             workers=getattr(args, "workers", 4),
             hang_timeout=getattr(args, "hang_timeout", None),
@@ -298,13 +297,7 @@ def _serve_child_argv(args) -> List[str]:
     """
     argv = [sys.executable, "-m", "repro", "--seed", str(args.seed), "serve",
             "--mode", args.mode, "--workers", str(args.workers),
-            "--host", args.host, "--port", str(args.port),
-            "--emit-timeout", str(args.emit_timeout),
-            "--close-timeout", str(args.close_timeout)]
-    if args.no_pool:
-        argv.append("--no-pool")
-    if args.no_cache:
-        argv.append("--no-cache")
+            "--host", args.host, "--port", str(args.port)]
     if args.window is not None:
         argv += ["--window", str(args.window)]
     if args.hang_timeout is not None:
@@ -319,7 +312,7 @@ def _serve_child_argv(args) -> List[str]:
 
 
 def cmd_serve(args) -> int:
-    from repro.service import ServiceError, serve
+    from repro.service import serve
     from repro.service.executor import validate_window
 
     try:
@@ -413,13 +406,8 @@ def cmd_serve(args) -> int:
         try:
             handled, errors = serve_socket(
                 executor, host=args.host, port=args.port, window=window,
-                ready=ready,
-                emit_timeout=args.emit_timeout,
-                close_timeout=args.close_timeout,
-                sessions=sessions,
+                ready=ready, sessions=sessions,
             )
-        except ServiceError as exc:
-            raise SystemExit(str(exc))
         finally:
             executor.close()
             if metrics_httpd is not None:
@@ -619,8 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4,
         help="worker processes for --mode processes (default %(default)s)",
     )
-    p.add_argument("--no-pool", action="store_true", help="fresh network per request")
-    p.add_argument("--no-cache", action="store_true", help="disable response cache")
     p.set_defaults(fn=cmd_batch)
 
     def add_serve_args(p) -> None:
@@ -640,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=4,
             help="worker processes for --mode processes (default %(default)s)",
         )
-        p.add_argument("--no-pool", action="store_true", help="fresh network per request")
-        p.add_argument("--no-cache", action="store_true", help="disable response cache")
         p.add_argument(
             "--host", default="127.0.0.1",
             help="bind address for the socket server (with --port)",
@@ -657,18 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
             "%(default)s -> module default): the stdio streaming path "
             "blocks its reader at the window, the socket server rejects "
             "with error_code=ADMISSION_REJECTED",
-        )
-        p.add_argument(
-            "--emit-timeout", type=float, default=60.0,
-            help="socket server: max seconds to flush a closing "
-            "connection's pending responses (default %(default)s; tightened "
-            "automatically when every request on the connection carries a "
-            "deadline_ms)",
-        )
-        p.add_argument(
-            "--close-timeout", type=float, default=5.0,
-            help="socket server: max seconds to wait for a closing "
-            "connection's transport to shut down (default %(default)s)",
         )
         p.add_argument(
             "--hang-timeout", type=float, default=None,
@@ -763,8 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4,
         help="worker processes for --mode processes (default %(default)s)",
     )
-    p.add_argument("--no-pool", action="store_true", help="fresh network per request")
-    p.add_argument("--no-cache", action="store_true", help="disable response cache")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("profile", help="profile a workload under cProfile")

@@ -24,10 +24,10 @@ class LatencyRecorder:
     ``capacity`` samples so a long-lived service reports *current*
     latency in O(1) memory instead of growing with traffic.  ``count``/
     ``mean`` cover the full lifetime; ``p50``/``p99`` are nearest-rank
-    percentiles over the retained window.  Samples are recorded per
-    request by ``BatchExecutor.handle`` and the async
-    ``BatchExecutor.submit``; every batch drain goes through one of the
-    two, so a processes-mode batch records one sample per request too.
+    percentiles over the retained window.  ``BatchExecutor._settle``
+    records one sample per answered request, in every mode and from
+    every entry point, since each request goes through the executor's
+    one request core.
     """
 
     def __init__(self, capacity: int = 4096) -> None:

@@ -56,7 +56,6 @@ from repro.service.server import (
     SocketServer,
     retry_after_hint,
     serve_socket,
-    validate_timeout,
 )
 from repro.service.registry import (
     DEFAULT_REGISTRY,
@@ -104,6 +103,5 @@ __all__ = [
     "serve_socket",
     "supervise_loop",
     "supervisor_policy",
-    "validate_timeout",
     "validate_window",
 ]

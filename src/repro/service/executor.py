@@ -117,7 +117,6 @@ class _ExecutorClosed(RuntimeError):
 def resolve_workload(
     request: RealizationRequest,
     registry: ScenarioRegistry = DEFAULT_REGISTRY,
-    use_cache: bool = True,
 ) -> Tuple[int, ...]:
     """The request's workload vector (inline, or materialized scenario)."""
     if request.degrees is not None:
@@ -128,7 +127,6 @@ def resolve_workload(
         request.n,
         seed=request.seed,
         params=dict(request.params),
-        use_cache=use_cache,
     )
 
 
@@ -310,7 +308,6 @@ def lease_and_run(
     request: RealizationRequest,
     pool: Optional[NetworkPool],
     registry: ScenarioRegistry = DEFAULT_REGISTRY,
-    cache_scenarios: bool = True,
     deadline: Optional[float] = None,
     span: Optional[Span] = None,
     phase_histogram: Optional[Histogram] = None,
@@ -323,7 +320,7 @@ def lease_and_run(
     ``time.monotonic()`` seconds (system-wide, so a parent's stamp holds
     in a worker); one that expired while the request queued answers a
     typed ``DEADLINE_EXCEEDED`` without touching a network.  ``pool``
-    ``None`` builds a fresh ``Network`` (the cold path).
+    ``None`` builds a fresh ``Network`` per request.
 
     ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
     children; ``phase_histogram`` receives engine phase timings.
@@ -338,7 +335,7 @@ def lease_and_run(
                 "wall-clock deadline expired before dispatch",
                 code="DEADLINE_EXCEEDED",
             )
-        workload = resolve_workload(request, registry, use_cache=cache_scenarios)
+        workload = resolve_workload(request, registry)
         n, config = request.size, request.config()
         if pool is None:
             net = Network(n, config)
@@ -378,20 +375,18 @@ def lease_and_run(
 #: cross the boundary; the parent's response cache stays authoritative).
 _WORKER_POOL: Optional[NetworkPool] = None
 _WORKER_REGISTRY: ScenarioRegistry = DEFAULT_REGISTRY
-_WORKER_CACHE_SCENARIOS = True
 
 
-def _process_worker_init(use_pool: bool, cache_scenarios: bool) -> None:
+def _process_worker_init(use_pool: bool) -> None:
     """Pool initializer: give this worker its own warm state.
 
     Also (re)loads any :mod:`repro.service.faults` plan from the
     environment — the channel that works under both fork and spawn start
     methods, with per-worker fire counters.
     """
-    global _WORKER_POOL, _WORKER_REGISTRY, _WORKER_CACHE_SCENARIOS
+    global _WORKER_POOL, _WORKER_REGISTRY
     _WORKER_POOL = NetworkPool() if use_pool else None
     _WORKER_REGISTRY = default_registry()
-    _WORKER_CACHE_SCENARIOS = cache_scenarios
     faults.ensure_worker_plan()
 
 
@@ -434,8 +429,7 @@ def _process_worker_run_wire(wire: tuple, deadline: Optional[float] = None) -> t
         if rule is not None:
             time.sleep(rule.sleep_sec())
     response = lease_and_run(
-        request, _WORKER_POOL, _WORKER_REGISTRY, _WORKER_CACHE_SCENARIOS,
-        deadline, span,
+        request, _WORKER_POOL, _WORKER_REGISTRY, deadline, span
     )
     if span is None:
         return response.to_wire()
@@ -545,10 +539,9 @@ class BatchExecutor:
     ----------
     pool:
         The warm-network pool; ``None`` disables pooling (a fresh
-        ``Network`` per request — the cold path the service benchmark
-        compares against).  In ``processes`` mode this toggles the
-        *per-worker* pools (the parent pool is never shared across the
-        process boundary).
+        ``Network`` per request).  In ``processes`` mode this toggles
+        the *per-worker* pools (the parent pool is never shared across
+        the process boundary).
     registry:
         Scenario registry for named workloads.
     cache_responses:
@@ -561,11 +554,8 @@ class BatchExecutor:
         ``max_cached_responses`` so long-lived services stay bounded
         under diverse traffic while popular requests stay resident.
         Disabling the cache also disables in-flight coalescing (there is
-        no key to coalesce on — and benchmark cold modes rely on every
-        occurrence actually executing).
-    cache_scenarios:
-        Use the registry's memoized materialization; disable to force
-        regeneration per request (the benchmark's cold mode).
+        no key to coalesce on — and ``bench_multiprocess.py``'s cold
+        drains rely on every occurrence actually executing).
     mode / workers:
         ``"sequential"`` or ``"processes"`` (+ worker count): where
         misses execute — the in-parent lane (one thread) or a pool of
@@ -599,7 +589,6 @@ class BatchExecutor:
         pool: Optional[NetworkPool] = None,
         registry: ScenarioRegistry = DEFAULT_REGISTRY,
         cache_responses: bool = True,
-        cache_scenarios: bool = True,
         mode: str = "sequential",
         workers: int = 4,
         max_cached_responses: int = 4096,
@@ -632,7 +621,6 @@ class BatchExecutor:
         self.mode = mode
         self.workers = workers
         self.cache_responses = cache_responses
-        self.cache_scenarios = cache_scenarios
         self.max_cached_responses = max_cached_responses
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -684,8 +672,8 @@ class BatchExecutor:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Tracing: None (default) disables span collection entirely —
         # the request paths guard on it, so the disabled overhead is a
-        # handful of attribute checks (gated ≤5% by bench_serve's
-        # trace-overhead row).
+        # handful of attribute checks and no call into repro.obs.trace
+        # (tests/test_disabled_layers.py counts those calls).
         self.tracer = tracer
         _c = self.metrics.counter
         self.requests_handled = _c(
@@ -755,7 +743,8 @@ class BatchExecutor:
         # are answered from the journal's completed record without
         # re-executing.
         # None (default) keeps the hot path journal-free — a single
-        # attribute check.
+        # attribute check and no call into the journal module
+        # (tests/test_disabled_layers.py counts those calls).
         self.journal = journal
         if journal is not None:
             if journal.fsync_observer is None:
@@ -840,7 +829,7 @@ class BatchExecutor:
                 max_workers=self.workers,
                 mp_context=fork_context(),
                 initializer=_process_worker_init,
-                initargs=(self.pool is not None, self.cache_scenarios),
+                initargs=(self.pool is not None,),
             )
             self._process_pool_broken = False
             return self._process_pool
@@ -1009,8 +998,7 @@ class BatchExecutor:
         span: Optional["Span"] = None,
     ) -> None:
         response = lease_and_run(
-            request, self.pool, self.registry, self.cache_scenarios,
-            deadline, span,
+            request, self.pool, self.registry, deadline, span,
             self.engine_phase_hist if span is not None else None,
         )
         self._finish_async(request, key, out, response, span=span)

@@ -126,7 +126,7 @@ class ScenarioRegistry:
         """The scenario's workload vector for ``(n, seed, params)``.
 
         Deterministic, hence safely memoized; ``use_cache=False`` forces
-        regeneration (the benchmark's cold mode measures exactly that).
+        regeneration and leaves the cache untouched.
         """
         scenario = self.get(name)
         if scenario.is_primitive:

@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.service import faults
-from repro.service.api import RealizationResponse, ServiceError, error_response
+from repro.service.api import RealizationResponse, error_response
 from repro.service.executor import (
     BatchExecutor,
     parse_request_payload,
@@ -90,18 +90,7 @@ __all__ = [
     "SocketServer",
     "retry_after_hint",
     "serve_socket",
-    "validate_timeout",
 ]
-
-
-def validate_timeout(name: str, value: float) -> float:
-    """Validate an emit/close timeout knob: a finite number > 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServiceError(f"{name!r} must be a number, got {value!r}")
-    value = float(value)
-    if not value > 0 or value != value or value == float("inf"):
-        raise ServiceError(f"{name!r} must be a finite number > 0, got {value}")
-    return value
 
 #: Typed ``error_code`` for requests refused by admission control (the
 #: window is full, the client exceeded its fair share, or the server is
@@ -143,6 +132,16 @@ SESSION_BUFFER_LIMIT = 1024
 
 #: Sessions tracked at once (oldest evicted beyond this).
 MAX_SESSIONS = 1024
+
+#: Bound (seconds) on flushing a closing connection's pending responses.
+#: When every request the connection admitted carried a deadline, the
+#: bound tightens to just past the latest one (``_emit_bound``), so an
+#: expired client never pins the drain this long.
+EMIT_TIMEOUT_SEC = 60.0
+
+#: Bound (seconds) on waiting for a closing connection's transport to
+#: report closed.
+CLOSE_TIMEOUT_SEC = 5.0
 
 
 def retry_after_hint(inflight: int, window: int) -> int:
@@ -257,8 +256,6 @@ class SocketServer:
         host: str = "127.0.0.1",
         port: int = 0,
         window: Optional[int] = None,
-        emit_timeout: float = 60.0,
-        close_timeout: float = 5.0,
         sessions: Optional[
             Dict[str, List[Tuple[int, RealizationResponse]]]
         ] = None,
@@ -267,14 +264,6 @@ class SocketServer:
         self.host = host
         self.port = port  # rewritten with the bound port by start()
         self.window = validate_window(window)
-        # Shutdown knobs (previously hard-coded): the bound on flushing
-        # a closing connection's FIFO, and on waiting for the transport
-        # to report closed.  When every request a connection admitted
-        # carried a deadline, the emit bound is tightened to just past
-        # the latest deadline — an expired client never pins the drain
-        # for the full emit_timeout.
-        self.emit_timeout = validate_timeout("emit_timeout", emit_timeout)
-        self.close_timeout = validate_timeout("close_timeout", close_timeout)
         self.handled = 0  # responses emitted (all connections)
         self.errors = 0  # of those, verdict == "ERROR"
         self.rejected = 0  # admission rejections (counted in errors too)
@@ -409,7 +398,7 @@ class SocketServer:
             writer.close()
             try:
                 await asyncio.wait_for(
-                    writer.wait_closed(), timeout=self.close_timeout
+                    writer.wait_closed(), timeout=CLOSE_TIMEOUT_SEC
                 )
             except (asyncio.TimeoutError, asyncio.CancelledError, *_WRITE_FAILURES):
                 pass
@@ -419,12 +408,12 @@ class SocketServer:
     def _emit_bound(self, conn: _Connection) -> float:
         """Flush bound for a closing connection's emit FIFO.
 
-        ``emit_timeout`` by default; when *every* request the connection
-        admitted carried a deadline, tightened to one second past the
-        latest of those deadlines (floored at 0.5s) — the executor
-        answers each of them by then, typed or realized.
+        :data:`EMIT_TIMEOUT_SEC` by default; when *every* request the
+        connection admitted carried a deadline, tightened to one second
+        past the latest of those deadlines (floored at 0.5s) — the
+        executor answers each of them by then, typed or realized.
         """
-        bound = self.emit_timeout
+        bound = EMIT_TIMEOUT_SEC
         if conn.deadline_horizon is not None and not conn.bare:
             remaining = conn.deadline_horizon - time.monotonic() + 1.0
             bound = min(bound, max(0.5, remaining))
@@ -752,8 +741,6 @@ class SocketServer:
                 "host": self.host,
                 "port": self.port,
                 "window": self.window,
-                "emit_timeout": self.emit_timeout,
-                "close_timeout": self.close_timeout,
                 "inflight": self._inflight,
                 "connections": len(self._connections),
                 "connections_total": self.connections_total,
@@ -832,8 +819,6 @@ def serve_socket(
     window: Optional[int] = None,
     ready: Optional[Callable[[SocketServer], None]] = None,
     install_signal_handlers: bool = True,
-    emit_timeout: float = 60.0,
-    close_timeout: float = 5.0,
     sessions: Optional[Dict[str, List[Tuple[int, RealizationResponse]]]] = None,
 ) -> Tuple[int, int]:
     """Blocking socket-serve entry point (the CLI shape).
@@ -842,20 +827,20 @@ def serve_socket(
     graceful drain completes (SIGTERM/SIGINT, when signal handlers are
     installable).  ``ready`` is invoked once the server is bound — with
     ``port=0`` that is how callers learn the real port.  Returns
-    ``(handled, errors)``, matching :func:`serve`.
+    ``(handled, errors)``, matching :func:`serve`.  Without an
+    ``executor`` it builds one and closes it on the way out; a caller's
+    executor stays open.
     """
     if executor is None:
-        executor = BatchExecutor(pool=NetworkPool())
+        with BatchExecutor(pool=NetworkPool()) as owned:
+            return serve_socket(
+                owned, host, port, window, ready, install_signal_handlers,
+                sessions,
+            )
 
     async def _run() -> Tuple[int, int]:
         server = await SocketServer(
-            executor,
-            host=host,
-            port=port,
-            window=window,
-            emit_timeout=emit_timeout,
-            close_timeout=close_timeout,
-            sessions=sessions,
+            executor, host=host, port=port, window=window, sessions=sessions
         ).start()
         if install_signal_handlers:
             loop = asyncio.get_running_loop()

@@ -1,18 +1,20 @@
 """The committed benchmark records' invariant fields, recomputed.
 
-``BENCH_protocol.json``, ``BENCH_engine.json``, ``BENCH_service.json``,
-``BENCH_multiprocess.json`` and ``BENCH_serve.json`` carry timing
-numbers next to fields that do not depend on the machine: rounds,
-messages, the service batch's request counts and the durable serve
-row's journal record and fsync counts.  This module recomputes those
-fields with the benchmark scripts' own workload code and asserts them
-equal to the committed values, so protocol drift fails tier-1.  No
-timing is asserted: the engine replay reports its CPU seconds, and this
-module ignores them.
+``BENCH_protocol.json``, ``BENCH_engine.json``, ``BENCH_multiprocess.json``
+and ``BENCH_serve.json`` carry timing numbers next to fields that do not
+depend on the machine: rounds, messages, the request counts of the
+batches behind them, and the chaos drive's outcome and trace counts.
+This module recomputes those fields with the benchmark scripts' own
+workload code and asserts them equal to the committed values, so
+protocol drift fails tier-1.  It also pins what the warm service stack
+and the request journal do on those batches: cache, pool, record and
+fsync counts.  No timing is asserted: the engine replay reports its CPU
+seconds, and this module ignores them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import sys
@@ -27,9 +29,9 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 import bench_engine_throughput as engine_bench  # noqa: E402
+import bench_multiprocess as multiprocess_bench  # noqa: E402
 import bench_protocol_wallclock as protocol_bench  # noqa: E402
 import bench_serve as serve_bench  # noqa: E402
-import bench_service_throughput as service_bench  # noqa: E402
 from common import make_net  # noqa: E402
 
 
@@ -85,14 +87,15 @@ def test_engine_rows(row):
 
 
 def test_service_rows():
-    """One warm drain of the benchmark batch gives every invariant of
-    both service rows: the cold drain answers the same responses by
-    contract (``bench_service_throughput`` asserts it), with its caches
-    off.  Both drain rows of ``BENCH_multiprocess.json`` drain the same
-    batch cold, so they carry the same sums."""
-    rows = {row["workload"]: row for row in committed("BENCH_service.json")}
-    batch = service_bench.build_batch()
-    executor = service_bench._warm_executor()
+    """One warm drain of ``bench_multiprocess``'s batch gives the
+    invariants of both ``BENCH_multiprocess.json`` drain rows: they
+    drain the same batch cold, and the process drain answers as the
+    sequential drain does (the benchmark asserts it).  The warm drain's
+    cache and pool counts are pinned as literals: 10 distinct requests
+    on 3 network identities, so 50 response-cache hits, 3 network
+    constructions and 7 pool hits."""
+    batch = multiprocess_bench.build_batch()
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
     try:
         responses = executor.run(batch)
         stats = executor.stats()
@@ -101,79 +104,93 @@ def test_service_rows():
     assert all(response.error is None for response in responses)
     recomputed = {
         "requests": len(batch),
-        "distinct": len(service_bench.DISTINCT),
-        "kinds": sorted({request.kind for request in batch}),
-        "sizes": sorted({request.size for request in batch}),
+        "distinct": len(multiprocess_bench.DISTINCT),
         "rounds": sum(response.rounds for response in responses),
         "messages": sum(response.messages for response in responses),
     }
-    for row in rows.values():
-        assert {key: row[key] for key in recomputed} == recomputed
+    assert recomputed == {
+        "requests": 60, "distinct": 10, "rounds": 1829622, "messages": 1181196,
+    }
     drains = committed("BENCH_multiprocess.json")
     assert sorted(row["workload"] for row in drains) == [
         "drain_processes", "drain_sequential",
     ]
-    pinned = ("requests", "distinct", "rounds", "messages")
     for row in drains:
-        assert {key: row[key] for key in pinned} == {
-            key: recomputed[key] for key in pinned
-        }
+        assert {key: row[key] for key in recomputed} == recomputed
         assert row["worker_crashes"] == 0
-    warm = rows["service_batch_warm"]
+    assert len({request.cache_key() for request in batch}) == 10
+    assert sorted({request.kind for request in batch}) == [
+        "approximate", "connectivity", "degree_envelope", "degree_implicit",
+        "tree",
+    ]
+    assert sorted({request.size for request in batch}) == [64, 256]
     assert (
         stats["response_cache_hits"],
         stats["scenario_cache_hits"],
         stats["pool"]["pool_hits"],
         stats["pool"]["constructions"],
-    ) == (
-        warm["response_cache_hits"],
-        warm["scenario_cache_hits"],
-        warm["pool_hits"],
-        warm["network_constructions"],
-    )
+    ) == (50, 0, 7, 3)
 
 
-def test_serve_rows(tmp_path):
-    """The socket front ends answer what the direct drive answers
-    (``bench_serve`` asserts it), so one in-process drive of the traffic
-    gives the invariants of all three serve rows; 32 of its 40 requests
-    are cache hits.  The durable row's record and fsync counts come from
-    the durable traffic through an ``fsync="always"`` journal.  Its
-    ``journal_bytes`` varies from run to run and is not pinned."""
-    rows = {row["workload"]: row for row in committed("BENCH_serve.json")}
+def test_serve_rows():
+    """The 40-request mix ``bench_serve`` draws its chaos traffic from,
+    driven in-process: 8 distinct computations, so 32 cache hits, and
+    every response answered, none rejected."""
     traffic = serve_bench.build_traffic()
-    _elapsed, responses, _latency, rejected = serve_bench._run_direct(traffic)
+    _elapsed, responses = serve_bench._run_direct(traffic)
     assert all(response["ok"] for response in responses)
-    distinct = len(serve_bench.DISTINCT)
-    recomputed = {
+    assert {
         "requests": len(responses),
-        "distinct": distinct,
+        "distinct": len({request.cache_key() for request in traffic}),
+        "cached": sum(response["cached"] for response in responses),
         "rounds": sum(response["rounds"] for response in responses),
         "messages": sum(response["messages"] for response in responses),
-        "rejected": rejected,
+        "rejected": sum(
+            response.get("error_code") == "ADMISSION_REJECTED"
+            for response in responses
+        ),
+    } == {
+        "requests": 40, "distinct": 8, "cached": 32, "rounds": 878710,
+        "messages": 383240, "rejected": 0,
     }
-    for mode in serve_bench.MODES:
-        assert {key: rows[mode][key] for key in recomputed} == recomputed
-    assert len({request.cache_key() for request in traffic}) == distinct
-    hits = sum(response["cached"] for response in responses)
-    assert hits == len(responses) - distinct
 
-    durable_traffic = serve_bench._durable_traffic()
-    journal = RequestJournal(str(tmp_path / "always.bin"), fsync="always")
+
+@pytest.mark.parametrize(
+    "policy, fsyncs", [("never", 1), ("batch", 3), ("always", 81)]
+)
+def test_durable_mix_records_and_fsyncs(tmp_path, policy, fsyncs):
+    """The same mix with every request keyed: each request, cache hits
+    included, is journaled at admission and at completion, at every
+    fsync policy.  ``batch`` fsyncs every 32 appends, ``always`` every
+    append, and ``executor.close()`` adds one barrier."""
+    traffic = [
+        dataclasses.replace(request, idempotency_key=f"idem-{request.request_id}")
+        for request in serve_bench.build_traffic()
+    ]
+    journal = RequestJournal(str(tmp_path / f"{policy}.wal"), fsync=policy)
     executor = BatchExecutor(
-        pool=NetworkPool(), cache_responses=True,
-        registry=default_registry(), journal=journal,
+        pool=NetworkPool(), registry=default_registry(), journal=journal
     )
     try:
-        serve_bench._drive_direct_wall(executor, durable_traffic)
+        responses = [executor.handle(request) for request in traffic]
     finally:
         executor.close()
     stats = journal.stats()
     journal.close()
-    durable = rows["serve_durable"]
-    assert (durable["requests"], durable["distinct"]) == (
-        len(durable_traffic), distinct,
+    assert all(response.ok for response in responses)
+    assert (stats["admitted"], stats["completed"], stats["fsyncs"]) == (
+        40, 40, fsyncs,
     )
-    assert (stats["admitted"] + stats["completed"], stats["fsyncs"]) == (
-        durable["journal_records"], durable["fsyncs_always"],
-    )
+
+
+def test_chaos_row():
+    """One chaos drive (about a second: process workers, a watchdog
+    deadline and a worker crash) reproduces every count of the committed
+    ``serve_chaos`` row; only its times differ from run to run."""
+    (row,) = committed("BENCH_serve.json")
+    fresh = serve_bench.measure_chaos()
+    timings = ("elapsed_sec", "clean_elapsed_sec", "recovery_overhead_sec")
+    assert fresh.keys() == row.keys()
+    assert {key: value for key, value in fresh.items() if key not in timings} == {
+        key: value for key, value in row.items() if key not in timings
+    }

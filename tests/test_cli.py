@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 
 class TestCLI:
@@ -104,6 +104,25 @@ class TestCLI:
             outputs[engine] = capsys.readouterr().out
         assert outputs["fast"] == outputs["reference"]
         assert "rounds" in outputs["fast"]
+
+
+#: Flags the service subcommands do not take: the CLI's executor always
+#: pools networks and caches responses, and the socket server's
+#: shutdown bounds are module constants.
+REMOVED_FLAGS = [
+    ["batch", "-", "--no-pool"],
+    ["batch", "-", "--no-cache"],
+    ["trace", "-", "--out", "t.json", "--no-pool"],
+    ["trace", "-", "--out", "t.json", "--no-cache"],
+    ["serve", "--no-pool"],
+    ["serve", "--no-cache"],
+    ["serve", "--emit-timeout", "5"],
+    ["serve", "--close-timeout", "5"],
+    ["supervise", "--port", "0", "--no-pool"],
+    ["supervise", "--port", "0", "--no-cache"],
+    ["supervise", "--port", "0", "--emit-timeout", "5"],
+    ["supervise", "--port", "0", "--close-timeout", "5"],
+]
 
 
 class TestServiceCLI:
@@ -226,6 +245,13 @@ class TestServiceCLI:
         assert main(["profile", "tree_random", "--n", "12", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "profile: tree_random" in out
+
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+    def test_removed_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_profile_legacy_aliases(self, capsys):
         assert main(["profile", "realize", "--n", "12", "--top", "3"]) == 0

@@ -640,7 +640,7 @@ class TestProcessTracing:
             max_workers=1,
             mp_context=ctx,
             initializer=_process_worker_init,
-            initargs=(True, True),
+            initargs=(True,),
         ) as pool:
             wire = pool.submit(
                 _process_worker_run_wire,

@@ -19,6 +19,7 @@ import io
 import json
 import multiprocessing
 import queue
+import socket
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.service import (
     default_registry,
     run_batch_lines,
     serve,
+    serve_socket,
 )
 from repro.service import faults
 from tests.conftest import block_execute
@@ -438,11 +440,45 @@ class TestServeWindowKnob:
 
 
 class TestOwnedExecutor:
-    """``serve`` and ``run_batch_lines`` close an executor they built,
-    and leave a caller's executor open."""
+    """``serve``, ``run_batch_lines`` and ``serve_socket`` close an
+    executor they built, and leave a caller's executor open."""
 
     def new_threads(self, before):
         return [t.name for t in threading.enumerate() if t not in before]
+
+    def serve_socket_once(self, executor=None):
+        """One request through ``serve_socket`` on a thread, then a
+        drain; returns its ``(handled, errors)``."""
+        ready = threading.Event()
+        holder = {}
+
+        def on_ready(server):
+            holder["server"] = server
+            ready.set()
+
+        def runner():
+            holder["counts"] = serve_socket(
+                executor, port=0, ready=on_ready,
+                install_signal_handlers=False,  # not the main thread
+            )
+
+        thread = threading.Thread(target=runner, daemon=True)
+        thread.start()
+        try:
+            assert ready.wait(timeout=30)
+            port = holder["server"].port
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall((line("own-sock", seed=4) + "\n").encode())
+                with sock.makefile("r") as stream:
+                    row = json.loads(stream.readline())
+        finally:
+            server = holder.get("server")
+            if server is not None:
+                server._loop.call_soon_threadsafe(server.drain)
+            thread.join(timeout=60)
+        assert not thread.is_alive(), "serve_socket did not drain"
+        assert row["verdict"] == "REALIZED"
+        return holder["counts"]
 
     def test_serve_closes_the_executor_it_builds(self):
         before = set(threading.enumerate())
@@ -456,6 +492,19 @@ class TestOwnedExecutor:
         (response,) = run_batch_lines([line("own-b", seed=2)])
         assert response.verdict == "REALIZED"
         assert self.new_threads(before) == []
+
+    def test_serve_socket_closes_only_the_executor_it_builds(self):
+        before = set(threading.enumerate())
+        assert self.serve_socket_once() == (1, 0)
+        assert self.new_threads(before) == []
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        try:
+            assert self.serve_socket_once(executor) == (1, 0)
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert stats["closed"] is False
+        assert stats["requests_handled"] == 1
 
     def test_a_callers_executor_stays_open(self):
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())

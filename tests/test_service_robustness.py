@@ -46,7 +46,7 @@ from repro.service import (
 )
 from repro.service import faults
 from repro.service.executor import lease_and_run, run_request
-from repro.service.server import validate_timeout
+from repro.service.server import EMIT_TIMEOUT_SEC
 
 
 def req(kind="degree_implicit", scenario="regular", n=16, seed=1, **kw):
@@ -629,7 +629,6 @@ class TestServeChaos:
         assert all(r["verdict"] == "REALIZED" for r in rows_b)
         assert stats["executor"]["worker_timeouts"] == 1
         assert "breaker" in stats["executor"]
-        assert stats["server"]["emit_timeout"] == 60.0
         # Field-identity of the surviving client against a sequential
         # drain of the same requests.
         with make_executor(mode="sequential", cache_responses=False) as seq:
@@ -677,35 +676,22 @@ class TestServeChaos:
         assert handled == 2  # both responses consumed server-side
         assert errors == 0
 
-    def test_timeout_knob_validation(self):
-        executor = make_executor(mode="sequential")
-        try:
-            for bad in (0, -1, True, float("inf"), float("nan")):
-                with pytest.raises(ServiceError, match="emit_timeout"):
-                    SocketServer(executor, emit_timeout=bad)
-                with pytest.raises(ServiceError, match="close_timeout"):
-                    SocketServer(executor, close_timeout=bad)
-            server = SocketServer(executor, emit_timeout=2.5, close_timeout=1.0)
-            assert server.emit_timeout == 2.5 and server.close_timeout == 1.0
-            assert validate_timeout("emit_timeout", 1) == 1.0
-        finally:
-            executor.close()
-
     def test_emit_bound_derives_from_deadline_horizon(self):
         executor = make_executor(mode="sequential")
         try:
-            server = SocketServer(executor, emit_timeout=60.0)
+            server = SocketServer(executor)
 
             class _Conn:
                 deadline_horizon = None
                 bare = False
 
             conn = _Conn()
-            assert server._emit_bound(conn) == 60.0  # no deadlines seen
+            assert EMIT_TIMEOUT_SEC == 60.0
+            assert server._emit_bound(conn) == EMIT_TIMEOUT_SEC  # no deadlines
             conn.deadline_horizon = time.monotonic() + 2.0
             bound = server._emit_bound(conn)
             assert 0.5 <= bound <= 3.5  # tightened to horizon + 1s
             conn.bare = True  # one bare request disables the tightening
-            assert server._emit_bound(conn) == 60.0
+            assert server._emit_bound(conn) == EMIT_TIMEOUT_SEC
         finally:
             executor.close()
