@@ -9,9 +9,10 @@ Peers that predate tracing, and requests with tracing disabled, ship the
 bare tuple; :func:`wire_body` and :func:`wire_trailer` make decoding
 agnostic.
 
-``repro.service.journal`` frames each on-disk record with a CRC-32C
-(:func:`crc32c`): journal records *are* wire envelopes, and the checksum
-is part of their framing contract.
+:func:`crc32c` is kept only to read journal frames written before
+``repro.service.journal`` switched to ``zlib.crc32``: those frames carry
+a CRC-32C, and recovery still verifies them.  Nothing writes it any
+more.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ def attach_trailer(wire: tuple, trailer) -> tuple:
 # --------------------------------------------------------------------- #
 # Record integrity (CRC-32C)                                            #
 # --------------------------------------------------------------------- #
-# Castagnoli, the iSCSI/ext4 polynomial: materially better error
-# detection than CRC-32/ISO-HDLC for short records.  The stdlib only
-# ships the zlib polynomial, hence the table-driven form.
+# Castagnoli, the iSCSI/ext4 polynomial.  The stdlib only ships the zlib
+# polynomial, hence the table-driven form, a Python loop over every byte;
+# that cost is why new journal frames carry zlib.crc32 instead.
 
 _CRC32C_POLY = 0x82F63B78  # reflected Castagnoli polynomial
 
@@ -46,7 +47,12 @@ _CRC32C_TABLE = _crc32c_table()
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C of ``data`` (chainable via ``crc`` for streaming use)."""
+    """CRC-32C of ``data`` (chainable via ``crc`` for streaming use).
+
+    Kept only to read journal frames written before the journal framed
+    records with ``zlib.crc32``: recovery verifies a frame whose length
+    word has bit 31 clear with this checksum.
+    """
     crc ^= 0xFFFFFFFF
     table = _CRC32C_TABLE
     for byte in data:

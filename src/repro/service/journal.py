@@ -18,7 +18,20 @@ same positional tuple that crosses the process-drain boundary
 from :mod:`repro.service.api`, built on :mod:`repro.ncc.wire`), pickled
 inside a small framed record::
 
-    [u32 length][u32 crc32c(payload)][payload = pickle(record tuple)]
+    [u32 length | bit 31 = zlib CRC-32][u32 checksum][payload]
+
+``payload`` is the pickled record tuple.  Every frame this module
+writes sets bit 31 of its length word and carries
+``zlib.crc32(payload)`` (CRC-32/IEEE, computed in C).  A frame with bit
+31 clear carries ``crc32c(payload)`` (CRC-32C,
+:func:`repro.ncc.wire.crc32c`, a pure-Python loop): journals written
+before the flag hold only such frames, and recovery still reads them,
+also in a file that mixes both kinds.  No valid length reaches bit 31
+(``_MAX_RECORD`` is 2**26), so the flag cannot be mistaken for a
+length.  :meth:`RequestJournal.compact` rewrites every frame with the
+flag.  Older readers cannot read flagged frames: a reader that
+predates the flag sees the first one's length as oversized, takes it
+for a torn tail, and truncates the file there.
 
 Record tuples (``seq`` is a journal-global monotone counter):
 
@@ -35,12 +48,12 @@ Record tuples (``seq`` is a journal-global monotone counter):
   response_wire)`` — a completed record condensed by :meth:`compact`.
 
 **Torn tails are expected.**  A crash can land mid-``write``; recovery
-scans until the first record whose frame is short or whose CRC-32C
-(:func:`repro.ncc.wire.crc32c`) disagrees, truncates the file there,
-warns on stderr, and counts what it dropped in :meth:`stats`.  A bad
-CRC *mid*-file (bit rot, not a torn tail) is handled the same way —
-everything from the first unverifiable record is dropped, because
-record framing carries no resynchronisation marker.
+scans until the first record whose frame is short or whose checksum
+disagrees, truncates the file there, warns on stderr, and counts what
+it dropped in :meth:`stats`.  A bad checksum *mid*-file (bit rot, not a
+torn tail) is handled the same way — everything from the first
+unverifiable record is dropped, because record framing carries no
+resynchronisation marker.
 
 **fsync policy is a dial, not a boolean.**  ``always`` fsyncs every
 append (power-loss durable, slow), ``batch`` fsyncs every
@@ -59,6 +72,7 @@ import struct
 import sys
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -70,6 +84,9 @@ from .api import RealizationRequest, RealizationResponse
 FSYNC_POLICIES = ("never", "batch", "always")
 _HEADER = struct.Struct("<II")
 _MAX_RECORD = 64 * 1024 * 1024  # sanity bound: a frame length past this is garbage
+#: Set in a frame's length word when its checksum is ``zlib.crc32``;
+#: clear in frames written before the flag, which carry ``crc32c``.
+_ZLIB_FLAG = 1 << 31
 _PICKLE_PROTOCOL = 4
 
 # Bounded replay state: the journal is a log, not a database — the
@@ -190,7 +207,8 @@ class RequestJournal:
     @staticmethod
     def _frame(record: tuple) -> bytes:
         payload = pickle.dumps(record, protocol=_PICKLE_PROTOCOL)
-        return _HEADER.pack(len(payload), crc32c(payload)) + payload
+        header = _HEADER.pack(len(payload) | _ZLIB_FLAG, zlib.crc32(payload))
+        return header + payload
 
     def _append(self, record: tuple, tag: str = "") -> None:
         """Frame, write, flush; fsync per policy.  Caller holds the lock."""
@@ -427,16 +445,19 @@ class RequestJournal:
     def _read_record(blob: bytes, offset: int) -> Tuple[Optional[tuple], int]:
         """One framed record at ``offset``: ``(record, end)`` or
         ``(None, offset)`` when the frame is short, oversized, fails its
-        CRC, or fails to unpickle."""
+        checksum, or fails to unpickle.  Bit 31 of the length word picks
+        the checksum: ``zlib.crc32`` when set, ``crc32c`` when clear."""
         if offset + _HEADER.size > len(blob):
             return None, offset
-        length, crc = _HEADER.unpack_from(blob, offset)
+        word, crc = _HEADER.unpack_from(blob, offset)
+        length = word & ~_ZLIB_FLAG
         start = offset + _HEADER.size
         end = start + length
         if length > _MAX_RECORD or end > len(blob):
             return None, offset
         payload = blob[start:end]
-        if crc32c(payload) != crc:
+        checksum = zlib.crc32 if word & _ZLIB_FLAG else crc32c
+        if checksum(payload) != crc:
             return None, offset
         try:
             record = pickle.loads(payload)

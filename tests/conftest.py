@@ -10,9 +10,25 @@ import pytest
 import repro.ncc.message as message_module
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.network import Network
+from repro.service import faults
 
 # Deep Fork recursion in the mergesort needs generous Python recursion room.
 sys.setrecursionlimit(200_000)
+
+
+@pytest.fixture(autouse=True)
+def no_inherited_fault_plan(monkeypatch):
+    """No test inherits a fault plan from the one before it.
+
+    :func:`repro.service.faults.active` caches what it reads from
+    ``REPRO_FAULT_PLAN``, so a plan read while a test's monkeypatched
+    environment is still in place outlives the test.  Restoring the
+    environment first and then clearing the cache drops it, whatever the
+    test did last.
+    """
+    yield
+    monkeypatch.undo()
+    faults.clear()
 
 
 def make_net(n: int, seed: int = 0, **overrides) -> Network:

@@ -3,11 +3,16 @@ session resume, and the crash-restart supervisor.
 
 The acceptance properties, layer by layer:
 
-* **Framing** — every record is length+CRC32C framed; recovery after a
-  torn tail (partial final write) truncates to the last whole record
-  and keeps everything before it; a corrupted record mid-file drops it
-  and everything after (no resync heuristics — the journal is the
-  source of truth, guessing is worse than losing the tail).
+* **Framing** — every record is framed by its length and a checksum.
+  New frames carry ``zlib.crc32`` and set bit 31 of the length word;
+  frames without the flag carry the CRC-32C of journals written before
+  it, and still recover, alone or mixed with new frames
+  (``tests/data/journal-crc32c.wal``).  Appends make no Python-level
+  call into ``crc32c``.  Recovery after a torn tail (partial final
+  write) truncates to the last whole record and keeps everything before
+  it; a corrupted record mid-file, or a frame whose flag was flipped,
+  drops it and everything after (no resync heuristics — the journal is
+  the source of truth, guessing is worse than losing the tail).
 * **Exactly-once** — a duplicate submission carrying the same
   ``idempotency_key`` is answered from the journal, field-identical to
   the original response, without re-execution; this holds within one
@@ -29,6 +34,7 @@ import asyncio
 import json
 import os
 import re
+import shutil
 import signal
 import socket as socket_module
 import struct
@@ -62,8 +68,13 @@ from repro.service.server import (
     SESSION_UNKNOWN,
 )
 from repro.service.supervise import supervise_loop
+from tests.test_disabled_layers import CallCounter, hooked, miss_and_hit
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Bit 31 of a frame's length word: set when the frame's checksum is
+#: ``zlib.crc32``, clear on the CRC-32C frames of older journals.
+ZLIB_FLAG = 1 << 31
 
 
 def make_request(request_id, key=None, n=12, seed=1):
@@ -95,10 +106,19 @@ def record_offsets(path):
         blob = journal_file.read()
     offsets, pos = [], 0
     while pos + header.size <= len(blob):
-        length, _ = header.unpack_from(blob, pos)
+        word, _ = header.unpack_from(blob, pos)
         offsets.append(pos)
-        pos += header.size + length
+        pos += header.size + (word & ~ZLIB_FLAG)
     return offsets, len(blob)
+
+
+def frame_flags(path):
+    """Whether each framed record in a journal file carries the flag."""
+    offsets, _ = record_offsets(path)
+    with open(path, "rb") as journal_file:
+        blob = journal_file.read()
+    return [bool(struct.unpack_from("<I", blob, pos)[0] & ZLIB_FLAG)
+            for pos in offsets]
 
 
 # --------------------------------------------------------------------- #
@@ -108,11 +128,37 @@ def record_offsets(path):
 
 class TestJournalFraming:
     def test_crc32c_known_answer_and_chaining(self):
-        """The record checksum is CRC-32C (Castagnoli): its published
-        check value, also when computed in two chained pieces."""
+        """Frames without the flag carry CRC-32C (Castagnoli): its
+        published check value, also when computed in two chained
+        pieces."""
         assert crc32c(b"123456789") == 0xE3069283
         assert crc32c(b"6789", crc32c(b"12345")) == 0xE3069283
         assert crc32c(b"") == 0
+
+    def test_appends_never_call_crc32c(self, tmp_path):
+        """New frames are checksummed in C: a journaled miss and hit in
+        sequential mode make no Python-level call into ``crc32c``.  The
+        hook counts ``_frame`` too, so it saw all four appends, on this
+        thread and on the lane."""
+        journal = RequestJournal(str(tmp_path / "j.wal"))
+        executor = make_executor(journal=journal)
+        crc = CallCounter(lambda code: code is crc32c.__code__)
+        frames = CallCounter(lambda code: code is RequestJournal._frame.__code__)
+
+        def both(frame, event, arg):
+            crc(frame, event, arg)
+            frames(frame, event, arg)
+
+        try:
+            with hooked(both):
+                miss_and_hit(executor)
+        finally:
+            executor.close()
+            journal.close()
+        assert dict(crc.calls) == {}
+        here, lane = frames.split()
+        assert here + lane == 4 and here > 0 and lane > 0, dict(frames.calls)
+        assert frame_flags(journal.path) == [True] * 4
 
     def test_round_trip_and_restart_replay(self, tmp_path):
         path = str(tmp_path / "j.bin")
@@ -343,6 +389,200 @@ class TestLegacyShardsSlot:
             reopened.close()
         assert after == before
         assert (after.deadline_ms, after.idempotency_key) == (5000, "k-old")
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "journal-crc32c.wal")
+
+
+@pytest.fixture
+def old_journal(tmp_path):
+    """A copy of the fixture journal (recovery truncates its torn tail)."""
+    path = str(tmp_path / "old.wal")
+    shutil.copyfile(FIXTURE, path)
+    return path
+
+
+class TestCrc32cFixture:
+    """``tests/data/journal-crc32c.wal`` was written by ``RequestJournal``
+    before frames carried the zlib flag, so each of its frames holds a
+    CRC-32C.  It holds every record kind and a torn tail.  The recipe,
+    run with ``PYTHONPATH=src`` at commit ``5d62cff``, the last before
+    the flag::
+
+        journal = RequestJournal(path, fsync="never")
+        executor = BatchExecutor(pool=NetworkPool(),
+                                 registry=default_registry(), journal=journal)
+        req = lambda rid, key, seed: RealizationRequest(
+            request_id=rid, kind="degree_implicit", scenario="regular",
+            n=12, seed=seed, idempotency_key=key)
+        executor.handle(req("old", "k-compact", 1))
+        journal.compact()                            # one compact record
+        executor.handle(req("pair", "k-pair", 2))    # a keyed pair
+        executor.handle(req("sess", "k-session", 3), session=("tok", 0))
+        journal.append_rejected(
+            error_response("busy", "degree_implicit", "window full",
+                           ADMISSION_REJECTED, retry_after_ms=50),
+            session=("tok", 1))
+        pending = journal.append_admitted(req("pending", "k-pending", 4))
+        executor.close()
+        journal.close()
+        with open(path, "ab") as fh:  # a crash 12 bytes into a completion
+            fh.write(RequestJournal._frame(
+                ("completed", pending + 1, pending, ()))[:12])
+
+    The counts asserted below are the ones that commit's own reader
+    reports for the file.
+    """
+
+    def test_recovers_what_the_old_reader_recovers(self, old_journal, capsys):
+        size = os.path.getsize(old_journal)
+        assert frame_flags(old_journal) == [False] * 8  # 7 whole + torn
+        journal = RequestJournal(old_journal, fsync="never")
+        try:
+            rec = journal.recover()
+            stats = journal.stats()
+        finally:
+            journal.close()
+        assert (rec.records, rec.admitted, rec.completed, rec.rejected,
+                rec.compacted) == (7, 3, 2, 1, 1)
+        assert (rec.torn_tail, rec.truncated_bytes) == (True, 12)
+        assert os.path.getsize(old_journal) == size - 12
+        [(_, token, sidx, pending)] = rec.incomplete
+        assert (token, sidx) == ("", -1)
+        assert pending == make_request("pending", key="k-pending", seed=4)
+        [(token, tail)] = rec.sessions.items()
+        assert token == "tok"
+        assert [(sidx, response.verdict, response.error_code)
+                for sidx, response in tail] == [
+            (0, "REALIZED", None), (1, "ERROR", ADMISSION_REJECTED)]
+        assert stats["replay_keys"] == 3
+        assert "torn" in capsys.readouterr().err.lower()
+
+    def test_duplicate_keys_answered_field_identical(self, old_journal):
+        fresh = make_executor()
+        try:
+            expected = {
+                key: fresh.handle(make_request(rid, key=key, seed=seed))
+                for rid, key, seed in (("old", "k-compact", 1),
+                                       ("pair", "k-pair", 2),
+                                       ("sess", "k-session", 3))
+            }
+        finally:
+            fresh.close()
+        journal = RequestJournal(old_journal, fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            dups = {key: executor.handle(make_request(f"dup-{key}", key=key))
+                    for key in expected}
+        finally:
+            executor.close()
+            journal.close()
+        for key, dup in dups.items():
+            assert dup.request_id == f"dup-{key}"
+            assert strip(dup) == strip(expected[key]), key
+        assert (journal.stats()["replays"], journal.stats()["admitted"]) == (3, 0)
+
+    def test_pending_admission_re_executed_exactly_once(self, old_journal):
+        journal = RequestJournal(old_journal, fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            sessions = executor.recover_journal()
+            dup = executor.handle(make_request("dup", key="k-pending"))
+            assert executor.stats()["requests_handled"] == 2  # recovery + replay
+        finally:
+            executor.close()
+            journal.close()
+        assert dup.verdict == "REALIZED" and dup.request_id == "dup"
+        stats = journal.stats()
+        assert (stats["admitted"], stats["completed"], stats["replays"],
+                stats["incomplete"]) == (0, 1, 1, 0)
+        assert [sidx for sidx, _ in sessions["tok"]] == [0, 1]
+        reopened = RequestJournal(old_journal, fsync="never")
+        try:
+            assert reopened.stats()["recovered_incomplete"] == 0
+            assert strip(reopened.replay_idempotent(
+                make_request("again", key="k-pending"))) == strip(dup)
+        finally:
+            reopened.close()
+
+    def test_mixed_old_and_new_frames_recover(self, old_journal):
+        journal = RequestJournal(old_journal, fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            executor.recover_journal()  # one new frame: the completion
+            new = executor.handle(make_request("new", key="k-new", seed=5))
+        finally:
+            executor.close()
+            journal.close()
+        assert frame_flags(old_journal) == [False] * 7 + [True] * 3
+        reopened = RequestJournal(old_journal, fsync="never")
+        try:
+            stats = reopened.stats()
+            replays = {key: reopened.replay_idempotent(make_request("x", key=key))
+                       for key in ("k-compact", "k-pair", "k-session",
+                                   "k-pending", "k-new")}
+            sessions = reopened.recover().sessions
+        finally:
+            reopened.close()
+        assert (stats["recovered_records"], stats["torn_tail"],
+                stats["recovered_incomplete"], stats["replay_keys"]) == (
+            10, False, 0, 5)
+        assert all(r is not None and r.verdict == "REALIZED"
+                   for r in replays.values()), replays
+        assert strip(replays["k-new"]) == strip(new)
+        assert [sidx for sidx, _ in sessions["tok"]] == [0, 1]
+
+    def test_compaction_flags_every_frame(self, old_journal):
+        keys = ("k-compact", "k-pair", "k-session", "k-pending")
+        journal = RequestJournal(old_journal, fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            executor.recover_journal()
+            before = {key: strip(journal.replay_idempotent(
+                make_request("x", key=key))) for key in keys}
+            journal.compact()
+        finally:
+            executor.close()
+            journal.close()
+        flags = frame_flags(old_journal)
+        assert len(flags) == 6 and all(flags)  # 2 session + 4 key records
+        reopened = RequestJournal(old_journal, fsync="never")
+        try:
+            after = {key: strip(reopened.replay_idempotent(
+                make_request("x", key=key))) for key in keys}
+            stats = reopened.stats()
+            sessions = reopened.recover().sessions
+        finally:
+            reopened.close()
+        assert after == before
+        assert (stats["torn_tail"], stats["recovered_incomplete"]) == (False, 0)
+        assert [sidx for sidx, _ in sessions["tok"]] == [0, 1]
+
+    @pytest.mark.parametrize("written", ["old", "new"])
+    def test_flipped_flag_drops_the_rest(self, written, old_journal, capsys):
+        """Setting the flag on an old frame, or clearing it on a new one,
+        makes that record unverifiable: it and everything after it go."""
+        if written == "new":
+            journal = RequestJournal(old_journal, fsync="never")
+            journal.compact()
+            journal.close()
+        capsys.readouterr()
+        offsets, size = record_offsets(old_journal)
+        assert frame_flags(old_journal)[2] is (written == "new")
+        with open(old_journal, "r+b") as fh:
+            fh.seek(offsets[2] + 3)  # the length word's high byte
+            high = fh.read(1)[0]
+            fh.seek(offsets[2] + 3)
+            fh.write(bytes([high ^ 0x80]))
+        journal = RequestJournal(old_journal, fsync="never")
+        try:
+            stats = journal.stats()
+        finally:
+            journal.close()
+        assert stats["recovered_records"] == 2
+        assert stats["truncated_bytes"] == size - offsets[2]
+        assert os.path.getsize(old_journal) == offsets[2]
+        assert "torn" in capsys.readouterr().err.lower()
 
 
 # --------------------------------------------------------------------- #
@@ -613,9 +853,9 @@ class TestFaultActions:
         try:
             response = executor.handle(make_request("f", key="kf"))
         finally:
-            faults.clear()
             executor.close()
-            journal.close()
+            journal.close()  # fsyncs, so it reads the plan: clear after
+            faults.clear()
         assert response.verdict == "REALIZED"
         assert journal.stats()["fsync_errors"] >= 2
         assert journal.stats()["fsyncs"] == 0

@@ -73,12 +73,6 @@ def install_plan(monkeypatch, *rules, seed=0):
     return plan
 
 
-@pytest.fixture(autouse=True)
-def _fault_hygiene():
-    yield
-    faults.clear()
-
-
 # ---------------------------------------------------------------------- #
 # RetryPolicy                                                            #
 # ---------------------------------------------------------------------- #

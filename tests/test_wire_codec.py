@@ -1,15 +1,17 @@
-"""Direct tests of :mod:`repro.ncc.wire`: the CRC-32C that frames every
-journal record, and the envelope trailer helpers.
+"""Direct tests of :mod:`repro.ncc.wire`: the CRC-32C that journal
+frames written before the zlib flag carry, and the envelope trailer
+helpers; and of ``zlib.crc32``, which new journal frames carry.
 
-The journal trusts :func:`crc32c` to tell a torn or corrupted record
-from a good one, so the checksum is pinned to the published Castagnoli
-test vectors and to the error classes any degree-32 CRC must detect.
+The journal trusts both checksums to tell a torn or corrupted record
+from a good one, so each is pinned to its published check value, and
+both to the error classes any degree-32 CRC must detect.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+import zlib
 
 import pytest
 
@@ -52,17 +54,27 @@ class TestCrc32c:
             head, tail = SCSI_READ_PDU[:cut], SCSI_READ_PDU[cut:]
             assert crc32c(tail, crc32c(head)) == whole, cut
 
-    def test_every_single_bit_flip_is_detected(self):
-        good = crc32c(RECORD)
+
+class TestZlibCrc32:
+    def test_check_value(self):
+        """CRC-32/IEEE's published check value."""
+        assert zlib.crc32(b"123456789") == 0xCBF43926
+
+
+@pytest.mark.parametrize("checksum", [crc32c, zlib.crc32],
+                         ids=["crc32c", "zlib-crc32"])
+class TestErrorDetection:
+    def test_every_single_bit_flip_is_detected(self, checksum):
+        good = checksum(RECORD)
         for bit in range(len(RECORD) * 8):
             damaged = bytearray(RECORD)
             damaged[bit // 8] ^= 1 << (bit % 8)
-            assert crc32c(bytes(damaged)) != good, bit
+            assert checksum(bytes(damaged)) != good, bit
 
-    def test_every_burst_up_to_32_bits_is_detected(self):
+    def test_every_burst_up_to_32_bits_is_detected(self, checksum):
         """A burst is a run of at most 32 bits whose first and last bit
         are flipped; a CRC of degree 32 catches every one."""
-        good = crc32c(RECORD)
+        good = checksum(RECORD)
         value = int.from_bytes(RECORD, "little")
         rng = random.Random(5)
         for _ in range(400):
@@ -71,7 +83,7 @@ class TestCrc32c:
             pattern &= (1 << length) - 1
             shift = rng.randrange(len(RECORD) * 8 - length + 1)
             damaged = (value ^ (pattern << shift)).to_bytes(len(RECORD), "little")
-            assert crc32c(damaged) != good, (length, shift)
+            assert checksum(damaged) != good, (length, shift)
 
 
 class TestTrailers:
