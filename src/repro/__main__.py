@@ -33,19 +33,21 @@ writing a script:
   ``--journal PATH`` arms the write-ahead request journal (crash
   recovery, idempotent exactly-once replay, client session resume) and
   ``--supervise`` runs the socket server as a respawned-on-crash child;
-* ``supervise --port N`` — shorthand for ``serve --supervise``: run the
-  socket server under the kill-9 crash-restart supervisor;
-* ``trace requests.jsonl --out trace.json`` — drain a batch with
-  tracing enabled and write the span trees as Chrome ``trace_event``
-  JSON (``--format jsonl`` for one tree per line);
 * ``profile sorting --n 256 [--top 25] [--sort-by cumulative]`` — run a
   registry scenario under ``cProfile`` and print the hottest functions,
   so perf work starts from data instead of guesses.
 
-The protocol-running commands accept ``--engine {fast,reference}`` to
-select the round-execution engine (``fast`` is the default; both are
-bit-identical, see ``repro/ncc/engine.py``).  Every command prints the
-verdict, edge count, and round/message costs.
+The four realizer subcommands run the service's request path: each
+builds a :class:`~repro.service.api.RealizationRequest`, runs it with
+:func:`~repro.service.executor.run_request` and prints the verdict,
+edge count and round/message costs from the response (a request the
+service rejects, or a run that fails, prints one ``ERROR:`` line and
+exits 1).  ``--sort-fidelity`` picks the request's sorting fidelity;
+the CLI defaults to ``full``, the paper's round-by-round costs, where
+the service defaults to ``charged``.  The protocol-running commands
+accept ``--engine {fast,reference}`` to select the round-execution
+engine (``fast`` is the default; both are bit-identical, see
+``repro/ncc/engine.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.ncc.config import NCCConfig, Variant
+from repro.ncc.config import NCCConfig
 from repro.ncc.network import Network
 
 
@@ -77,14 +79,10 @@ def _parse_ints(text: str) -> List[int]:
     return values
 
 
-def _make_net(n: int, args, ncc1: bool = False) -> Network:
-    config = NCCConfig(
-        seed=args.seed,
-        engine=getattr(args, "engine", "fast"),
-        variant=Variant.NCC1 if ncc1 else Variant.NCC0,
-        random_ids=not ncc1,
+def _make_net(n: int, args) -> Network:
+    return Network(
+        n, NCCConfig(seed=args.seed, engine=getattr(args, "engine", "fast"))
     )
-    return Network(n, config)
 
 
 def _report(net: Network, prefix: str) -> None:
@@ -108,91 +106,34 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_realize(args) -> int:
-    from repro.core.degree_realization import realize_degree_sequence
-    from repro.core.envelope import realize_envelope
-    from repro.core.explicit import realize_degree_sequence_explicit
+def cmd_realizer(args) -> int:
+    """``realize``, ``tree``, ``connectivity`` and ``approx``: build the
+    subcommand's request, run it through the service's request path on
+    a network this command owns, and print its verdict line and costs."""
+    from repro.service import RealizationRequest, ServiceError, run_request
 
-    degrees = _parse_ints(args.degrees)
-    net = _make_net(len(degrees), args)
-    demands = dict(zip(net.node_ids, degrees))
-    fidelity = "charged" if args.fast else "full"
-    if args.envelope:
-        result = realize_envelope(net, demands, sort_fidelity=fidelity)
-    elif args.explicit:
-        result = realize_degree_sequence_explicit(net, demands, sort_fidelity=fidelity)
-    else:
-        result = realize_degree_sequence(net, demands, sort_fidelity=fidelity)
-    if result.realized:
-        print(f"REALIZED: {result.num_edges} edges in {result.phases} phases"
-              f" ({'explicit' if result.explicit else 'implicit'})")
-    else:
-        print(f"UNREALIZABLE (announced by {len(result.announced_unrealizable_by)}"
-              f" node(s))")
+    try:
+        request = RealizationRequest(
+            seed=args.seed, engine=args.engine,
+            sort_fidelity=args.sort_fidelity, **args.fields(args),
+        ).validate()
+    except ServiceError as exc:
+        print(f"ERROR: {exc}")
+        return 1
+    net = Network(request.size, request.config())
+    response = run_request(request, net)
+    if response.error is not None:
+        print(f"ERROR: {response.error}")
+        return 1
+    detail = dict(response.detail)
+    realized_line, unrealizable_line = args.lines
+    print((realized_line if response.ok else unrealizable_line).format(
+        num_edges=response.num_edges,
+        explicitness="explicit" if detail.get("explicit") else "implicit",
+        **detail,
+    ))
     _report(net, "cost")
-    return 0 if result.realized or args.envelope else 1
-
-
-def cmd_tree(args) -> int:
-    from repro.core.tree_realization import realize_tree
-
-    degrees = _parse_ints(args.degrees)
-    net = _make_net(len(degrees), args)
-    variant = "min_diameter" if args.variant == "min" else "max_diameter"
-    result = realize_tree(
-        net, dict(zip(net.node_ids, degrees)), variant=variant,
-        sort_fidelity="charged" if args.fast else "full",
-    )
-    if result.realized:
-        print(f"REALIZED tree: {result.num_edges} edges, diameter {result.diameter}"
-              f" ({variant})")
-    else:
-        print("UNREALIZABLE as a tree (need sum d = 2(n-1), all d >= 1)")
-    _report(net, "cost")
-    return 0 if result.realized else 1
-
-
-def cmd_connectivity(args) -> int:
-    from repro.core.connectivity import (
-        realize_connectivity_ncc0,
-        realize_connectivity_ncc1,
-    )
-
-    rho_values = _parse_ints(args.rho)
-    ncc1 = args.model == "ncc1"
-    net = _make_net(len(rho_values), args, ncc1=ncc1)
-    rho = dict(zip(net.node_ids, rho_values))
-    if ncc1:
-        result = realize_connectivity_ncc1(net, rho)
-    else:
-        result = realize_connectivity_ncc0(
-            net, rho, sort_fidelity="charged" if args.fast else "full"
-        )
-    print(f"REALIZED: {result.num_edges} edges "
-          f"(lower bound {result.lower_bound_edges}, "
-          f"ratio {result.approximation_ratio:.2f} <= 2, "
-          f"{'explicit' if result.explicit else 'implicit'})")
-    _report(net, "cost")
-    return 0
-
-
-def cmd_approx(args) -> int:
-    from repro.core.approximate import approximate_degree_realization
-
-    degrees = _parse_ints(args.degrees)
-    net = _make_net(len(degrees), args)
-    result = approximate_degree_realization(
-        net, dict(zip(net.node_ids, degrees)),
-        sort_fidelity="charged" if args.fast else "full",
-        repair_rounds=args.repairs,
-    )
-    print(f"APPROXIMATED: {result.num_edges} edges, "
-          f"L1 shortfall {result.l1_error} "
-          f"({result.relative_error:.1%} of demand), "
-          f"{result.self_pairs} self-pairs, "
-          f"{result.duplicate_pairs} duplicate pairs dropped")
-    _report(net, "cost")
-    return 0
+    return 0 if response.ok else 1
 
 
 # ---------------------------------------------------------------------- #
@@ -206,30 +147,14 @@ def _make_executor(args, tracer=None, journal=None):
     try:
         return BatchExecutor(
             pool=NetworkPool(),
-            mode=getattr(args, "mode", "sequential"),
-            workers=getattr(args, "workers", 4),
+            mode=args.mode,
+            workers=args.workers,
             hang_timeout=getattr(args, "hang_timeout", None),
             tracer=tracer,
             journal=journal,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _write_traces(tracer, path: str, fmt: str = "chrome") -> int:
-    """Drain ``tracer`` into ``path``; returns the trace count."""
-    from repro.obs import write_chrome_trace, write_trace_jsonl
-
-    roots = tracer.drain()
-    try:
-        with open(path, "w") as handle:
-            if fmt == "jsonl":
-                write_trace_jsonl(roots, handle)
-            else:
-                write_chrome_trace(roots, handle)
-    except OSError as exc:
-        raise SystemExit(f"cannot write trace file: {exc}")
-    return len(roots)
 
 
 def cmd_scenarios(args) -> int:
@@ -291,9 +216,8 @@ def cmd_batch(args) -> int:
 def _serve_child_argv(args) -> List[str]:
     """Rebuild the ``serve`` argv for a supervised child process.
 
-    Reconstructed from the parsed namespace (not ``sys.argv``) so the
-    ``supervise`` subcommand and ``serve --supervise`` produce the same
-    child either way, minus the supervision flags themselves.
+    Reconstructed from the parsed namespace (not ``sys.argv``), minus
+    the supervision flags themselves.
     """
     argv = [sys.executable, "-m", "repro", "--seed", str(args.seed), "serve",
             "--mode", args.mode, "--workers", str(args.workers),
@@ -325,7 +249,7 @@ def cmd_serve(args) -> int:
         raise SystemExit(
             f"--metrics-port must be in 0..65535, got {args.metrics_port}"
         )
-    if getattr(args, "supervise", False):
+    if args.supervise:
         from repro.service.supervise import supervise_loop, supervisor_policy
 
         if args.port is None:
@@ -435,48 +359,25 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         )
     if tracer is not None:
-        traces = _write_traces(tracer, args.trace_out, args.trace_format)
+        from repro.obs import write_chrome_trace, write_trace_jsonl
+
+        roots = tracer.drain()
+        write = (
+            write_trace_jsonl if args.trace_format == "jsonl" else write_chrome_trace
+        )
+        try:
+            with open(args.trace_out, "w") as handle:
+                write(roots, handle)
+        except OSError as exc:
+            raise SystemExit(f"cannot write trace file: {exc}")
         print(
-            f"serve[{executor.mode}]: wrote {traces} trace(s) to "
+            f"serve[{executor.mode}]: wrote {len(roots)} trace(s) to "
             f"{args.trace_out}",
             file=sys.stderr,
         )
     print(
         f"serve[{executor.mode}]: emitted {handled} response(s), "
         f"{errors} error(s)",
-        file=sys.stderr,
-    )
-    return 1 if errors else 0
-
-
-def cmd_supervise(args) -> int:
-    args.supervise = True
-    return cmd_serve(args)
-
-
-def cmd_trace(args) -> int:
-    from repro.obs import Tracer
-    from repro.service import run_batch_lines
-
-    if args.path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            raise SystemExit(f"cannot read batch file: {exc}")
-    tracer = Tracer()
-    executor = _make_executor(args, tracer=tracer)
-    try:
-        responses = run_batch_lines(lines, executor)
-    finally:
-        executor.close()
-    traces = _write_traces(tracer, args.out, args.format)
-    errors = sum(1 for r in responses if r.verdict == "ERROR")
-    print(
-        f"trace[{executor.mode}]: {len(responses)} response(s), "
-        f"{errors} error(s); wrote {traces} trace(s) to {args.out}",
         file=sys.stderr,
     )
     return 1 if errors else 0
@@ -559,34 +460,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(fn=cmd_info)
 
+    def add_realizer(p, fields, lines) -> None:
+        # ``fields(args)`` gives the subcommand's request fields; ``lines``
+        # are the verdict lines for an ok and a not-ok response.
+        p.add_argument(
+            "--sort-fidelity", choices=("full", "charged"), default="full",
+            help="full = sort round by round (the paper's costs; the "
+            "default here), charged = charge sorting's rounds without "
+            "simulating them (the service's default)",
+        )
+        add_engine(p)
+        p.set_defaults(fn=cmd_realizer, fields=fields, lines=lines)
+
     p = sub.add_parser("realize", help="degree-sequence realization")
     p.add_argument("--degrees", required=True, help="comma-separated degrees")
     p.add_argument("--explicit", action="store_true")
     p.add_argument("--envelope", action="store_true")
-    p.add_argument("--fast", action="store_true", help="charged-mode sorting")
-    add_engine(p)
-    p.set_defaults(fn=cmd_realize)
+    add_realizer(p, lambda a: dict(
+        kind="degree_envelope" if a.envelope
+        else "degree_explicit" if a.explicit else "degree_implicit",
+        degrees=_parse_ints(a.degrees), explicit_envelope=a.explicit,
+    ), ("REALIZED: {num_edges} edges in {phases} phases ({explicitness})",
+        "UNREALIZABLE (announced by {announced_by} node(s))"))
 
     p = sub.add_parser("tree", help="tree realization")
     p.add_argument("--degrees", required=True)
     p.add_argument("--variant", choices=("min", "max"), default="min")
-    p.add_argument("--fast", action="store_true")
-    add_engine(p)
-    p.set_defaults(fn=cmd_tree)
+    add_realizer(p, lambda a: dict(
+        kind="tree", degrees=_parse_ints(a.degrees), tree_variant=a.variant,
+    ), ("REALIZED tree: {num_edges} edges, diameter {diameter} ({variant})",
+        "UNREALIZABLE as a tree (need sum d = 2(n-1), all d >= 1)"))
 
     p = sub.add_parser("connectivity", help="connectivity thresholds")
     p.add_argument("--rho", required=True, help="comma-separated thresholds")
     p.add_argument("--model", choices=("ncc0", "ncc1"), default="ncc0")
-    p.add_argument("--fast", action="store_true")
-    add_engine(p)
-    p.set_defaults(fn=cmd_connectivity)
+    add_realizer(p, lambda a: dict(
+        kind="connectivity", degrees=_parse_ints(a.rho), model=a.model,
+    ), ("REALIZED: {num_edges} edges (lower bound {lower_bound_edges}, "
+        "ratio {approximation_ratio:.2f} <= 2, {explicitness})", None))
 
     p = sub.add_parser("approx", help="Õ(1) approximate realization")
     p.add_argument("--degrees", required=True)
     p.add_argument("--repairs", type=int, default=0)
-    p.add_argument("--fast", action="store_true")
-    add_engine(p)
-    p.set_defaults(fn=cmd_approx)
+    add_realizer(p, lambda a: dict(
+        kind="approximate", degrees=_parse_ints(a.degrees), repairs=a.repairs,
+    ), ("APPROXIMATED: {num_edges} edges, L1 shortfall {l1_error} "
+        "({relative_error:.1%} of demand), {self_pairs} self-pairs, "
+        "{duplicate_pairs} duplicate pairs dropped", None))
 
     p = sub.add_parser("scenarios", help="list named workload scenarios")
     p.set_defaults(fn=cmd_scenarios)
@@ -609,91 +529,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_batch)
 
-    def add_serve_args(p) -> None:
-        # Shared between `serve` and `supervise` (the supervisor rebuilds
-        # the child's `serve` argv from this same namespace).
-        p.add_argument(
-            "--mode",
-            choices=_MODES,
-            default="sequential",
-            help="where cache misses run: sequential = one at a time on "
-            "the in-process lane, processes = across --workers worker "
-            "processes.  Both stream: each line is submitted as it is "
-            "read and responses are emitted, in input order, as they "
-            "complete",
-        )
-        p.add_argument(
-            "--workers", type=int, default=4,
-            help="worker processes for --mode processes (default %(default)s)",
-        )
-        p.add_argument(
-            "--host", default="127.0.0.1",
-            help="bind address for the socket server (with --port)",
-        )
-        p.add_argument(
-            "--port", type=int, default=None,
-            help="serve JSONL over TCP on this port instead of stdin/stdout "
-            "(0 = ephemeral; the bound address is printed to stderr)",
-        )
-        p.add_argument(
-            "--window", type=int, default=None,
-            help="in-flight backpressure window (>= 1; default "
-            "%(default)s -> module default): the stdio streaming path "
-            "blocks its reader at the window, the socket server rejects "
-            "with error_code=ADMISSION_REJECTED",
-        )
-        p.add_argument(
-            "--hang-timeout", type=float, default=None,
-            help="processes mode: kill and replace a worker whose request "
-            "runs longer than this many seconds even without a deadline_ms "
-            "(typed WORKER_TIMEOUT; default: off, deadlines still enforced)",
-        )
-        p.add_argument(
-            "--trace-out", default=None, metavar="PATH",
-            help="enable request-scoped tracing and write the collected "
-            "traces to PATH at shutdown (--trace-format selects the format)",
-        )
-        p.add_argument(
-            "--trace-format", choices=("chrome", "jsonl"), default="chrome",
-            help="trace file format for --trace-out: Chrome trace_event JSON "
-            "(load in chrome://tracing / Perfetto) or one span tree per "
-            "line (default %(default)s)",
-        )
-        p.add_argument(
-            "--metrics-port", type=int, default=None, metavar="PORT",
-            help="also expose the Prometheus text exposition on "
-            "http://127.0.0.1:PORT/metrics (0 = ephemeral; the bound "
-            "address is printed to stderr).  On --port connections the "
-            "same text is also available in-band via a "
-            "{\"kind\": \"metrics\"} request line",
-        )
-        p.add_argument(
-            "--journal", default=None, metavar="PATH",
-            help="write-ahead request journal: every admission and "
-            "completion is logged (CRC-checked) so a crash-restarted "
-            "server recovers in-flight work and answers duplicate "
-            "idempotency_key submissions exactly once",
-        )
-        p.add_argument(
-            "--fsync", choices=("never", "batch", "always"), default="batch",
-            help="journal fsync policy (default %(default)s): never = OS "
-            "flush only, batch = fsync every 32 records plus barriers, "
-            "always = fsync per record.  SIGKILL loses nothing at any "
-            "policy; the policy only bounds the power-loss window",
-        )
-        p.add_argument(
-            "--max-restarts", type=int, default=5,
-            help="supervision: give up after this many crash respawns "
-            "(default %(default)s; seeded exponential backoff between "
-            "respawns)",
-        )
-
     p = sub.add_parser(
         "serve",
         help="long-lived JSONL service on stdin/stdout (default) or, "
         "with --port, a multi-client TCP socket server",
     )
-    add_serve_args(p)
+    p.add_argument(
+        "--mode",
+        choices=_MODES,
+        default="sequential",
+        help="where cache misses run: sequential = one at a time on "
+        "the in-process lane, processes = across --workers worker "
+        "processes.  Both stream: each line is submitted as it is "
+        "read and responses are emitted, in input order, as they "
+        "complete",
+    )
+    p.add_argument(
+        "--workers", type=int, default=4,
+        help="worker processes for --mode processes (default %(default)s)",
+    )
+    p.add_argument(
+        "--host", default="127.0.0.1",
+        help="bind address for the socket server (with --port)",
+    )
+    p.add_argument(
+        "--port", type=int, default=None,
+        help="serve JSONL over TCP on this port instead of stdin/stdout "
+        "(0 = ephemeral; the bound address is printed to stderr)",
+    )
+    p.add_argument(
+        "--window", type=int, default=None,
+        help="in-flight backpressure window (>= 1; default "
+        "%(default)s -> module default): the stdio streaming path "
+        "blocks its reader at the window, the socket server rejects "
+        "with error_code=ADMISSION_REJECTED",
+    )
+    p.add_argument(
+        "--hang-timeout", type=float, default=None,
+        help="processes mode: kill and replace a worker whose request "
+        "runs longer than this many seconds even without a deadline_ms "
+        "(typed WORKER_TIMEOUT; default: off, deadlines still enforced)",
+    )
+    p.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="enable request-scoped tracing and write the collected "
+        "traces to PATH at shutdown (--trace-format selects the format)",
+    )
+    p.add_argument(
+        "--trace-format", choices=("chrome", "jsonl"), default="chrome",
+        help="trace file format for --trace-out: Chrome trace_event JSON "
+        "(load in chrome://tracing / Perfetto) or one span tree per "
+        "line (default %(default)s)",
+    )
+    p.add_argument(
+        "--metrics-port", type=int, default=None, metavar="PORT",
+        help="also expose the Prometheus text exposition on "
+        "http://127.0.0.1:PORT/metrics (0 = ephemeral; the bound "
+        "address is printed to stderr).  On --port connections the "
+        "same text is also available in-band via a "
+        "{\"kind\": \"metrics\"} request line",
+    )
+    p.add_argument(
+        "--journal", default=None, metavar="PATH",
+        help="write-ahead request journal: every admission and "
+        "completion is logged (CRC-checked) so a crash-restarted "
+        "server recovers in-flight work and answers duplicate "
+        "idempotency_key submissions exactly once",
+    )
+    p.add_argument(
+        "--fsync", choices=("never", "batch", "always"), default="batch",
+        help="journal fsync policy (default %(default)s): never = OS "
+        "flush only, batch = fsync every 32 records plus barriers, "
+        "always = fsync per record.  SIGKILL loses nothing at any "
+        "policy; the policy only bounds the power-loss window",
+    )
+    p.add_argument(
+        "--max-restarts", type=int, default=5,
+        help="supervision: give up after this many crash respawns "
+        "(default %(default)s; seeded exponential backoff between "
+        "respawns)",
+    )
     p.add_argument(
         "--supervise", action="store_true",
         help="run the server as a supervised child process (requires "
@@ -701,41 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and with --journal the restart recovers in-flight requests",
     )
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "supervise",
-        help="run `serve --port N` under the crash-restart supervisor "
-        "(same as `serve --supervise`; requires --port)",
-    )
-    add_serve_args(p)
-    p.set_defaults(fn=cmd_supervise)
-
-    p = sub.add_parser(
-        "trace",
-        help="drain a JSONL request batch with tracing enabled and "
-        "write the span trees (file path or '-' for stdin)",
-    )
-    p.add_argument("path", help="JSONL file with one request object per line")
-    p.add_argument(
-        "--out", required=True, metavar="PATH", help="trace output file"
-    )
-    p.add_argument(
-        "--format", choices=("chrome", "jsonl"), default="chrome",
-        help="Chrome trace_event JSON or one span tree per line "
-        "(default %(default)s)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=_MODES,
-        default="sequential",
-        help="drain strategy (processes: worker-side spans ship back "
-        "over the wire and reassemble under each request's trace)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="worker processes for --mode processes (default %(default)s)",
-    )
-    p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("profile", help="profile a workload under cProfile")
     p.add_argument(

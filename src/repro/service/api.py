@@ -12,29 +12,139 @@ A :class:`RealizationResponse` carries the verdict, the realized edge
 count, the full round/message meters, and per-kind detail.  Both
 envelopes round-trip through plain JSON dicts (``to_dict``/``from_dict``)
 so the CLI front ends can speak JSONL.
+
+Each kind is defined once, in :data:`KIND_TABLE`: the realizer it runs,
+its verdict rule and ``detail`` keys, and the request options it reads.
+NCC1 connectivity has its own row, :data:`NCC1_CONNECTIVITY`, chosen by
+:meth:`RealizationRequest.row`.  The executor, the cache key, the NCC
+config and the CLI all read the row instead of testing the kind.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.core import (
+    approximate_degree_realization,
+    realize_connectivity_ncc0,
+    realize_connectivity_ncc1,
+    realize_degree_sequence,
+    realize_degree_sequence_explicit,
+    realize_envelope,
+    realize_tree,
+)
 from repro.ncc import wire
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.engine import engine_names
 
+
+@dataclass(frozen=True)
+class KindRow:
+    """One row of the kind table.
+
+    ``realize(net, demands, request)`` runs the paper's realizer;
+    ``verdict(result)`` and ``detail(result, request)`` make the
+    response's verdict and ``detail`` mapping; ``options`` names the
+    request fields the row reads, which alone enter its cache key.
+    """
+
+    realize: Callable[..., Any]
+    verdict: Callable[[Any], str]
+    detail: Callable[[Any, Any], Dict[str, Any]]
+    options: Tuple[str, ...]
+    variant: Variant = Variant.NCC0
+    #: ``options``' values on a request: the row's cache-key component.
+    read: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "read", attrgetter(*self.options))
+
+
+def _announced(result) -> str:
+    return "REALIZED" if result.realized else "UNREALIZABLE"
+
+
+def _degree_detail(result, request) -> Dict[str, Any]:
+    return {
+        "phases": result.phases,
+        "explicit": result.explicit,
+        "announced_by": len(result.announced_unrealizable_by),
+    }
+
+
+def _connectivity_detail(result, request) -> Dict[str, Any]:
+    return {
+        "lower_bound_edges": result.lower_bound_edges,
+        "approximation_ratio": round(result.approximation_ratio, 4),
+        "explicit": result.explicit,
+    }
+
+
 #: The workload kinds the service accepts, mapping 1:1 onto the paper's
-#: realizers (Theorems 11/12/13, 14/16, 17/18, and the Õ(1) approximate
-#: realizer).
-KINDS = (
-    "degree_implicit",
-    "degree_explicit",
-    "degree_envelope",
-    "tree",
-    "connectivity",
-    "approximate",
+#: realizers (Theorems 11/12/13, 14/16, 18, and the Õ(1) approximate
+#: realizer of Augustine et al., arXiv 2002.05376).
+KIND_TABLE: Dict[str, KindRow] = {
+    "degree_implicit": KindRow(
+        lambda net, demands, r: realize_degree_sequence(
+            net, demands, sort_fidelity=r.sort_fidelity
+        ),
+        _announced, _degree_detail, ("sort_fidelity",),
+    ),
+    "degree_explicit": KindRow(
+        lambda net, demands, r: realize_degree_sequence_explicit(
+            net, demands, sort_fidelity=r.sort_fidelity
+        ),
+        _announced, _degree_detail, ("sort_fidelity",),
+    ),
+    "degree_envelope": KindRow(
+        lambda net, demands, r: realize_envelope(
+            net, demands, explicit=r.explicit_envelope,
+            sort_fidelity=r.sort_fidelity,
+        ),
+        _announced, _degree_detail, ("sort_fidelity", "explicit_envelope"),
+    ),
+    "tree": KindRow(
+        lambda net, demands, r: realize_tree(
+            net, demands, variant=r.tree_variant, sort_fidelity=r.sort_fidelity
+        ),
+        _announced,
+        lambda result, r: {"diameter": result.diameter, "variant": r.tree_variant},
+        ("sort_fidelity", "tree_variant"),
+    ),
+    "connectivity": KindRow(
+        lambda net, demands, r: realize_connectivity_ncc0(
+            net, demands, sort_fidelity=r.sort_fidelity
+        ),
+        lambda result: "REALIZED", _connectivity_detail,
+        ("sort_fidelity", "model"),
+    ),
+    "approximate": KindRow(
+        lambda net, demands, r: approximate_degree_realization(
+            net, demands, sort_fidelity=r.sort_fidelity, repair_rounds=r.repairs
+        ),
+        lambda result: "APPROXIMATED",
+        lambda result, r: {
+            "l1_error": result.l1_error,
+            "relative_error": round(result.relative_error, 6),
+            "self_pairs": result.self_pairs,
+            "duplicate_pairs": result.duplicate_pairs,
+        },
+        ("sort_fidelity", "repairs"),
+    ),
+}
+
+#: Theorem 17: connectivity on NCC1, the row a ``connectivity`` request
+#: with ``model="ncc1"`` runs.  Its realizer takes no sorting knob.
+NCC1_CONNECTIVITY = KindRow(
+    lambda net, demands, r: realize_connectivity_ncc1(net, demands),
+    lambda result: "REALIZED", _connectivity_detail, ("model",),
+    variant=Variant.NCC1,
 )
+
+KINDS = tuple(KIND_TABLE)
 
 _TREE_VARIANTS = {
     "min": "min_diameter",
@@ -164,10 +274,12 @@ class RealizationRequest:
         ):
             raise ServiceError(f"'n' must be an integer, got {self.n!r}")
         if self.degrees is not None and any(
-            not isinstance(d, int) or isinstance(d, bool) for d in self.degrees
+            not isinstance(d, int) or isinstance(d, bool) or d < 0
+            for d in self.degrees
         ):
             raise ServiceError(
-                f"'degrees' must contain integers only: {self.degrees!r}"
+                f"'degrees' must contain non-negative integers only: "
+                f"{self.degrees!r}"
             )
         try:
             params_map = dict(self.params)
@@ -176,7 +288,7 @@ class RealizationRequest:
                 f"'params' must be (name, value) pairs: {self.params!r}"
             ) from None
         _params_key(params_map)
-        if self.kind not in KINDS:
+        if self.kind not in KIND_TABLE:
             raise ServiceError(
                 f"unknown kind {self.kind!r}; expected one of {sorted(KINDS)}"
             )
@@ -218,11 +330,13 @@ class RealizationRequest:
                 "'idempotency_key' must be a non-empty string, got "
                 f"{self.idempotency_key!r}"
             )
+        # Every option is checked on every kind, whether or not its row
+        # reads it.
         if self.sort_fidelity not in ("full", "charged"):
             raise ServiceError(f"unknown sort_fidelity {self.sort_fidelity!r}")
-        if self.kind == "tree" and self.tree_variant not in _TREE_VARIANTS:
+        if self.tree_variant not in _TREE_VARIANTS:
             raise ServiceError(f"unknown tree_variant {self.tree_variant!r}")
-        if self.kind == "connectivity" and self.model not in ("ncc0", "ncc1"):
+        if self.model not in ("ncc0", "ncc1"):
             raise ServiceError(f"unknown connectivity model {self.model!r}")
         if self.repairs < 0:
             raise ServiceError("'repairs' must be >= 0")
@@ -237,14 +351,21 @@ class RealizationRequest:
         assert self.n is not None
         return self.n
 
+    def row(self) -> KindRow:
+        """This request's row of the kind table: the one place NCC1
+        connectivity is told apart from its kind's NCC0 row."""
+        if self.model == "ncc1" and self.kind == "connectivity":
+            return NCC1_CONNECTIVITY
+        return KIND_TABLE[self.kind]
+
     def config(self) -> NCCConfig:
         """The :class:`NCCConfig` (and pool key half) for this request."""
-        ncc1 = self.kind == "connectivity" and self.model == "ncc1"
+        variant = self.row().variant
         return NCCConfig(
             seed=self.seed,
             engine=self.engine,
-            variant=Variant.NCC1 if ncc1 else Variant.NCC0,
-            random_ids=not ncc1,
+            variant=variant,
+            random_ids=variant is not Variant.NCC1,
         )
 
     def cache_key(self) -> tuple:
@@ -252,22 +373,14 @@ class RealizationRequest:
         deterministic computations ⇒ shareable responses.  Left out or
         ``None``: identity (``request_id``), ``deadline_ms`` (it bounds
         *when* an answer arrives, never *what* it is), ``idempotency_key``
-        (it names the submission, not the computation), options the kind
-        ignores (a stray ``repairs=3`` must not split a tree request's
-        entry), NCC1's ``sort_fidelity`` (that realizer takes no sorting
-        knob) and ``params`` without a scenario."""
-        kind = self.kind
-        ncc1 = kind == "connectivity" and self.model == "ncc1"
+        (it names the submission, not the computation), options the
+        request's row does not read (a stray ``repairs=3`` must not split
+        a tree request's entry) and ``params`` without a scenario."""
         return (
-            kind, self.degrees, self.scenario,
+            self.kind, self.degrees, self.scenario,
             self.params if self.scenario is not None else None,
-            self.n, self.seed, self.engine,
-            None if ncc1 else self.sort_fidelity,
-            self.tree_variant if kind == "tree" else None,
-            self.model if kind == "connectivity" else None,
-            self.repairs if kind == "approximate" else None,
-            self.explicit_envelope if kind == "degree_envelope" else None,
-            self.max_rounds,
+            self.n, self.seed, self.engine, self.max_rounds,
+            self.row().read(self),
         )
 
     # ---------------------------------------------------------------- #

@@ -1,8 +1,11 @@
 """The batch executor: drain realization requests across a warm pool.
 
 ``run_request`` is the stateless core — one request, one network, one
-realizer dispatch, one response.  :class:`BatchExecutor` wraps it with
-the warm-path layers a long-lived service wants:
+realizer call, one response.  What each kind runs, and what its verdict
+and ``detail`` say, is the request's row of the kind table in
+:mod:`repro.service.api`; nothing here tests the kind.
+:class:`BatchExecutor` wraps it with the warm-path layers a long-lived
+service wants:
 
 * a :class:`~repro.service.pool.NetworkPool` so requests lease warm
   networks instead of constructing them;
@@ -204,77 +207,10 @@ def _run_request(
             deadline = net.clock() + request.deadline_ms / 1000.0
         if deadline is not None:
             net.set_wall_deadline(deadline)
-        detail: Dict[str, Any] = {}
-        kind = request.kind
-
-        if kind in ("degree_implicit", "degree_explicit", "degree_envelope"):
-            from repro.core.degree_realization import realize_degree_sequence
-            from repro.core.envelope import realize_envelope
-            from repro.core.explicit import realize_degree_sequence_explicit
-
-            if kind == "degree_implicit":
-                result = realize_degree_sequence(
-                    net, demands, sort_fidelity=request.sort_fidelity
-                )
-            elif kind == "degree_explicit":
-                result = realize_degree_sequence_explicit(
-                    net, demands, sort_fidelity=request.sort_fidelity
-                )
-            else:
-                result = realize_envelope(
-                    net,
-                    demands,
-                    explicit=request.explicit_envelope,
-                    sort_fidelity=request.sort_fidelity,
-                )
-            verdict = "REALIZED" if result.realized else "UNREALIZABLE"
-            detail["phases"] = result.phases
-            detail["explicit"] = result.explicit
-            detail["announced_by"] = len(result.announced_unrealizable_by)
-        elif kind == "tree":
-            from repro.core.tree_realization import realize_tree
-
-            result = realize_tree(
-                net,
-                demands,
-                variant=request.tree_variant,
-                sort_fidelity=request.sort_fidelity,
-            )
-            verdict = "REALIZED" if result.realized else "UNREALIZABLE"
-            detail["diameter"] = result.diameter
-            detail["variant"] = request.tree_variant
-        elif kind == "connectivity":
-            from repro.core.connectivity import (
-                realize_connectivity_ncc0,
-                realize_connectivity_ncc1,
-            )
-
-            if request.model == "ncc1":
-                result = realize_connectivity_ncc1(net, demands)
-            else:
-                result = realize_connectivity_ncc0(
-                    net, demands, sort_fidelity=request.sort_fidelity
-                )
-            verdict = "REALIZED"
-            detail["lower_bound_edges"] = result.lower_bound_edges
-            detail["approximation_ratio"] = round(result.approximation_ratio, 4)
-            detail["explicit"] = result.explicit
-        elif kind == "approximate":
-            from repro.core.approximate import approximate_degree_realization
-
-            result = approximate_degree_realization(
-                net,
-                demands,
-                sort_fidelity=request.sort_fidelity,
-                repair_rounds=request.repairs,
-            )
-            verdict = "APPROXIMATED"
-            detail["l1_error"] = result.l1_error
-            detail["relative_error"] = round(result.relative_error, 6)
-            detail["self_pairs"] = result.self_pairs
-            detail["duplicate_pairs"] = result.duplicate_pairs
-        else:  # pragma: no cover - request.validate() forbids this
-            raise ServiceError(f"unknown kind {kind!r}")
+        row = request.row()
+        result = row.realize(net, demands, request)
+        verdict = row.verdict(result)
+        detail = row.detail(result, request)
     except RoundBudgetExceeded as exc:
         return error_response(
             request.request_id, request.kind, str(exc), code="BUDGET_EXCEEDED"
@@ -284,8 +220,7 @@ def _run_request(
             request.request_id, request.kind, str(exc), code="DEADLINE_EXCEEDED"
         )
     except Exception as exc:
-        response = error_response(request.request_id, request.kind, str(exc))
-        return response
+        return error_response(request.request_id, request.kind, str(exc))
 
     stats = result.stats
     return RealizationResponse(

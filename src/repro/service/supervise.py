@@ -1,8 +1,7 @@
 """Crash-restart supervisor for the socket serve front end.
 
-``python -m repro serve --supervise`` (or the ``supervise`` subcommand)
-runs the actual server as a *child process* and respawns it when it
-dies abnormally — SIGKILL, SIGSEGV, an uncaught crash — with bounded,
+``python -m repro serve --supervise`` runs the actual server as a
+*child process* and respawns it when it dies abnormally — SIGKILL, SIGSEGV, an uncaught crash — with bounded,
 seeded backoff (:class:`repro.service.robustness.RetryPolicy`, the same
 deterministic jitter the in-process retry machinery uses).  Composed
 with the write-ahead journal (``--journal``) this closes the

@@ -4,6 +4,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+CHARGED = ["--sort-fidelity", "charged"]
+
 
 class TestCLI:
     def test_info(self, capsys):
@@ -43,7 +45,7 @@ class TestCLI:
         assert main(["tree", "--degrees", "2,2,2"]) == 1
 
     def test_connectivity_ncc0(self, capsys):
-        assert main(["connectivity", "--rho", "2,2,1,1,1,1", "--fast"]) == 0
+        assert main(["connectivity", "--rho", "2,2,1,1,1,1", *CHARGED]) == 0
         out = capsys.readouterr().out
         assert "ratio" in out and "explicit" in out
 
@@ -53,7 +55,7 @@ class TestCLI:
         assert "implicit" in out
 
     def test_approx(self, capsys):
-        assert main(["approx", "--degrees", "4,4,4,4,4,4,4,4", "--fast"]) == 0
+        assert main(["approx", "--degrees", "4,4,4,4,4,4,4,4", *CHARGED]) == 0
         out = capsys.readouterr().out
         assert "APPROXIMATED" in out
 
@@ -70,30 +72,30 @@ class TestCLI:
             main(["tree", "--degrees", ",, ,"])
 
     def test_seed_flag(self, capsys):
-        assert main(["--seed", "7", "realize", "--degrees", "2,2,2,2", "--fast"]) == 0
+        assert main(["--seed", "7", "realize", "--degrees", "2,2,2,2", *CHARGED]) == 0
 
     def test_engine_flag_selects_engine(self, capsys):
-        assert main(["realize", "--degrees", "2,2,2,2", "--fast",
+        assert main(["realize", "--degrees", "2,2,2,2", *CHARGED,
                      "--engine", "reference"]) == 0
         reference_out = capsys.readouterr().out
-        assert main(["realize", "--degrees", "2,2,2,2", "--fast",
+        assert main(["realize", "--degrees", "2,2,2,2", *CHARGED,
                      "--engine", "fast"]) == 0
         fast_out = capsys.readouterr().out
         # Bit-identical engines: the printed costs must agree.
         assert reference_out == fast_out
 
     def test_engine_flag_on_tree_and_connectivity(self, capsys):
-        assert main(["tree", "--degrees", "3,2,2,1,1,1,2", "--fast",
+        assert main(["tree", "--degrees", "3,2,2,1,1,1,2", *CHARGED,
                      "--engine", "reference"]) == 0
-        assert main(["connectivity", "--rho", "2,2,1,1,1,1", "--fast",
+        assert main(["connectivity", "--rho", "2,2,1,1,1,1", *CHARGED,
                      "--engine", "reference"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["tree", "--degrees", "3,2,2,1,1,1,2"],
-            ["connectivity", "--rho", "2,2,1,1,1,1", "--fast"],
-            ["approx", "--degrees", "3,3,2,2,2,2", "--fast"],
+            ["connectivity", "--rho", "2,2,1,1,1,1", *CHARGED],
+            ["approx", "--degrees", "3,3,2,2,2,2", *CHARGED],
         ],
         ids=lambda argv: argv[0],
     )
@@ -106,22 +108,75 @@ class TestCLI:
         assert "rounds" in outputs["fast"]
 
 
-#: Flags the service subcommands do not take: the CLI's executor always
-#: pools networks and caches responses, and the socket server's
-#: shutdown bounds are module constants.
+class TestRealizerRequests:
+    """The realizer subcommands build a service request and print its
+    response: the flags map onto request fields, and the exit code is 0
+    exactly when the response is ok."""
+
+    def test_envelope_explicit_prints_the_explicit_envelope(self, capsys):
+        argv = ["realize", "--degrees", "4,4,4,4,0", "--envelope", "--explicit"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "REALIZED: 10 edges in 5 phases (explicit)\n"
+            "cost: 436 rounds (436 simulated + 0 charged), 747 messages\n"
+            "  phase breakdown: index=75, sort=291, stars=9\n"
+        )
+
+    def test_envelope_without_explicit_runs_the_implicit_envelope(self, capsys):
+        assert main(["realize", "--degrees", "4,4,4,4,0", "--envelope"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "REALIZED: 10 edges in 5 phases (implicit)"
+        assert lines[1] == (
+            "cost: 414 rounds (414 simulated + 0 charged), 687 messages"
+        )
+
+    def test_sort_fidelity_defaults_to_full(self, capsys):
+        argv = ["tree", "--degrees", "3,2,2,1,1,1,2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--sort-fidelity", "full"]) == 0
+        assert capsys.readouterr().out == default
+        assert main([*argv, *CHARGED]) == 0
+        charged = capsys.readouterr().out
+        assert "+ 0 charged" in default and "+ 0 charged" not in charged
+
+    def test_infeasible_input_prints_one_error_line(self, capsys):
+        assert main(["connectivity", "--rho", "5,5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "ERROR: threshold rho=5 at node 7 is infeasible\n"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["realize", "--degrees=-1,1"],
+        ["realize", "--degrees=-1,1", "--explicit"],
+        ["realize", "--degrees=-1,1", "--envelope"],
+        ["tree", "--degrees=-1,3,1,1"],
+        ["connectivity", "--rho=1,-1"],
+        ["connectivity", "--rho=1,-1", "--model", "ncc1"],
+        ["approx", "--degrees=2,-2"],
+    ], ids=" ".join)
+    def test_negative_entries_are_rejected_before_any_run(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR: 'degrees' must contain non-negative")
+        assert out.count("\n") == 1
+
+
+#: Flags the CLI does not take: the service subcommands' executor always
+#: pools networks and caches responses, the socket server's shutdown
+#: bounds are module constants, and ``--sort-fidelity charged`` replaced
+#: the realizer subcommands' ``--fast``.
 REMOVED_FLAGS = [
     ["batch", "-", "--no-pool"],
     ["batch", "-", "--no-cache"],
-    ["trace", "-", "--out", "t.json", "--no-pool"],
-    ["trace", "-", "--out", "t.json", "--no-cache"],
     ["serve", "--no-pool"],
     ["serve", "--no-cache"],
     ["serve", "--emit-timeout", "5"],
     ["serve", "--close-timeout", "5"],
-    ["supervise", "--port", "0", "--no-pool"],
-    ["supervise", "--port", "0", "--no-cache"],
-    ["supervise", "--port", "0", "--emit-timeout", "5"],
-    ["supervise", "--port", "0", "--close-timeout", "5"],
+    ["realize", "--degrees", "2,2", "--fast"],
+    ["tree", "--degrees", "1,1", "--fast"],
+    ["connectivity", "--rho", "1,1", "--fast"],
+    ["approx", "--degrees", "1,1", "--fast"],
 ]
 
 
@@ -252,6 +307,60 @@ class TestServiceCLI:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["supervise", "--port", "0"],
+        ["trace", "-", "--out", "t.json"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_commands_are_unknown(self, argv, capsys):
+        """``serve --supervise`` and ``serve --trace-out`` replace them."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["sequential", "processes"])
+    def test_serve_trace_out_writes_one_tree_per_request(
+        self, mode, tmp_path, capsys, monkeypatch
+    ):
+        """Two distinct misses and a repeat: each miss's tree holds its
+        lease and its run's rounds, and the repeat, answered from the
+        first, is a bare root."""
+        import io
+        import json
+        import sys as _sys
+
+        lines = [
+            '{"request_id": "m1", "kind": "tree", "degrees": [3, 2, 2, 1, 1, 1]}',
+            '{"request_id": "m2", "kind": "degree_implicit",'
+            ' "degrees": [3, 3, 2, 2, 2]}',
+            '{"request_id": "r1", "kind": "tree", "degrees": [3, 2, 2, 1, 1, 1]}',
+        ]
+        monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        path = tmp_path / "trace.jsonl"
+        argv = ["serve", "--mode", mode, "--workers", "2",
+                "--trace-out", str(path), "--trace-format", "jsonl"]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["request_id"] for row in rows] == ["m1", "m2", "r1"]
+        trees = {}
+        for line in path.read_text().splitlines():
+            root = json.loads(line)
+            assert root["name"] == "request"
+            trees[root["tags"]["request_id"]] = root
+        assert sorted(trees) == ["m1", "m2", "r1"]
+
+        def walk(span):
+            yield span
+            for child in span.get("children", ()):
+                yield from walk(child)
+
+        for rid in ("m1", "m2"):
+            spans = {span["name"]: span for span in walk(trees[rid])}
+            assert "pool.lease" in spans
+            assert [c["name"] for c in spans["run"]["children"]] == ["rounds"]
+            assert ("worker" in spans) == (mode == "processes")
+        assert [span["name"] for span in walk(trees["r1"])] == ["request"]
 
     def test_profile_legacy_aliases(self, capsys):
         assert main(["profile", "realize", "--n", "12", "--top", "3"]) == 0

@@ -97,11 +97,38 @@ class TestRequestEnvelope:
             ({"kind": "connectivity", "rho": [1, 1], "model": "ncc9"}, "model"),
             ({"kind": "tree", "degrees": [1, 1], "wat": 1}, "unknown request field"),
             ({"kind": "tree", "degrees": ["x"]}, "integers"),
+            # Negative entries, one per kind, fail at parse time.
+            ({"kind": "degree_implicit", "degrees": [1, -1]}, "non-negative"),
+            ({"kind": "degree_explicit", "degrees": [-2, 1, 1]}, "non-negative"),
+            ({"kind": "degree_envelope", "degrees": [2, -1, 1]}, "non-negative"),
+            ({"kind": "tree", "degrees": [-1, 3, 1, 1]}, "non-negative"),
+            ({"kind": "connectivity", "rho": [1, -1]}, "non-negative"),
+            ({"kind": "connectivity", "rho": [1, -1], "model": "ncc1"},
+             "non-negative"),
+            ({"kind": "approximate", "degrees": [2, -2]}, "non-negative"),
+            # Every option is checked on every kind.
+            ({"kind": "degree_implicit", "degrees": [1, 1], "model": "ncc9"},
+             "model"),
+            ({"kind": "connectivity", "rho": [1, 1], "tree_variant": "bushy"},
+             "tree_variant"),
         ],
     )
     def test_validation_errors(self, payload, fragment):
         with pytest.raises(ServiceError, match=fragment):
             RealizationRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_entries_never_lease_a_network(self, kind):
+        executor = BatchExecutor(pool=NetworkPool())
+        try:
+            response = executor.handle_dict(
+                {"request_id": "neg", "kind": kind, "degrees": [2, -1, 1]}
+            )
+            leases = executor.stats()["pool"]["leases"]
+        finally:
+            executor.close()
+        assert response.verdict == "ERROR" and "non-negative" in response.error
+        assert leases == 0
 
     @pytest.mark.parametrize(
         "payload,fragment",

@@ -410,8 +410,6 @@ class TestModeSurface:
     @pytest.mark.parametrize("command", [
         ["batch", "-"],
         ["serve"],
-        ["supervise", "--port", "0"],
-        ["trace", "-", "--out", "unused.json"],
     ], ids=lambda command: command[0])
     def test_cli_rejects_threads_mode(self, command, capsys):
         from repro.__main__ import build_parser

@@ -999,8 +999,8 @@ class TestKillNineIntegration:
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
         journal_path = str(tmp_path / "journal.bin")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "supervise", "--port", "0",
-             "--journal", journal_path, "--fsync", "batch",
+            [sys.executable, "-m", "repro", "serve", "--supervise",
+             "--port", "0", "--journal", journal_path, "--fsync", "batch",
              "--max-restarts", "3"],
             stderr=subprocess.PIPE, text=True, env=env, cwd=str(tmp_path),
         )
