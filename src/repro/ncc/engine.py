@@ -88,7 +88,7 @@ class ReferenceEngine:
     def deliver(self, plan: "RoundPlan") -> Inboxes:
         """Validate, enforce and deliver one round, message by message."""
         net = self.net
-        # Phase observer: only when this engine is the network's own
+        # Round observer: only when this engine is the network's own
         # (a violation replay inside fast reports through the wrapping
         # engine instead, so each round is observed once).
         observer = net.round_observer if net.engine is self else None
@@ -141,11 +141,10 @@ class ReferenceEngine:
         net.simulated_rounds += 1
         load = max((len(v) for v in inboxes.values()), default=0)
         net.max_round_load = max(net.max_round_load, load)
-        for tracer in net.tracers:
-            tracer(net.rounds, inboxes)
         if observer is not None:
             observer(
                 net.rounds,
+                inboxes,
                 {"validate": t1 - t0, "deliver": perf_counter() - t1},
                 load,
                 net.pending_deferred(),
@@ -360,25 +359,24 @@ class FastEngine:
             # Replay through the reference loop: it raises the exact
             # exception (or, if the batch check over-approximated,
             # returns the exact result) with reference-identical state.
-            # The observer sees the replay as a ``fallback`` phase; the
-            # reference engine stays silent here (it only reports when
-            # it is the network's own engine).
+            # A replay that delivers is observed once, as a ``fallback``
+            # phase; the reference engine stays silent here (it only
+            # reports when it is the network's own engine).
             try:
-                return self._reference.deliver(plan)
+                inboxes = self._reference.deliver(plan)
             finally:
                 self._spill_pending = {
                     v for v, q in net._deferred.items() if q
                 }
-                if observer is not None:
-                    observer(
-                        net.rounds,
-                        {
-                            "validate": t1 - t0,
-                            "fallback": perf_counter() - t1,
-                        },
-                        biggest,
-                        net.pending_deferred(),
-                    )
+            if observer is not None:
+                observer(
+                    net.rounds,
+                    inboxes,
+                    {"validate": t1 - t0, "fallback": perf_counter() - t1},
+                    biggest,
+                    net.pending_deferred(),
+                )
+            return inboxes
 
         # Pass 2 — deliver.  No model constraint can fail from here on.
         messages_delivered = len(sends)
@@ -482,12 +480,10 @@ class FastEngine:
         net.simulated_rounds += 1
         if max_load > net.max_round_load:
             net.max_round_load = max_load
-        if net.tracers:
-            for tracer in net.tracers:
-                tracer(net.rounds, inboxes)
         if observer is not None:
             observer(
                 net.rounds,
+                inboxes,
                 {"validate": t1 - t0, "deliver": perf_counter() - t1},
                 max_load,
                 net.pending_deferred(),

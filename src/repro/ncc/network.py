@@ -69,6 +69,10 @@ class RoundPlan:
 
 Inboxes = Dict[int, List[Message]]
 
+#: ``observer(round_no, inboxes, phase_seconds, queue_depth,
+#: defer_backlog)`` — see :meth:`Network.set_round_observer`.
+RoundObserver = Callable[[int, Inboxes, Dict[str, float], int, int], None]
+
 
 class Network:
     """A simulated ``n``-node NCC deployment.
@@ -146,7 +150,6 @@ class Network:
         self.max_round_load = 0
         self._phases: List[PhaseRecord] = []
         self._phase_stack: List[Tuple[str, int, int]] = []
-        self.tracers: List[Callable[[int, Inboxes], None]] = []
 
         # Deferred-delivery queues (EnforcementMode.DEFER).
         self._deferred: Dict[int, deque] = defaultdict(deque)
@@ -163,15 +166,13 @@ class Network:
         self.wall_deadline: Optional[float] = None
         self.clock: Callable[[], float] = time.monotonic
 
-        # Opt-in per-round phase observer (observability layer).  None —
-        # the default — keeps the engines' hot paths branch-only flat;
-        # when set, engines call it once per delivered round with
-        # ``(round_no, phase_seconds, queue_depth, defer_backlog)``.
-        # Run state, not construction state: cleared by reset() so pool
-        # leases never leak an observer across requests.
-        self.round_observer: Optional[
-            Callable[[int, Dict[str, float], int, int], None]
-        ] = None
+        # Opt-in per-round observer, the network's one round hook.
+        # None — the default — keeps the engines' hot paths branch-only
+        # flat; when set, the network's engine calls it once per
+        # delivered round (see set_round_observer).  Run state, not
+        # construction state: cleared by reset() so pool leases never
+        # leak an observer across requests.
+        self.round_observer: Optional[RoundObserver] = None
 
         # Round-execution engine (config.engine: "fast" | "reference").
         self.engine = make_engine(config.engine, self)
@@ -185,9 +186,9 @@ class Network:
 
         Restores the initial knowledge graph, empties every node's
         memory, re-seeds the protocol RNG, zeroes all meters, drops
-        phases/tracers, clears defer-mode backlogs, and resets the round
-        engine.  A workload run after ``reset()`` is bit-identical
-        (rounds, messages, :class:`~repro.ncc.metrics.RoundStats`,
+        phases and the round observer, clears defer-mode backlogs, and
+        resets the round engine.  A workload run after ``reset()`` is
+        bit-identical (rounds, messages, :class:`~repro.ncc.metrics.RoundStats`,
         realization result) to the same workload on a freshly constructed
         ``Network`` with the same parameters — the property
         ``tests/test_service_pool.py`` enforces for every engine, and the
@@ -217,7 +218,6 @@ class Network:
         self.max_round_load = 0
         self._phases = []
         self._phase_stack = []
-        self.tracers = []
         self._deferred = defaultdict(deque)
         self.round_budget = None
         self.wall_deadline = None
@@ -333,20 +333,20 @@ class Network:
             raise ValueError(f"wall deadline must be a timestamp, got {deadline!r}")
         self.wall_deadline = None if deadline is None else float(deadline)
 
-    def set_round_observer(
-        self,
-        observer: Optional[Callable[[int, Dict[str, float], int, int], None]],
-    ) -> None:
-        """Install (or clear) the per-round phase observer.
+    def set_round_observer(self, observer: Optional[RoundObserver]) -> None:
+        """Install (or clear) the per-round observer.
 
-        The engines call ``observer(round_no, phase_seconds,
-        queue_depth, defer_backlog)`` once per delivered round:
-        ``phase_seconds`` maps phase names (``validate``/``deliver``,
-        plus ``fallback`` for violation replays) to wall seconds,
-        ``queue_depth`` is the round's max inbox load,
-        ``defer_backlog`` the defer-mode queue total after the round.  Observers must not mutate network state
-        — they see timings, not the simulation.  Cleared by
-        :meth:`reset`, so pooled leases never inherit one.
+        The network's engine calls ``observer(round_no, inboxes,
+        phase_seconds, queue_depth, defer_backlog)`` once per delivered
+        round, after its meters are updated; a round that raises is not
+        reported.  ``inboxes`` is the round's delivery, as
+        :meth:`deliver` returns it; ``phase_seconds`` maps phase names
+        (``validate``/``deliver``, or ``validate``/``fallback`` for a
+        fast-engine round replayed through the reference loop) to wall
+        seconds; ``queue_depth`` is the round's max inbox load;
+        ``defer_backlog`` the defer-mode queue total after the round.
+        Observers must not mutate network state or the inboxes.  Cleared
+        by :meth:`reset`, so pooled leases never inherit one.
         """
         if observer is not None and not callable(observer):
             raise ValueError(f"round observer must be callable, got {observer!r}")

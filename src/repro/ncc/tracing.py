@@ -1,10 +1,10 @@
 """Structured round traces.
 
-A :class:`RoundTrace` subscribes to a network and records, per round, who
-received what.  The figure regenerators use it to reconstruct the paper's
-construction figures; tests use it to assert locality properties (e.g.
-"during the BBST build, messages only travel between path-adjacent
-nodes").
+A :class:`RoundTrace` installs itself as a network's round observer and
+records, per round, who received what.  Tests use it to assert locality
+properties (e.g. "during the BBST build, messages only travel between
+nodes whose path distance is a power of two") and to count the rounds
+and messages a protocol used.
 """
 
 from __future__ import annotations
@@ -29,14 +29,26 @@ class TracedDelivery:
 
 
 class RoundTrace:
-    """Records all deliveries on a network from the moment of attachment."""
+    """Records all deliveries on a network from the moment of attachment.
+
+    A network has one round observer, so while attached the trace *is*
+    that observer: attaching replaces any other, and :meth:`detach`
+    clears it.
+    """
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self.deliveries: List[TracedDelivery] = []
-        net.tracers.append(self._on_round)
+        net.set_round_observer(self._on_round)
 
-    def _on_round(self, round_no: int, inboxes: Dict[int, List[Message]]) -> None:
+    def _on_round(
+        self,
+        round_no: int,
+        inboxes: Dict[int, List[Message]],
+        phases: Dict[str, float],
+        queue_depth: int,
+        defer_backlog: int,
+    ) -> None:
         for dst, messages in inboxes.items():
             for message in messages:
                 self.deliveries.append(
@@ -52,8 +64,8 @@ class RoundTrace:
 
     def detach(self) -> None:
         """Stop recording."""
-        if self._on_round in self.net.tracers:
-            self.net.tracers.remove(self._on_round)
+        if self.net.round_observer == self._on_round:
+            self.net.set_round_observer(None)
 
     def kinds(self) -> Dict[str, int]:
         """Histogram of message kinds seen so far."""

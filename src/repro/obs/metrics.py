@@ -1,10 +1,10 @@
 """Unified metrics registry with Prometheus text exposition.
 
-``Counter``/``Gauge``/``Histogram`` with optional labels behind one
-:class:`MetricsRegistry`.  Counters are deliberately int-like
-(``int()``, comparisons, ``==``) so call sites that used to read the
-executor's ad-hoc ``self.x += 1`` integers keep working against the
-registry-backed instruments without change.
+``Counter``/``Gauge``/``Histogram`` behind one :class:`MetricsRegistry`.
+Counters and histograms may carry labels; each label-value tuple owns
+one child that holds the value, and an unlabelled family's value is its
+one child, so every instrument type has one value path.  Counters are
+read with ``.value``; a gauge is a callback read at scrape time.
 
 For components that keep their own counters under their own locks
 (network pool, circuit breaker, socket server), the registry accepts
@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -24,9 +25,9 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 __all__ = [
@@ -57,6 +58,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     5.0,
     10.0,
 )
+
+#: Observations a histogram keeps for its p50/p99 snapshot (the latest).
+RESERVOIR = 2048
 
 #: One exposition sample: (metric name, label pairs, value).
 Sample = Tuple[str, Tuple[Tuple[str, str], ...], float]
@@ -93,7 +97,12 @@ def _format_value(value: float) -> str:
 
 
 class _Metric:
-    """Base: a named family with optional label dimensions."""
+    """Base: a named family with optional label dimensions.
+
+    Each label-value tuple owns one child holding the value; an
+    unlabelled family's value is its one child, built with the family,
+    so it renders (at zero) before its first update.
+    """
 
     kind = "untyped"
 
@@ -103,6 +112,7 @@ class _Metric:
         self.label_names = tuple(label_names)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        self._child = None if self.label_names else self.labels()
 
     def labels(self, **labels: Any) -> Any:
         if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
@@ -117,6 +127,12 @@ class _Metric:
                 child = self._children[key] = self._make_child()
             return child
 
+    def _one(self) -> Any:
+        """The child of an unlabelled family."""
+        if self._child is None:
+            raise ValueError("labeled metric %s needs .labels(...)" % self.name)
+        return self._child
+
     def _make_child(self) -> Any:
         raise NotImplementedError
 
@@ -127,92 +143,47 @@ class _Metric:
             (tuple(zip(self.label_names, key)), child) for key, child in items
         ]
 
-    def samples(self) -> List[Sample]:
+    def _child_samples(
+        self, labels: Tuple[Tuple[str, str], ...], child: Any
+    ) -> List[Sample]:
         raise NotImplementedError
+
+    def samples(self) -> List[Sample]:
+        out: List[Sample] = []
+        for labels, child in sorted(self._child_items(), key=itemgetter(0)):
+            out.extend(self._child_samples(labels, child))
+        return out
 
 
 class _CounterValue:
-    """A single monotonically-increasing value; int-like on read."""
+    """A single monotonically-increasing value."""
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_lock", "value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0
+        self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _CounterValue):
-            return self.value == other.value
-        return self.value == other
-
-    def __ne__(self, other: Any) -> bool:
-        return not self.__eq__(other)
-
-    def __lt__(self, other: Any) -> bool:
-        return self.value < other
-
-    def __le__(self, other: Any) -> bool:
-        return self.value <= other
-
-    def __gt__(self, other: Any) -> bool:
-        return self.value > other
-
-    def __ge__(self, other: Any) -> bool:
-        return self.value >= other
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return str(self.value)
+            self.value += amount
 
 
-class Counter(_Metric, _CounterValue):
-    """Counter family.  Unlabeled: inc()/value on the family itself;
-    labeled: ``counter.labels(kind="tree").inc()``."""
+class Counter(_Metric):
+    """Counter family.  Unlabeled: ``inc()``/``value`` on the family
+    itself; labeled: ``counter.labels(kind="tree").inc()``."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, label_names: Sequence[str] = ()) -> None:
-        _Metric.__init__(self, name, help, label_names)
-        _CounterValue.__init__(self)
-        # _Metric and _CounterValue both define _lock; keep them distinct.
-        self._value_lock = threading.Lock()
-
     def inc(self, amount: int = 1) -> None:
-        if self.label_names:
-            raise ValueError("labeled counter %s needs .labels(...)" % self.name)
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._value_lock:
-            self._value += amount
+        self._one().inc(amount)
 
     @property
     def value(self) -> int:
-        if self.label_names:
-            return sum(child.value for _, child in self._child_items())
-        with self._value_lock:
-            return self._value
+        """The count; a labeled family's total over its children."""
+        return sum(child.value for _, child in self._child_items())
 
     def _make_child(self) -> _CounterValue:
         return _CounterValue()
@@ -225,81 +196,40 @@ class Counter(_Metric, _CounterValue):
             labels[0][1]: child.value for labels, child in self._child_items()
         }
 
-    def samples(self) -> List[Sample]:
-        if self.label_names:
-            return [
-                (self.name, labels, float(child.value))
-                for labels, child in sorted(self._child_items())
-            ]
-        return [(self.name, (), float(self.value))]
+    def _child_samples(
+        self, labels: Tuple[Tuple[str, str], ...], child: _CounterValue
+    ) -> List[Sample]:
+        return [(self.name, labels, float(child.value))]
 
 
-class _GaugeValue:
-    __slots__ = ("_lock", "_value", "_fn")
-
-    def __init__(self, fn: Optional[Callable[[], float]] = None) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        with self._lock:
-            return self._value
-
-
-class Gauge(_Metric, _GaugeValue):
-    """Gauge family; may wrap a callback (``fn=``) read at scrape time."""
+class Gauge:
+    """A value read from a callback at scrape time."""
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: Sequence[str] = (),
-        fn: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if fn is not None and label_names:
-            raise ValueError("callback gauges cannot be labeled")
-        _Metric.__init__(self, name, help, label_names)
-        _GaugeValue.__init__(self, fn)
+    def __init__(self, name: str, help: str, fn: Callable[[], float]) -> None:
+        self.name = _check_name(name)
+        self.help = help
+        self._fn = fn
 
-    def _make_child(self) -> _GaugeValue:
-        return _GaugeValue()
+    @property
+    def value(self) -> float:
+        return float(self._fn())
 
     def samples(self) -> List[Sample]:
-        if self.label_names:
-            return [
-                (self.name, labels, float(child.value))
-                for labels, child in sorted(self._child_items())
-            ]
-        return [(self.name, (), float(self.value))]
+        return [(self.name, (), self.value)]
 
 
 class _HistogramValue:
     __slots__ = ("_lock", "buckets", "counts", "total", "count", "_reservoir")
 
-    def __init__(self, buckets: Tuple[float, ...], reservoir: int) -> None:
+    def __init__(self, buckets: Tuple[float, ...]) -> None:
         self.buckets = buckets
         self.counts = [0] * (len(buckets) + 1)  # +Inf bucket last
         self.total = 0.0
         self.count = 0
         self._lock = threading.Lock()
-        self._reservoir: Deque[float] = deque(maxlen=reservoir)
+        self._reservoir: Deque[float] = deque(maxlen=RESERVOIR)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -310,30 +240,29 @@ class _HistogramValue:
             self.count += 1
             self._reservoir.append(value)
 
-    def percentile(self, fraction: float) -> float:
-        """Approximate percentile (seconds) from the bounded reservoir."""
-        with self._lock:
-            data = sorted(self._reservoir)
-        if not data:
-            return 0.0
-        rank = min(len(data) - 1, max(0, int(round(fraction * (len(data) - 1)))))
-        return data[rank]
-
     def snapshot(self) -> Dict[str, float]:
-        """Milliseconds snapshot matching the LatencyRecorder shape."""
+        """``count``/``mean_ms`` over every observation, ``p50_ms``/
+        ``p99_ms`` over the last :data:`RESERVOIR` of them (the sample
+        at rank ``round(fraction * (n - 1))``)."""
         with self._lock:
             count = self.count
             total = self.total
-        mean = (total / count) if count else 0.0
+            data = sorted(self._reservoir)
+
+        def ms(fraction: float) -> float:
+            if not data:
+                return 0.0
+            return round(data[round(fraction * (len(data) - 1))] * 1000.0, 3)
+
         return {
             "count": count,
-            "mean_ms": round(mean * 1000.0, 3),
-            "p50_ms": round(self.percentile(0.50) * 1000.0, 3),
-            "p99_ms": round(self.percentile(0.99) * 1000.0, 3),
+            "mean_ms": round(total / count * 1000.0, 3) if count else 0.0,
+            "p50_ms": ms(0.50),
+            "p99_ms": ms(0.99),
         }
 
 
-class Histogram(_Metric, _HistogramValue):
+class Histogram(_Metric):
     """Histogram family with Prometheus cumulative buckets plus a
     bounded reservoir so the same instrument can answer p50/p99
     snapshots for the serve ``stats`` kind."""
@@ -346,25 +275,30 @@ class Histogram(_Metric, _HistogramValue):
         help: str,
         label_names: Sequence[str] = (),
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        reservoir: int = 2048,
     ) -> None:
+        # Set first: the base builds an unlabelled family's child.
+        self.buckets = tuple(sorted(buckets))
         _Metric.__init__(self, name, help, label_names)
-        _HistogramValue.__init__(self, tuple(sorted(buckets)), reservoir)
-        self._reservoir_size = reservoir
+
+    def observe(self, value: float) -> None:
+        self._one().observe(value)
+
+    def snapshot(self) -> Dict[str, float]:
+        return self._one().snapshot()
 
     def _make_child(self) -> _HistogramValue:
-        return _HistogramValue(self.buckets, self._reservoir_size)
+        return _HistogramValue(self.buckets)
 
-    def _value_samples(
-        self, labels: Tuple[Tuple[str, str], ...], value: _HistogramValue
+    def _child_samples(
+        self, labels: Tuple[Tuple[str, str], ...], child: _HistogramValue
     ) -> List[Sample]:
         out: List[Sample] = []
-        with value._lock:
-            counts = list(value.counts)
-            total = value.total
-            count = value.count
+        with child._lock:
+            counts = list(child.counts)
+            total = child.total
+            count = child.count
         running = 0
-        for bound, bucket_count in zip(value.buckets, counts):
+        for bound, bucket_count in zip(child.buckets, counts):
             running += bucket_count
             out.append(
                 (
@@ -377,14 +311,6 @@ class Histogram(_Metric, _HistogramValue):
         out.append((self.name + "_sum", labels, total))
         out.append((self.name + "_count", labels, float(count)))
         return out
-
-    def samples(self) -> List[Sample]:
-        if self.label_names:
-            out: List[Sample] = []
-            for labels, child in sorted(self._child_items()):
-                out.extend(self._value_samples(labels, child))
-            return out
-        return self._value_samples((), self)
 
 
 class MetricsRegistry:
@@ -399,10 +325,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[str, _Metric] = {}
+        self._metrics: Dict[str, Union[_Metric, Gauge]] = {}
         self._collectors: Dict[str, Callable[[], Iterable[Tuple[str, str, str, List[Sample]]]]] = {}
 
-    def _register(self, metric: _Metric) -> _Metric:
+    def _register(self, metric: Union[_Metric, Gauge]) -> Union[_Metric, Gauge]:
         with self._lock:
             existing = self._metrics.get(metric.name)
             if existing is not None:
@@ -422,14 +348,8 @@ class MetricsRegistry:
         assert isinstance(metric, Counter)
         return metric
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        label_names: Sequence[str] = (),
-        fn: Optional[Callable[[], float]] = None,
-    ) -> Gauge:
-        metric = self._register(Gauge(name, help, label_names, fn=fn))
+    def gauge(self, name: str, help: str, fn: Callable[[], float]) -> Gauge:
+        metric = self._register(Gauge(name, help, fn))
         assert isinstance(metric, Gauge)
         return metric
 
@@ -439,11 +359,8 @@ class MetricsRegistry:
         help: str = "",
         label_names: Sequence[str] = (),
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        reservoir: int = 2048,
     ) -> Histogram:
-        metric = self._register(
-            Histogram(name, help, label_names, buckets=buckets, reservoir=reservoir)
-        )
+        metric = self._register(Histogram(name, help, label_names, buckets))
         assert isinstance(metric, Histogram)
         return metric
 
@@ -454,10 +371,6 @@ class MetricsRegistry:
     ) -> None:
         with self._lock:
             self._collectors[key] = fn
-
-    def unregister_collector(self, key: str) -> None:
-        with self._lock:
-            self._collectors.pop(key, None)
 
     def families(self) -> List[Tuple[str, str, str, List[Sample]]]:
         """All (name, kind, help, samples) families, metrics then collectors."""

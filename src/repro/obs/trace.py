@@ -22,7 +22,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_CHILDREN",
@@ -33,6 +33,7 @@ __all__ = [
     "decode_span_columns",
     "encode_span_columns",
     "new_trace_id",
+    "round_phase_seconds",
 ]
 
 # Children beyond this bound are dropped (and counted in the
@@ -258,12 +259,12 @@ class Tracer:
 class RoundPhaseAggregate:
     """Aggregates engine round-observer callbacks for one request.
 
-    The engines call ``observer(round_no, phases, queue_depth,
+    The engines call ``observer(round_no, inboxes, phases, queue_depth,
     defer_backlog)`` once per delivered round when an observer is
     installed on the network.  Per-round child spans would blow the
     bounded span tree on thousand-round requests, so this accumulates
-    and emits a single ``rounds`` child span plus optional histogram
-    observations.
+    the timings and emits a single ``rounds`` child span, which
+    :func:`round_phase_seconds` reads back.
     """
 
     __slots__ = ("rounds", "phase_seconds", "max_queue_depth", "max_defer_backlog")
@@ -277,6 +278,7 @@ class RoundPhaseAggregate:
     def __call__(
         self,
         round_no: int,
+        inboxes: Any,
         phases: Dict[str, float],
         queue_depth: int,
         defer_backlog: int,
@@ -290,17 +292,30 @@ class RoundPhaseAggregate:
             self.max_defer_backlog = defer_backlog
 
     def attach(self, span: Span) -> None:
-        """Emit the aggregate as one ``rounds`` child of *span*."""
+        """Emit the aggregate as one ``rounds`` child of *span*: a
+        ``<phase>_s`` tag per phase, plus the run's maxima."""
         if not self.rounds:
             return
         child = span.child("rounds", observed_rounds=self.rounds)
         for phase, seconds in sorted(self.phase_seconds.items()):
-            child.tag("%s_s" % phase, round(seconds, 6))
+            child.tag(phase + _PHASE_SUFFIX, round(seconds, 6))
         child.tag("max_queue_depth", self.max_queue_depth)
         child.tag("max_defer_backlog", self.max_defer_backlog)
         child.finish()
 
-    def observe(self, observe_phase: Callable[[str, float], None]) -> None:
-        """Feed accumulated per-phase seconds into a histogram callback."""
-        for phase, seconds in self.phase_seconds.items():
-            observe_phase(phase, seconds)
+
+#: Suffix of the per-phase tags :meth:`RoundPhaseAggregate.attach` writes.
+_PHASE_SUFFIX = "_s"
+
+
+def round_phase_seconds(root: Span) -> List[Tuple[str, float]]:
+    """``(phase, seconds)`` for every ``rounds`` span in *root*'s tree —
+    what :meth:`RoundPhaseAggregate.attach` wrote, whether the run was
+    in this process or in a pool worker whose subtree was grafted in."""
+    return [
+        (key[: -len(_PHASE_SUFFIX)], seconds)
+        for span in root.walk()
+        if span.name == "rounds"
+        for key, seconds in span.tags.items()
+        if key.endswith(_PHASE_SUFFIX)
+    ]

@@ -36,7 +36,6 @@ from repro.service.supervise import supervise_loop, supervisor_policy
 from repro.service.executor import (
     SERVE_STREAM_WINDOW,
     BatchExecutor,
-    LatencyRecorder,
     parse_request_line,
     parse_request_payload,
     resolve_workload,
@@ -73,7 +72,6 @@ __all__ = [
     "FaultRule",
     "JournalRecovery",
     "KINDS",
-    "LatencyRecorder",
     "METRICS_KIND",
     "MetricsRegistry",
     "NetworkPool",

@@ -83,14 +83,13 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.ncc.errors import DeadlineExceeded, RoundBudgetExceeded
 from repro.ncc.network import Network
 from repro.obs import (
-    Histogram,
-    LatencyRecorder,
     MetricsRegistry,
     RoundPhaseAggregate,
     Span,
     Tracer,
     decode_span_columns,
     encode_span_columns,
+    round_phase_seconds,
 )
 from repro.service import faults
 from repro.service.api import (
@@ -140,7 +139,6 @@ def run_request(
     registry: ScenarioRegistry = DEFAULT_REGISTRY,
     deadline: Optional[float] = None,
     span: Optional[Span] = None,
-    phase_histogram: Optional[Histogram] = None,
 ) -> RealizationResponse:
     """Execute one validated request on ``net`` and envelope the outcome.
 
@@ -157,14 +155,14 @@ def run_request(
     typed ``DEADLINE_EXCEEDED`` response and runs that finish in time
     stay bit-identical.
 
-    ``span``/``phase_histogram`` opt into the observability layer: a
+    ``span`` opts into the observability layer: a
     :class:`~repro.obs.trace.RoundPhaseAggregate` round observer is
     installed on ``net`` for the duration of the run (and always
     removed — pooled leases must come back observer-free), emitting one
-    aggregate ``rounds`` child span and/or per-phase histogram samples.
-    With both left ``None`` — the default — the run is untouched.
+    aggregate ``rounds`` child span.  Left ``None`` — the default — the
+    run is untouched.
     """
-    if span is None and phase_histogram is None:
+    if span is None:
         return _run_request(request, net, workload, registry, deadline)
     aggregate = RoundPhaseAggregate()
     net.set_round_observer(aggregate)
@@ -172,18 +170,11 @@ def run_request(
         response = _run_request(request, net, workload, registry, deadline)
     finally:
         net.set_round_observer(None)
-    if span is not None:
-        aggregate.attach(span)
-        span.tag("verdict", response.verdict)
-        if response.error_code is not None:
-            span.tag("error_code", response.error_code)
-        span.finish()
-    if phase_histogram is not None:
-        aggregate.observe(
-            lambda phase, seconds: phase_histogram.labels(phase=phase).observe(
-                seconds
-            )
-        )
+    aggregate.attach(span)
+    span.tag("verdict", response.verdict)
+    if response.error_code is not None:
+        span.tag("error_code", response.error_code)
+    span.finish()
     return response
 
 
@@ -245,7 +236,6 @@ def lease_and_run(
     registry: ScenarioRegistry = DEFAULT_REGISTRY,
     deadline: Optional[float] = None,
     span: Optional[Span] = None,
-    phase_histogram: Optional[Histogram] = None,
 ) -> RealizationResponse:
     """Run one validated miss: the one lease-and-run path.
 
@@ -258,7 +248,7 @@ def lease_and_run(
     ``None`` builds a fresh ``Network`` per request.
 
     ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
-    children; ``phase_histogram`` receives engine phase timings.
+    children.
     """
     try:
         if deadline is not None and time.monotonic() >= deadline:
@@ -284,7 +274,6 @@ def lease_and_run(
             return run_request(
                 request, net, workload, registry, deadline,
                 span=span.child("run") if span is not None else None,
-                phase_histogram=phase_histogram,
             )
         finally:
             if pool is not None:
@@ -597,13 +586,12 @@ class BatchExecutor:
         self._retry_lock = threading.Lock()
         self._retry_queue: "deque[tuple]" = deque()
         self._retry_busy = False
-        self.latency = LatencyRecorder()
         # The unified metrics registry is the single source of truth for
         # the executor's counters: the attributes below ARE registry
-        # instruments (int-like Counters, so call sites that compare or
-        # serialize them see plain numbers), stats() is a view over
-        # them, and the same registry renders the Prometheus exposition
-        # for the serve `metrics` kind / --metrics-port listener.
+        # instruments, stats() is a view over their ``.value``s and
+        # snapshots, and the same registry renders the Prometheus
+        # exposition for the serve `metrics` kind / --metrics-port
+        # listener.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Tracing: None (default) disables span collection entirely —
         # the request paths guard on it, so the disabled overhead is a
@@ -645,9 +633,15 @@ class BatchExecutor:
             "repro_degraded_handled_total",
             "Requests executed in-parent while the circuit breaker was open",
         )
-        # Satellite split of the single latency number: time spent
-        # *executing* (the realizer run, worker-side for processes) vs
-        # everything before it (queue wait, admission, dispatch).
+        # One sample per answered request, admission to answer;
+        # stats()["latency"] is its snapshot.
+        self.latency_hist = self.metrics.histogram(
+            "repro_request_seconds",
+            "Per-request time from admission to answer",
+        )
+        # The same time split in two: time spent *executing* (the
+        # realizer run, worker-side for processes) vs everything before
+        # it (queue wait, admission, dispatch).
         self.queue_wait_hist = self.metrics.histogram(
             "repro_request_queue_wait_seconds",
             "Per-request time before execution started (queueing + dispatch)",
@@ -656,8 +650,8 @@ class BatchExecutor:
             "repro_request_execution_seconds",
             "Per-request realizer execution time",
         )
-        # Engine phase hooks feed this when tracing is on (parent-side
-        # execution; worker-side phases ship back inside spans).
+        # Fed from each traced request's finished span tree (its
+        # ``rounds`` spans), whichever process ran the request.
         self.engine_phase_hist = self.metrics.histogram(
             "repro_engine_phase_seconds",
             "Per-request engine time by round phase (traced requests only)",
@@ -888,8 +882,7 @@ class BatchExecutor:
         if crashed:
             with self._cache_lock:
                 self.worker_crashes.inc()
-        if self.breaker is not None:
-            self.breaker.record_failure()
+        self.breaker.record_failure()
 
     # ---------------------------------------------------------------- #
     # In-parent execution: the lane                                    #
@@ -933,8 +926,7 @@ class BatchExecutor:
         span: Optional["Span"] = None,
     ) -> None:
         response = lease_and_run(
-            request, self.pool, self.registry, deadline, span,
-            self.engine_phase_hist if span is not None else None,
+            request, self.pool, self.registry, deadline, span
         )
         self._finish_async(request, key, out, response, span=span)
 
@@ -958,13 +950,16 @@ class BatchExecutor:
     def _finish_span(
         self, span: Span, response: Optional[RealizationResponse]
     ) -> None:
-        """Tag the outcome on the root span and hand it to the tracer."""
+        """Tag the outcome on the root span, feed the engine phase
+        histogram from its ``rounds`` spans, and hand it to the tracer."""
         if response is not None:
             span.tag("verdict", response.verdict)
             if response.cached:
                 span.tag("cached", True)
             if response.error_code is not None:
                 span.tag("error_code", response.error_code)
+        for phase, seconds in round_phase_seconds(span):
+            self.engine_phase_hist.labels(phase=phase).observe(seconds)
         self.tracer.collect(span)
 
     def _observe_stages(
@@ -1234,7 +1229,7 @@ class BatchExecutor:
         writer) was never answered, so its record stays incomplete.
         """
         total = time.perf_counter() - started
-        self.latency.record(total)
+        self.latency_hist.observe(total)
         self._observe_stages(total, response)
         try:
             if journal is not None and not out.cancelled():
@@ -1285,7 +1280,7 @@ class BatchExecutor:
         if self.mode != "processes":
             self._dispatch_lane(request, key, out, deadline, span)
             return None
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             # Breaker open: degrade to the lane.
             with self._cache_lock:
                 self.degraded_handled.inc()
@@ -1362,8 +1357,7 @@ class BatchExecutor:
                 columns = RealizationResponse.wire_spans(wire)
                 if columns is not None:
                     attempt_span.adopt(decode_span_columns(columns))
-            if self.breaker is not None:
-                self.breaker.record_success()
+            self.breaker.record_success()
         except (BrokenExecutor, CancelledError):
             # The dead worker broke the whole pool.  CancelledError (a
             # concurrent pool replacement cancels its pending futures)
@@ -1619,9 +1613,7 @@ class BatchExecutor:
             "retries": self.retries.value,
             "deadline_exceeded": self.deadline_exceeded.value,
             "degraded_handled": self.degraded_handled.value,
-            "breaker": self.breaker.snapshot()
-            if self.breaker is not None
-            else None,
+            "breaker": self.breaker.snapshot(),
             "scenario_cache_hits": self.registry.cache_hits - self._registry_hits_base,
             "scenario_cache_misses": (
                 self.registry.cache_misses - self._registry_misses_base
@@ -1629,7 +1621,7 @@ class BatchExecutor:
             "scenario_cache_evictions": (
                 self.registry.cache_evictions - self._registry_evictions_base
             ),
-            "latency": self.latency.snapshot(),
+            "latency": self.latency_hist.snapshot(),
             "latency_stages": {
                 "queue_wait": self.queue_wait_hist.snapshot(),
                 "execution": self.execution_hist.snapshot(),

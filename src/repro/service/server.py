@@ -37,7 +37,7 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   requests, lets in-flight work finish and flush, then shuts down.
 * **Introspection.**  A ``{"kind": "stats"}`` line is answered inline
   (never queued behind realization work) with the executor's counters —
-  cache, coalescing, crashes, and the p50/p99 latency recorder — plus
+  cache, coalescing, crashes, and p50/p99 request latency — plus
   the server's own admission counters.
 * **Session resume.**  A ``{"kind": "session"}`` handshake issues a
   token; every realization response emitted on a session-bound

@@ -417,7 +417,7 @@ class TestKnowledgeEdgeCases:
         ids = list(net.node_ids)
         kind = "".join(["spill", "kind"])  # built at run time, not a constant
         delivered = []
-        net.tracers.append(lambda r, inboxes: delivered.extend(
+        net.set_round_observer(lambda r, inboxes, *_timings: delivered.extend(
             m for box in inboxes.values() for m in box
         ))
         net.step([(s, ids[0], msg(kind)) for s in ids[1 : net.recv_cap + 5]])

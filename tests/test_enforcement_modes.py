@@ -4,7 +4,7 @@ The cap fuzz suite exercises single adversarial plans; this file runs
 *workloads* — multi-round protocols through the Scheduler that overdrive
 the receive cap on purpose — under both non-strict modes, and checks
 fast-vs-reference bit-identity of the full observable trace: per-round
-inboxes (via tracers), backlog evolution, knowledge, and RoundStats.
+inboxes (via round_observer), backlog evolution, knowledge, and RoundStats.
 It also pins the semantics the modes promise: DEFER delivers everything
 eventually in per-receiver FIFO order; UNBOUNDED delivers everything
 immediately; correct (non-overdriving) protocols behave identically
@@ -47,7 +47,7 @@ def attach_trace(net: Network):
     """Record every round's inboxes as comparable tuples."""
     trace = []
 
-    def tracer(round_no, inboxes):
+    def observer(round_no, inboxes, *_timings):
         trace.append(
             (
                 round_no,
@@ -58,7 +58,7 @@ def attach_trace(net: Network):
             )
         )
 
-    net.tracers.append(tracer)
+    net.set_round_observer(observer)
     return trace
 
 

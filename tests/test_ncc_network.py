@@ -223,6 +223,54 @@ class TestTracing:
         net.step([(ids[2], ids[3], msg("late"))])
         assert len(trace.deliveries) == 2
 
+    def test_round_trace_is_the_observer_while_attached(self):
+        from repro.ncc.tracing import RoundTrace
+
+        net = make_net(4)
+        ids = list(net.node_ids)
+        net.set_round_observer(lambda *_round: None)
+        trace = RoundTrace(net)
+        assert net.round_observer == trace._on_round
+        with pytest.raises(UnknownRecipientError):
+            net.step([(ids[0], ids[3], msg("stray"))])
+        net.step([(ids[0], ids[1], msg("ping"))])
+        assert [(d.round_no, d.kind) for d in trace.deliveries] == [(1, "ping")]
+        trace.detach()
+        assert net.round_observer is None
+
+
+class TestRoundObserver:
+    """``round_observer`` is the network's one round hook: both engines
+    report each delivered round once, with its inboxes, and never a
+    round that raised."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_each_delivered_round_once_and_no_raising_round(self, engine):
+        net = make_net(4, engine=engine)
+        ids = list(net.node_ids)
+        seen = []
+
+        def observer(round_no, inboxes, phases, queue_depth, defer_backlog):
+            seen.append((round_no, inboxes, sorted(phases), queue_depth,
+                         defer_backlog))
+
+        net.set_round_observer(observer)
+        first = net.step([(ids[0], ids[1], msg("ping", data=(7,)))])
+        with pytest.raises(UnknownRecipientError):
+            net.step([(ids[0], ids[3], msg("stray"))])
+        second = net.step([
+            (ids[0], ids[1], msg("pong")), (ids[0], ids[1], msg("pong")),
+        ])
+        net.idle_round()
+        phases = ["deliver", "validate"]
+        assert seen == [
+            (1, first, phases, 1, 0),
+            (2, second, phases, 2, 0),
+            (3, {}, phases, 0, 0),
+        ]
+        assert seen[0][1] is first and seen[1][1] is second
+        assert net.rounds == 3
+
 
 class TestEngineRegistry:
     def test_fast_and_reference_are_the_engines(self):

@@ -1,7 +1,7 @@
 """The observability layer: tracing, metrics registry, exporters.
 
 Covers :mod:`repro.obs` in isolation (span trees, the columnar span
-codec, the int-like registry counters, Prometheus text exposition,
+codec, the registry's instruments, Prometheus text exposition,
 Chrome/JSONL trace export, the scrape HTTP listener) and its
 integration with the serve stack: root spans opened at admission in
 every drain mode, trace context shipped over the wire to pool workers
@@ -27,7 +27,7 @@ from repro.ncc import wire as wire_mod
 from repro.ncc.network import Network
 from repro.obs import (
     Counter,
-    LatencyRecorder,
+    Histogram,
     MetricsRegistry,
     RoundPhaseAggregate,
     Span,
@@ -35,6 +35,7 @@ from repro.obs import (
     chrome_trace,
     decode_span_columns,
     encode_span_columns,
+    round_phase_seconds,
     span_to_dict,
     start_metrics_http,
     write_trace_jsonl,
@@ -55,6 +56,7 @@ from repro.service.executor import (
 )
 
 HAS_SPAWN = "spawn" in multiprocessing.get_all_start_methods()
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def req(kind="degree_implicit", scenario="regular", n=16, seed=0, **kw):
@@ -71,15 +73,16 @@ def run(coro, timeout=120):
 
 
 class TestMetrics:
-    def test_counter_is_int_like(self):
+    def test_counter_reads_value(self):
         c = Counter("x_total", "")
-        assert c == 0 and not c
+        assert c.value == 0
         c.inc()
         c.inc(2)
-        assert c == 3 and c > 2 and c <= 3 and int(c) == 3 and c
+        assert c.value == 3
+        assert c.samples() == [("x_total", (), 3.0)]
         with pytest.raises(ValueError):
             c.inc(-1)
-        # += must fail loudly: counters are not silently rebindable ints.
+        # += must fail loudly: a counter is not a rebindable int.
         with pytest.raises(TypeError):
             c += 1
 
@@ -101,7 +104,7 @@ class TestMetrics:
         a = reg.counter("c_total", "")
         assert reg.counter("c_total", "") is a
         with pytest.raises(ValueError):
-            reg.gauge("c_total", "")
+            reg.gauge("c_total", "", fn=lambda: 0)
 
     def test_gauge_callback_read_at_scrape(self):
         reg = MetricsRegistry()
@@ -133,9 +136,7 @@ class TestMetrics:
         reg.register_collector(
             "ext", lambda: [("ext_v", "gauge", "", [("ext_v", (), 2.0)])]
         )
-        assert "ext_v 2" in reg.render()
-        reg.unregister_collector("ext")
-        assert "ext_v" not in reg.render()
+        assert reg.render() == "# TYPE ext_v gauge\next_v 2\n"
 
     def test_render_is_wellformed_prometheus_text(self):
         reg = MetricsRegistry()
@@ -149,13 +150,34 @@ class TestMetrics:
                 float(value)  # every sample value parses
                 assert name_part[0].isalpha()
 
-    def test_latency_recorder_snapshot_shape(self):
-        rec = LatencyRecorder()
-        assert rec.snapshot() == {
+    def test_histogram_snapshot_shape(self):
+        hist = Histogram("lat_seconds", "")
+        assert hist.snapshot() == {
             "count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
         }
-        rec.record(0.002)
-        assert rec.snapshot()["count"] == 1
+        hist.observe(0.002)
+        assert hist.snapshot()["count"] == 1
+
+    def test_histogram_percentiles_over_the_latest_2048(self):
+        hist = Histogram("lat_seconds", "")
+        for ms in range(1, 101):
+            hist.observe(ms / 1000.0)
+        snap = hist.snapshot()
+        assert snap["count"] == 100 and snap["mean_ms"] == 50.5
+        assert snap["p50_ms"] == 51.0 and snap["p99_ms"] == 99.0
+        # 2048 more: the first hundred leave the reservoir, not the count.
+        for _ in range(2048):
+            hist.observe(1.0)
+        snap = hist.snapshot()
+        assert snap["count"] == 2148
+        assert snap["p50_ms"] == snap["p99_ms"] == 1000.0
+
+    def test_labeled_histogram_needs_labels(self):
+        hist = Histogram("phase_seconds", "", ("phase",))
+        with pytest.raises(ValueError):
+            hist.observe(0.1)
+        hist.labels(phase="deliver").observe(0.1)
+        assert hist.labels(phase="deliver").count == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -210,8 +232,8 @@ class TestSpans:
 
     def test_round_phase_aggregate(self):
         agg = RoundPhaseAggregate()
-        agg(1, {"validate": 0.5, "deliver": 1.0}, 4, 0)
-        agg(2, {"validate": 0.25, "deliver": 0.5}, 2, 3)
+        agg(1, {}, {"validate": 0.5, "deliver": 1.0}, 4, 0)
+        agg(2, {}, {"validate": 0.25, "deliver": 0.5}, 2, 3)
         span = Span("run")
         agg.attach(span)
         rounds = span.find("rounds")
@@ -219,9 +241,21 @@ class TestSpans:
         assert rounds.tags["validate_s"] == 0.75
         assert rounds.tags["max_queue_depth"] == 4
         assert rounds.tags["max_defer_backlog"] == 3
-        seen = {}
-        agg.observe(lambda phase, sec: seen.__setitem__(phase, sec))
-        assert seen == {"validate": 0.75, "deliver": 1.5}
+        assert dict(round_phase_seconds(span)) == {
+            "validate": 0.75, "deliver": 1.5,
+        }
+
+    def test_round_phase_seconds_reads_grafted_worker_rounds(self):
+        root = Span("request")
+        worker = Span.from_context("worker", root.context())
+        agg = RoundPhaseAggregate()
+        agg(1, {}, {"validate": 0.5, "fallback": 0.25}, 1, 0)
+        agg.attach(worker.child("run"))
+        root.adopt(decode_span_columns(encode_span_columns(worker)))
+        assert round_phase_seconds(root) == [
+            ("fallback", 0.25), ("validate", 0.5),
+        ]
+        assert round_phase_seconds(Span("request")) == []
 
 
 class TestExporters:
@@ -364,6 +398,50 @@ class TestExecutorTracing:
         phases = executor.engine_phase_hist
         assert phases.labels(phase="validate").count >= 1
         assert phases.labels(phase="deliver").count >= 1
+
+    @pytest.mark.parametrize("mode", [
+        "sequential",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            not HAS_FORK, reason="fork start method unavailable")),
+    ])
+    def test_traced_miss_feeds_engine_phase_histogram(self, mode):
+        """The phase histogram reads the finished span tree, so a run in
+        a pool worker counts like a run on the lane."""
+        executor = BatchExecutor(
+            mode=mode, workers=1, pool=NetworkPool(), tracer=Tracer()
+        )
+        try:
+            response = executor.handle(req(request_id="r1"))
+            hit = executor.handle(req(request_id="r2"))
+            samples = executor.metrics.render().splitlines()
+        finally:
+            executor.close()
+        assert response.verdict == "REALIZED" and hit.cached
+        for phase in ("validate", "deliver"):
+            assert (
+                'repro_engine_phase_seconds_count{phase="%s"} 1' % phase
+            ) in samples
+        assert not any('phase="fallback"' in line for line in samples)
+
+    def test_request_latency_is_one_histogram(self):
+        """A miss, a hit and a validation error: one sample each, in the
+        exposition and in ``stats()["latency"]``."""
+        executor = BatchExecutor(pool=NetworkPool())
+        try:
+            miss = executor.handle(req(request_id="miss"))
+            hit = executor.handle(req(request_id="hit"))
+            invalid = executor.handle(RealizationRequest(
+                kind="degree_implicit", degrees=(2, -1, 1), request_id="bad"
+            ))
+            samples = executor.metrics.render().splitlines()
+            latency = executor.stats()["latency"]
+        finally:
+            executor.close()
+        assert not miss.cached and hit.cached
+        assert invalid.verdict == "ERROR" and "non-negative" in invalid.error
+        assert "repro_request_seconds_count 3" in samples
+        assert latency["count"] == 3
+        assert latency["p99_ms"] >= latency["p50_ms"] > 0.0
 
     def test_cache_hit_trace_tagged_cached(self):
         tracer = Tracer()

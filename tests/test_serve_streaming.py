@@ -538,23 +538,6 @@ class TestExecutorLifecycle:
         assert thawed["closed"] is False and thawed["requests_handled"] == 2
         executor.close()
 
-    def test_latency_recorder_percentiles(self):
-        from repro.service import LatencyRecorder
-
-        recorder = LatencyRecorder()
-        assert recorder.snapshot() == {
-            "count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
-        }
-        for ms in range(1, 101):
-            recorder.record(ms / 1000.0)
-        snap = recorder.snapshot()
-        assert snap["count"] == 100
-        assert snap["p50_ms"] == 50.0  # nearest-rank
-        assert snap["p99_ms"] == 99.0
-        assert snap["mean_ms"] == 50.5
-        with pytest.raises(ValueError):
-            LatencyRecorder(capacity=0)
-
     def test_handle_records_latency(self):
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         executor.handle(req(seed=1, request_id="l1"))

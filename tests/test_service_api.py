@@ -315,7 +315,7 @@ class TestExecutor:
         second = executor.handle(request)
         assert first.verdict == second.verdict == "ERROR"
         assert not second.cached
-        assert executor.response_cache_hits == 0
+        assert executor.response_cache_hits.value == 0
 
     def test_response_cache_is_bounded(self):
         executor = BatchExecutor(max_cached_responses=2)
@@ -342,14 +342,14 @@ class TestExecutor:
         assert not fresh.cached and cached.cached
         assert cached.request_id == "second"
         assert cached.fingerprint() == fresh.fingerprint()
-        assert executor.response_cache_hits == 1
+        assert executor.response_cache_hits.value == 1
 
     def test_cache_disabled_reruns(self):
         executor = BatchExecutor(pool=NetworkPool(), cache_responses=False)
         req = RealizationRequest(kind="tree", scenario="tree_star", n=10)
         assert not executor.handle(req).cached
         assert not executor.handle(req).cached
-        assert executor.response_cache_hits == 0
+        assert executor.response_cache_hits.value == 0
 
     def test_warm_equals_cold_fingerprints(self):
         """The service stack must not change any answer."""

@@ -73,7 +73,7 @@ def dirty(net: Network) -> None:
     run_tree(net)  # a full prior workload (memory, knowledge, meters)
     ids = list(net.node_ids)
     net.grant_knowledge(ids[0], ids[-1])
-    net.tracers.append(lambda r, inboxes: None)
+    net.set_round_observer(lambda *_round: None)
     net.charge(17, reason="dirty")
     with net.phase("dirty-phase"):
         net.idle_round()
