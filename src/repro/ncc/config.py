@@ -33,14 +33,16 @@ class EnforcementMode(enum.Enum):
     """How the simulator reacts to per-round receive-cap violations.
 
     ``STRICT``
-        Raise :class:`~repro.ncc.errors.RecvCapExceeded`.  Used in tests:
-        a correct protocol never overdrives a receiver.
+        Raise :class:`~repro.ncc.errors.RecvCapExceeded`.  The default,
+        and what every service request runs: a correct protocol never
+        overdrives a receiver.
 
     ``DEFER``
         Queue surplus messages and deliver them in later rounds (FIFO per
         receiver), charging the extra rounds the congestion costs.  This
         models a rate-limited inbox and is useful for adversarial load
-        experiments.
+        experiments.  On the fast engine, a round that spills or drains
+        a backlog runs the reference loop.
 
     ``UNBOUNDED``
         Do not enforce receive caps (send caps and knowledge gating remain

@@ -28,20 +28,19 @@ interchangeable engines, selected by ``NCCConfig.engine``:
       instead of materializing a stamped copy per message.  Only an
       object that already carries a different sender — one message
       object sent twice — is copied, so no receiver ever sees its
-      message change;
-    * **deferred-spill queue** — receivers with a defer-mode backlog are
-      tracked in a pending set, so quiescent rounds do not re-scan every
-      queue the run ever congested.
+      message change.
 
 **Equivalence guarantee.**  The fast path first validates the whole plan
-without mutating any network state.  If (and only if) the round would
-violate a model constraint, it discards its batch and replays the plan
-through the reference loop, which raises the same exception with the
-same attributes and the same partial delivery state.  Violation-free
-rounds — the only rounds a correct protocol ever produces — take the
-batched path, whose delivered inboxes (per-receiver FIFO: deferred
-backlog first, then plan order), knowledge updates and meters match the
-reference loop exactly.  ``tests/test_differential_engines.py``,
+without mutating any network state.  If the round would violate a model
+constraint, spill a defer-mode bucket over the receive cap, or meet a
+defer-mode backlog, it discards its batch and replays the plan through
+the reference loop, which raises the same exception with the same
+attributes and the same partial delivery state, or queues and drains
+the backlog in per-receiver FIFO order (backlog first, then plan
+order).  Every other round — every round a correct protocol produces
+under the default strict enforcement — takes the one batched lane,
+whose inboxes, knowledge updates and meters match the reference loop
+exactly.  ``tests/test_differential_engines.py``,
 ``tests/test_engine_cap_fuzz.py`` and ``tests/test_engine_determinism.py``
 enforce this equivalence property.
 """
@@ -61,12 +60,7 @@ from repro.ncc.errors import (
     SendCapExceeded,
     UnknownRecipientError,
 )
-from repro.ncc.message import (
-    Message,
-    _scalar_words,
-    scalar_words_cached,
-    word_caches,
-)
+from repro.ncc.message import Message, _scalar_words, word_caches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ncc.network import Network, RoundPlan
@@ -89,8 +83,8 @@ class ReferenceEngine:
         """Validate, enforce and deliver one round, message by message."""
         net = self.net
         # Round observer: only when this engine is the network's own
-        # (a violation replay inside fast reports through the wrapping
-        # engine instead, so each round is observed once).
+        # (a replay inside fast reports through the wrapping engine
+        # instead, so each round is observed once).
         observer = net.round_observer if net.engine is self else None
         t0 = perf_counter() if observer is not None else 0.0
         per_sender: Dict[int, int] = {}
@@ -153,8 +147,14 @@ class ReferenceEngine:
 
 
 class FastEngine:
-    """Batched round execution; falls back to the reference loop on any
-    model violation so errors and partial state stay bit-identical."""
+    """Batched round execution with one delivery lane.
+
+    A clean round — no model violation, no defer-mode backlog, and no
+    bucket that defer mode must spill over the receive cap — is
+    delivered in place.  Every other round replays through the
+    reference loop, so errors, partial state and defer-mode queueing
+    stay bit-identical to it.
+    """
 
     name = "fast"
 
@@ -169,48 +169,21 @@ class FastEngine:
         # equal-comparing scalars of different types (2**60 vs 2.0**60)
         # can occupy different word counts.
         self._int_words, self._scalar_words = word_caches(net.word_bits)
-        # Receivers whose defer-mode backlog is non-empty.
-        self._spill_pending: set = set()
+        # Whether a defer-mode backlog is queued; only a reference
+        # replay can queue one, so it is recomputed after each replay.
+        self._backlog = False
 
     def reset(self) -> None:
         """Forget per-run state (:meth:`Network.reset` hook).
 
-        Only the defer-mode pending set is per-run.  The word-count
+        Only the backlog flag is per-run: :meth:`Network.reset` empties
+        the queues, so the flag is cleared with them.  The word-count
         caches are *pure* memoization — ``word_bits`` is fixed for the
         network's lifetime and the cached count is a function of the
         value alone — so a warm-pool lease keeps them, which is part of
         the point of reusing networks.
         """
-        self._spill_pending.clear()
-
-    # -------------------------------------------------------------- #
-    # Word accounting                                                #
-    # -------------------------------------------------------------- #
-
-    def _words_of(self, message: Message) -> int:
-        """Memoized :meth:`Message.words` for this network's word width.
-
-        Delegates to the shared :func:`repro.ncc.message.
-        scalar_words_cached` dispatch; the same dispatch is deliberately
-        inlined in :meth:`deliver`'s pass-1 loop (function calls are too
-        expensive there) — keep that copy in lockstep with the shared
-        implementation.
-        """
-        total = len(message.ids)
-        data = message.data
-        if data:
-            int_cache = self._int_words
-            scalar_cache = self._scalar_words
-            word_bits = self.net.word_bits
-            for value in data:
-                total += scalar_words_cached(
-                    value, word_bits, int_cache, scalar_cache
-                )
-        return total
-
-    # -------------------------------------------------------------- #
-    # The batched round                                              #
-    # -------------------------------------------------------------- #
+        self._backlog = False
 
     def deliver(self, plan: "RoundPlan") -> Inboxes:
         """Validate the whole round without mutation, then deliver it."""
@@ -233,7 +206,7 @@ class FastEngine:
 
         # Pass 1 — validate, meter and bucket in one sweep, mutating no
         # network state.  Messages are stamped *in place* (their ``src``
-        # slot is filled) so a violation-free round hands the staged
+        # slot is filled) so a clean round hands the staged
         # buckets out as the inboxes verbatim, allocating nothing per
         # message.  That is sound because the engine owns ``src`` and
         # protocols treat messages as read-only.  A fresh message
@@ -336,159 +309,64 @@ class FastEngine:
             per_sender = Counter(map(itemgetter(0), sends))
             violation = max(per_sender.values()) > net.send_cap
 
-        mode = net.config.enforcement
-        deferred = net._deferred
-        pending = self._spill_pending
-        recv_cap = net.recv_cap
-        # Biggest staged bucket: the strict-mode receive check, and (when
-        # nothing spills) the round's max inbox load, in one C-speed pass.
+        # Biggest staged bucket: the receive-cap check (strict mode
+        # raises over it, defer mode spills) and the clean round's max
+        # inbox load, in one C-speed pass.
         biggest = max(map(len, staged.values())) if staged else 0
-        if not violation and mode is EnforcementMode.STRICT:
-            if biggest > recv_cap:
-                violation = True
-            elif pending:
-                for dst in pending:
-                    arrivals = len(deferred[dst]) + len(staged.get(dst, ()))
-                    if arrivals > recv_cap:
-                        violation = True
-                        break
 
         t1 = perf_counter() if observer is not None else 0.0
 
-        if violation:
+        if violation or self._backlog or (
+            biggest > net.recv_cap
+            and net.config.enforcement is not EnforcementMode.UNBOUNDED
+        ):
             # Replay through the reference loop: it raises the exact
-            # exception (or, if the batch check over-approximated,
-            # returns the exact result) with reference-identical state.
-            # A replay that delivers is observed once, as a ``fallback``
-            # phase; the reference engine stays silent here (it only
-            # reports when it is the network's own engine).
+            # exception with reference-identical partial state, or
+            # spills and drains defer-mode queues in per-receiver FIFO
+            # order (backlog first, then plan order).  A replay that
+            # delivers is observed once, as a ``fallback`` phase; the
+            # reference engine stays silent here (it only reports when
+            # it is the network's own engine).
             try:
                 inboxes = self._reference.deliver(plan)
             finally:
-                self._spill_pending = {
-                    v for v, q in net._deferred.items() if q
-                }
+                self._backlog = any(net._deferred.values())
             if observer is not None:
                 observer(
                     net.rounds,
                     inboxes,
                     {"validate": t1 - t0, "fallback": perf_counter() - t1},
-                    biggest,
+                    max(map(len, inboxes.values()), default=0),
                     net.pending_deferred(),
                 )
             return inboxes
 
-        # Pass 2 — deliver.  No model constraint can fail from here on.
-        messages_delivered = len(sends)
-        max_load = 0
-
-        if not pending:
-            # Fast lane: no defer-mode backlog anywhere.  Everything
-            # staged is delivered in place unless defer mode must spill
-            # a bucket's tail over the receive cap.
-            if mode is EnforcementMode.DEFER and biggest > recv_cap:
-                over = [
-                    dst
-                    for dst, spill_bucket in staged.items()
-                    if len(spill_bucket) > recv_cap
-                ]
-                for dst in over:
-                    spill_bucket = staged[dst]
-                    tail = spill_bucket[recv_cap:]
-                    deferred[dst].extend(tail)
-                    pending.add(dst)
-                    messages_delivered -= len(tail)
-                    for message in tail:
-                        round_words -= self._words_of(message)
-                    head = spill_bucket[:recv_cap]
-                    if head:
-                        staged[dst] = head
-                        gained = []
-                        for message in head:
-                            gained.append(message.src)
-                            gained.extend(message.ids)
-                        gains[dst] = gained
-                    else:
-                        del staged[dst]
-                        del gains[dst]
-                biggest = max(map(len, staged.values())) if staged else 0
-            # A node never knows itself: pour each receiver's gains in
-            # with one C-speed update, then repair a possible self-entry
-            # once per receiver, instead of scanning each payload tuple
-            # for dst.
-            for dst, gained in gains.items():
-                known_to_dst = known[dst]
-                known_to_dst.update(gained)
-                known_to_dst.discard(dst)
-            inboxes: Inboxes = staged
-            max_load = biggest
-            words_delivered = round_words
-        else:
-            # Slow lane: at least one receiver has a backlog.  Merge
-            # per-receiver FIFO (backlog first, then plan order), spill
-            # surpluses, and meter per delivered message.
-            inboxes = {}
-            messages_delivered = 0
-            words_delivered = 0
-            unbounded = mode is EnforcementMode.UNBOUNDED
-            receivers: List[int] = list(staged)
-            receivers.extend(v for v in pending if v not in staged)
-            for dst in receivers:
-                backlog = deferred.get(dst)
-                bucket = staged.get(dst)
-                if backlog:
-                    if bucket:
-                        backlog.extend(bucket)
-                    arrivals = len(backlog)
-                    take = arrivals if unbounded else min(arrivals, recv_cap)
-                    delivered = [backlog.popleft() for _ in range(take)]
-                    if not backlog:
-                        pending.discard(dst)
-                else:
-                    arrivals = len(bucket)
-                    spill = 0 if unbounded else arrivals - recv_cap
-                    if spill > 0:
-                        delivered = bucket[:recv_cap]
-                        deferred[dst].extend(bucket[recv_cap:])
-                        pending.add(dst)
-                    else:
-                        delivered = bucket
-                if not delivered:
-                    continue
-                inboxes[dst] = delivered
-                load = len(delivered)
-                if load > max_load:
-                    max_load = load
-                known_to_dst = known[dst]
-                add_known = known_to_dst.add
-                for message in delivered:
-                    add_known(message.src)
-                    ids = message.ids
-                    if ids:
-                        if dst in ids:
-                            for known_id in ids:
-                                if known_id != dst:
-                                    add_known(known_id)
-                        else:
-                            known_to_dst.update(ids)
-                    messages_delivered += 1
-                    words_delivered += self._words_of(message)
-
-        net.messages_delivered += messages_delivered
-        net.words_delivered += words_delivered
+        # Pass 2 — deliver in place.  No model constraint can fail from
+        # here on.
+        # A node never knows itself: pour each receiver's gains in
+        # with one C-speed update, then repair a possible self-entry
+        # once per receiver, instead of scanning each payload tuple
+        # for dst.
+        for dst, gained in gains.items():
+            known_to_dst = known[dst]
+            known_to_dst.update(gained)
+            known_to_dst.discard(dst)
+        net.messages_delivered += total_sends
+        net.words_delivered += round_words
         net.rounds += 1
         net.simulated_rounds += 1
-        if max_load > net.max_round_load:
-            net.max_round_load = max_load
+        if biggest > net.max_round_load:
+            net.max_round_load = biggest
         if observer is not None:
+            # A clean round neither queues nor finds a backlog.
             observer(
                 net.rounds,
-                inboxes,
+                staged,
                 {"validate": t1 - t0, "deliver": perf_counter() - t1},
-                max_load,
-                net.pending_deferred(),
+                biggest,
+                0,
             )
-        return inboxes
+        return staged
 
 
 #: Registry of engine names -> classes (the ``NCCConfig.engine`` domain).

@@ -521,7 +521,6 @@ class BatchExecutor:
         hang_timeout: Optional[float] = None,
         hang_grace: float = 0.1,
         watchdog_interval: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[RequestJournal] = None,
     ) -> None:
@@ -586,13 +585,13 @@ class BatchExecutor:
         self._retry_lock = threading.Lock()
         self._retry_queue: "deque[tuple]" = deque()
         self._retry_busy = False
-        # The unified metrics registry is the single source of truth for
-        # the executor's counters: the attributes below ARE registry
+        # The executor's own metrics registry is the single source of
+        # truth for its counters: the attributes below ARE registry
         # instruments, stats() is a view over their ``.value``s and
         # snapshots, and the same registry renders the Prometheus
         # exposition for the serve `metrics` kind / --metrics-port
         # listener.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Tracing: None (default) disables span collection entirely —
         # the request paths guard on it, so the disabled overhead is a
         # handful of attribute checks and no call into repro.obs.trace
@@ -676,11 +675,10 @@ class BatchExecutor:
         # (tests/test_disabled_layers.py counts those calls).
         self.journal = journal
         if journal is not None:
-            if journal.fsync_observer is None:
-                journal.fsync_observer = self.metrics.histogram(
-                    "repro_journal_fsync_seconds",
-                    "Journal fsync barrier latency",
-                ).observe
+            journal.fsync_observer = self.metrics.histogram(
+                "repro_journal_fsync_seconds",
+                "Journal fsync barrier latency",
+            ).observe
             self.metrics.register_collector("journal", journal.collect_metrics)
         # The registry may be shared (DEFAULT_REGISTRY); snapshot its
         # counters so stats() excludes traffic from before this executor
@@ -971,7 +969,8 @@ class BatchExecutor:
         process drain — the monotonic clock is system-wide), so
         ``total - elapsed`` is the honest everything-before-execution
         remainder: admission, coalescing waits, lane or pool queueing,
-        IPC.
+        IPC.  ``response`` is ``None`` for a journal replay, which ran
+        nothing.
         """
         execution = 0.0
         if response is not None and response.elapsed_sec:
@@ -1151,19 +1150,21 @@ class BatchExecutor:
         Returns ``out``.  A journal replay, a validation failure or a
         cache hit resolves it before returning, in the caller's thread;
         a miss resolves it later, from the lane or the pool's callback
-        thread.  ``deadline`` lets front ends stamp arrival time
+        thread.  Every answer settles through :meth:`_settle`, timed
+        from here.  ``deadline`` lets front ends stamp arrival time
         themselves (the socket server stamps at admission); by default
         the request's ``deadline_ms`` clock starts here.
         """
+        started = time.perf_counter()
         journal = self.journal
         jseq = 0
         if journal is not None:
             replayed = self._journal_replay(request)
             if replayed is not None:
-                out.set_result(replayed)
+                # A replay runs nothing and completes no journal record.
+                self._settle(out, started, replayed, None, 0, ran=False)
                 return out
             jseq = self._journal_admit(request, session)
-        started = time.perf_counter()
         span = self._start_span(request)
         try:
             request.validate()
@@ -1216,6 +1217,7 @@ class BatchExecutor:
         response: RealizationResponse,
         journal: Optional[RequestJournal],
         jseq: int,
+        ran: bool = True,
     ) -> None:
         """Record one answered request, then resolve its future.
 
@@ -1227,10 +1229,13 @@ class BatchExecutor:
         records what was *answered* — a replayed session must see the
         same stream.  A future its caller cancelled (a dead stdio
         writer) was never answered, so its record stays incomplete.
+        ``ran=False`` marks a journal replay: its envelope keeps the
+        original run's ``elapsed_sec``, but it executed nothing, so its
+        execution sample is 0.
         """
         total = time.perf_counter() - started
         self.latency_hist.observe(total)
-        self._observe_stages(total, response)
+        self._observe_stages(total, response if ran else None)
         try:
             if journal is not None and not out.cancelled():
                 journal.append_completed(jseq, response)

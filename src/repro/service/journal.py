@@ -57,7 +57,7 @@ resynchronisation marker.
 
 **fsync policy is a dial, not a boolean.**  ``always`` fsyncs every
 append (power-loss durable, slow), ``batch`` fsyncs every
-``batch_every`` appends plus at every explicit :meth:`flush` barrier
+``BATCH_EVERY`` appends plus at every explicit :meth:`flush` barrier
 (drain, compaction, close), ``never`` leaves it to the OS.  The Python
 buffer is flushed to the OS on *every* append regardless, so a SIGKILL
 — which cannot lose OS-buffered writes — loses nothing even at
@@ -94,6 +94,7 @@ _PICKLE_PROTOCOL = 4
 # keep a recent tail, evicting oldest-first with counters.
 REPLAY_LIMIT = 4096  # distinct idempotency keys retained
 SESSION_TAIL = 1024  # responses retained per session token
+BATCH_EVERY = 32  # appends between fsyncs under fsync="batch"
 
 
 #: Where older request envelopes carried a ``shards`` slot (between
@@ -153,27 +154,16 @@ class RequestJournal:
     threads at once.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: str = "batch",
-        batch_every: int = 32,
-        replay_limit: int = REPLAY_LIMIT,
-        session_tail: int = SESSION_TAIL,
-        fsync_observer: Optional[Callable[[float], None]] = None,
-    ) -> None:
+    def __init__(self, path: str, fsync: str = "batch") -> None:
         if fsync not in FSYNC_POLICIES:
             raise JournalError(
                 f"unknown fsync policy {fsync!r}; expected one of {FSYNC_POLICIES}"
             )
-        if batch_every < 1:
-            raise JournalError("batch_every must be >= 1")
         self.path = path
         self.fsync = fsync
-        self.batch_every = batch_every
-        self.replay_limit = replay_limit
-        self.session_tail = session_tail
-        self.fsync_observer = fsync_observer
+        # Called with each fsync's seconds; the executor that attaches
+        # this journal installs its histogram here.
+        self.fsync_observer: Optional[Callable[[float], None]] = None
         self._lock = threading.RLock()
         self._seq = 0
         self._pending_syncs = 0
@@ -219,7 +209,7 @@ class RequestJournal:
         self._file.flush()
         self._pending_syncs += 1
         if self.fsync == "always" or (
-            self.fsync == "batch" and self._pending_syncs >= self.batch_every
+            self.fsync == "batch" and self._pending_syncs >= BATCH_EVERY
         ):
             self._fsync(tag)
 
@@ -304,14 +294,14 @@ class RequestJournal:
     def _remember_key(self, key: str, wire_resp: tuple) -> None:
         self._completed_by_key[key] = wire_resp
         self._completed_by_key.move_to_end(key)
-        while len(self._completed_by_key) > self.replay_limit:
+        while len(self._completed_by_key) > REPLAY_LIMIT:
             self._completed_by_key.popitem(last=False)
             self._counts["replay_evictions"] += 1
 
     def _remember_session(self, token: str, sidx: int, wire_resp: tuple) -> None:
         tail = self._sessions.setdefault(token, OrderedDict())
         tail[sidx] = wire_resp
-        while len(tail) > self.session_tail:
+        while len(tail) > SESSION_TAIL:
             tail.popitem(last=False)
             self._counts["session_evictions"] += 1
 

@@ -5,19 +5,23 @@ exceptions with the same attributes — and leave the same partial state —
 in strict and defer modes on every engine.  These tests build adversarial
 ``RoundPlan``s right at each boundary and one past it, plus a randomized
 plan fuzzer that cross-checks whole outcomes (inboxes, metrics, errors)
-between engines.  For the fast engine this is also the violation/fallback
-torture path: every boundary overshoot exercises the reference replay.
+between engines.  For the fast engine this is also the fallback torture
+path: every boundary overshoot, defer-mode spill and backlog drain
+replays through the reference loop, and a clean round never does.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.degree_realization import realize_degree_sequence
 from repro.ncc.config import EnforcementMode, NCCConfig, Variant
+from repro.ncc.engine import ReferenceEngine
 from repro.ncc.errors import (
     MessageTooLarge,
     ProtocolError,
@@ -27,6 +31,7 @@ from repro.ncc.errors import (
 )
 from repro.ncc.message import msg
 from repro.ncc.network import Network
+from repro.workloads import random_graphic_sequence
 
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
@@ -137,6 +142,13 @@ class TestRecvCapBoundary:
         ).items():
             ids = list(net.node_ids)
             dst = ids[0]
+            rounds = []  # (phase, queue depth) per observed round
+            if engine == "fast":
+                net.set_round_observer(
+                    lambda _no, _boxes, seconds, depth, _backlog: rounds.append(
+                        ("fallback" if "fallback" in seconds else "deliver", depth)
+                    )
+                )
             senders = ids[1 : 1 + net.recv_cap + overshoot]
             sends = [(s, dst, msg("z", data=(1,))) for s in senders]
             status, inboxes = run_plan(net, sends)[:2]
@@ -145,6 +157,15 @@ class TestRecvCapBoundary:
             assert net.pending_deferred() == overshoot
             drained = net.drain()
             outcomes[engine] = (drained, snapshot(net))
+            if engine == "fast":
+                # The spill and each drain replay through the reference
+                # loop; the clean round after them is delivered in place.
+                assert run_plan(net, [(ids[1], dst, msg("clean"))])[0] == "ok"
+                spill = "fallback" if overshoot else "deliver"
+                assert [phase for phase, _ in rounds] == (
+                    [spill] + ["fallback"] * drained + ["deliver"]
+                )
+                assert rounds[0][1] == len(inboxes[dst])
         assert_all_match_reference(outcomes)
         assert outcomes["fast"][1][3] == 0  # backlog fully drained
 
@@ -168,6 +189,53 @@ class TestRecvCapBoundary:
             assert kinds[overshoot] == "second"
             outcomes[engine] = snapshot(net)
         assert_all_match_reference(outcomes)
+
+
+def reference_calls(run) -> int:
+    """Calls into ``ReferenceEngine.deliver`` while ``run()`` runs, counted
+    with a profile hook (a count is exact where a timing is not)."""
+    calls = 0
+    code = ReferenceEngine.deliver.__code__
+
+    def hook(frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def overdrive(net: Network) -> None:
+    """One defer-mode round that leaves three messages queued."""
+    ids = list(net.node_ids)
+    net.step([(s, ids[0], msg("z")) for s in ids[1 : net.recv_cap + 4]])
+    assert net.pending_deferred() == 3
+
+
+@pytest.mark.parametrize("setup", ["strict", "defer_drained", "defer_reset"])
+def test_clean_rounds_never_replay(setup):
+    """The fast engine's one lane: a realization's rounds never reach the
+    reference loop, in strict mode, once a defer backlog has drained, or
+    after ``reset()`` dropped one.  The defer setups must replay, so a
+    hook that missed the calls cannot pass for a clean lane."""
+    mode = EnforcementMode.STRICT if setup == "strict" else EnforcementMode.DEFER
+    net = Network(
+        18,
+        NCCConfig(seed=1, variant=Variant.NCC1, random_ids=False, enforcement=mode),
+    )
+    if setup == "defer_drained":
+        assert reference_calls(lambda: (overdrive(net), net.drain())) == 2
+    elif setup == "defer_reset":
+        assert reference_calls(lambda: overdrive(net)) == 1
+        net.reset()
+    demands = dict(zip(net.node_ids, random_graphic_sequence(18, 0.3, seed=6)))
+    assert reference_calls(lambda: realize_degree_sequence(net, demands)) == 0
+    assert net.pending_deferred() == 0
 
 
 class TestWordBudgetBoundary:

@@ -273,7 +273,7 @@ class TestJournalFraming:
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_fsync_policies_all_durable_after_flush(self, tmp_path, policy):
         path = str(tmp_path / f"j-{policy}.bin")
-        journal = RequestJournal(path, fsync=policy, batch_every=2)
+        journal = RequestJournal(path, fsync=policy)
         executor = make_executor(journal=journal)
         try:
             executor.handle(make_request("p", key="kp"))
@@ -627,6 +627,36 @@ class TestIdempotencyKey:
         assert strip(dup) == strip(fresh)
         assert journal.stats()["admitted"] == 1
         assert journal.stats()["replays"] == 1
+
+    def test_replay_settles_like_every_answer(self, tmp_path):
+        """A replayed duplicate gets its latency samples like any other
+        answer, with an execution sample of 0 (it ran nothing), while
+        its envelope stays the journaled one, byte for byte."""
+
+        def execution_sum(executor):
+            (line,) = [
+                line for line in executor.metrics.render().splitlines()
+                if line.startswith("repro_request_execution_seconds_sum ")
+            ]
+            return float(line.split()[1])
+
+        journal = RequestJournal(str(tmp_path / "j.bin"), fsync="never")
+        executor = make_executor(journal=journal)
+        try:
+            fresh = executor.handle(make_request("r1", key="kr"))
+            ran = execution_sum(executor)
+            dup = executor.handle(make_request("r2", key="kr"))
+            stats = executor.stats()
+            assert execution_sum(executor) == ran > 0
+        finally:
+            executor.close()
+            journal.close()
+        assert journal.stats()["replays"] == 1
+        assert dup.reenvelope("r1").to_wire() == fresh.to_wire()
+        stages = stats["latency_stages"]
+        assert stats["requests_handled"] == 2
+        assert stats["latency"]["count"] == 2
+        assert stages["queue_wait"]["count"] == stages["execution"]["count"] == 2
 
 
 # --------------------------------------------------------------------- #
