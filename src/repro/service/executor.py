@@ -16,7 +16,7 @@ service wants:
   repeated requests are answered without re-running the realizer.  A
   hit re-checks nothing a parsed request passed, and its answer is a
   field copy (``RealizationResponse.reenvelope``).  The cache is
-  LRU-bounded (``max_cached_responses``), with hit/eviction counters in
+  LRU-bounded (:data:`MAX_CACHED_RESPONSES`), with hit/eviction counters in
   :meth:`BatchExecutor.stats`.  Cached responses are field-identical to
   fresh ones (``fingerprint()``) and are marked ``cached=True``;
 * in-flight coalescing: concurrent identical requests (same cache key)
@@ -51,8 +51,11 @@ Every request, in every mode, goes through one core,
 cache hits and journal replays resolve at once, in the caller's thread;
 a miss goes to the lane or the worker pool and resolves when it
 completes.  Either way the miss runs through one function,
-:func:`lease_and_run`.  :meth:`BatchExecutor.handle` blocks on that
-future and :meth:`BatchExecutor.submit` returns it;
+:func:`lease_and_run`.  Every answer, whichever path produced it,
+settles once, in ``BatchExecutor._settle``: the one place that counts
+it, finishes its root span, samples its latency and journals its
+completion, before its future resolves.  :meth:`BatchExecutor.handle`
+blocks on that future and :meth:`BatchExecutor.submit` returns it;
 :meth:`BatchExecutor.run` submits a whole batch and gathers the futures
 in input order (sequential mode handles one request at a time); and the
 serve front ends *stream* — requests are submitted as their lines
@@ -108,6 +111,14 @@ from repro.service.registry import (
 from repro.service.robustness import CircuitBreaker, RetryPolicy
 
 EXECUTOR_MODES = ("sequential", "processes")
+
+#: LRU bound of the response cache.
+MAX_CACHED_RESPONSES = 4096
+#: How far past its request's deadline a pool worker may run before the
+#: watchdog kills it (the cooperative in-run check should fire first).
+HANG_GRACE_SEC = 0.1
+#: How often the hung-worker watchdog scans in-flight pool futures.
+WATCHDOG_INTERVAL_SEC = 0.05
 
 
 class _ExecutorClosed(RuntimeError):
@@ -475,7 +486,7 @@ class BatchExecutor:
         Only successful computations are cached — an ``ERROR`` response
         may reflect a transient environment failure, not a property of
         the request.  The cache is LRU-bounded by
-        ``max_cached_responses`` so long-lived services stay bounded
+        :data:`MAX_CACHED_RESPONSES` so long-lived services stay bounded
         under diverse traffic while popular requests stay resident.
         Disabling the cache also disables in-flight coalescing (there is
         no key to coalesce on — and ``bench_multiprocess.py``'s cold
@@ -485,27 +496,11 @@ class BatchExecutor:
         misses execute — the in-parent lane (one thread) or a pool of
         ``workers`` processes.  Lane and pool spin up lazily on the
         first miss and persist, warm, until :meth:`close`.
-    retry_policy:
-        How pool-break victims are retried (defaults to
-        :class:`~repro.service.robustness.RetryPolicy`'s two total
-        attempts with deterministic jittered backoff — the historical
-        single blind retry, now with a pause).
-    breaker:
-        The :class:`~repro.service.robustness.CircuitBreaker` guarding
-        the process pool.  While open, process-mode work degrades to
-        in-parent sequential execution (identical deterministic
-        responses, no parallelism) instead of feeding a pool that keeps
-        breaking; after the cooldown one probe decides whether to close.
     hang_timeout:
         Liveness bound (seconds) for process-mode jobs *without* a
         request deadline: a worker future older than this is presumed
         hung and killed by the watchdog.  ``None`` (default) disables
         the bound — deadline-less requests may run forever, as before.
-    hang_grace / watchdog_interval:
-        Watchdog tuning: how far past a request's deadline a worker may
-        run before being killed (the cooperative in-run check should
-        fire first), and how often the watchdog scans.  Process-mode
-        only — the lane's thread cannot be killed.
     """
 
     def __init__(
@@ -515,12 +510,7 @@ class BatchExecutor:
         cache_responses: bool = True,
         mode: str = "sequential",
         workers: int = 4,
-        max_cached_responses: int = 4096,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         hang_timeout: Optional[float] = None,
-        hang_grace: float = 0.1,
-        watchdog_interval: float = 0.05,
         tracer: Optional[Tracer] = None,
         journal: Optional[RequestJournal] = None,
     ) -> None:
@@ -528,30 +518,29 @@ class BatchExecutor:
             raise ValueError(f"mode must be one of {EXECUTOR_MODES}, got {mode!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        def _number(name, value, allow_zero=False):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value < 0 or (value == 0 and not allow_zero):
-                bound = ">= 0" if allow_zero else "> 0"
-                raise ValueError(f"{name} must be {bound}, got {value!r}")
-
-        if hang_timeout is not None:
-            _number("hang_timeout", hang_timeout)
-        _number("hang_grace", hang_grace, allow_zero=True)
-        _number("watchdog_interval", watchdog_interval)
+        if hang_timeout is not None and (
+            isinstance(hang_timeout, bool)
+            or not isinstance(hang_timeout, (int, float))
+            or hang_timeout <= 0
+        ):
+            raise ValueError(
+                f"hang_timeout must be a number > 0, got {hang_timeout!r}"
+            )
         self.pool = pool
         self.registry = registry
         self.mode = mode
         self.workers = workers
         self.cache_responses = cache_responses
-        self.max_cached_responses = max_cached_responses
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        # How pool-break victims are retried, and the breaker guarding
+        # the process pool: while it is open, process-mode work degrades
+        # to the in-parent lane (identical deterministic responses, no
+        # parallelism) instead of feeding a pool that keeps breaking.
+        self.retry_policy = RetryPolicy()
+        self.breaker = CircuitBreaker()
         self.hang_timeout = hang_timeout
-        self.hang_grace = float(hang_grace)
-        self.watchdog_interval = float(watchdog_interval)
         self._response_cache: "OrderedDict[tuple, RealizationResponse]" = OrderedDict()
-        # One lock guards the cache, the follower table and the counters.
+        # One lock guards the cache and the follower table (the
+        # registry's counters lock themselves).
         self._cache_lock = threading.Lock()
         # In-flight key -> followers awaiting the leader's execution.
         self._followers: Dict[tuple, List[Tuple[RealizationRequest, Future]]] = {}
@@ -778,7 +767,7 @@ class BatchExecutor:
         deadline: Optional[float],
     ) -> None:
         """Register an in-flight pool future with the watchdog."""
-        kill_at = None if deadline is None else deadline + self.hang_grace
+        kill_at = None if deadline is None else deadline + HANG_GRACE_SEC
         if self.hang_timeout is not None:
             bound = time.monotonic() + self.hang_timeout
             kill_at = bound if kill_at is None else min(kill_at, bound)
@@ -817,7 +806,7 @@ class BatchExecutor:
         attribute the break: the culprit gets ``WORKER_TIMEOUT``, its
         co-victims go through ordinary crash retry.
         """
-        while not stop.wait(self.watchdog_interval):
+        while not stop.wait(WATCHDOG_INTERVAL_SEC):
             now = time.monotonic()
             culprits: List[ProcessPoolExecutor] = []
             with self._watch_lock:
@@ -832,8 +821,7 @@ class BatchExecutor:
                         culprits.append(entry.pool)
             if not culprits:
                 continue
-            with self._cache_lock:
-                self.worker_timeouts.inc(len(culprits))
+            self.worker_timeouts.inc(len(culprits))
             for pool in {id(p): p for p in culprits}.values():
                 self._kill_pool(pool)
 
@@ -878,8 +866,7 @@ class BatchExecutor:
         if not fresh_break:
             return
         if crashed:
-            with self._cache_lock:
-                self.worker_crashes.inc()
+            self.worker_crashes.inc()
         self.breaker.record_failure()
 
     # ---------------------------------------------------------------- #
@@ -913,7 +900,7 @@ class BatchExecutor:
                     )
                 self._lane.submit(self._run_lane, request, key, out, deadline, span)
                 return
-        self._finish_closed(request, key, out, span)
+        self._finish_closed(request, key, out)
 
     def _run_lane(
         self,
@@ -926,7 +913,7 @@ class BatchExecutor:
         response = lease_and_run(
             request, self.pool, self.registry, deadline, span
         )
-        self._finish_async(request, key, out, response, span=span)
+        self._finish_async(request, key, out, response)
 
     # ---------------------------------------------------------------- #
     # Observability plumbing                                           #
@@ -945,17 +932,14 @@ class BatchExecutor:
             pid=os.getpid(),
         )
 
-    def _finish_span(
-        self, span: Span, response: Optional[RealizationResponse]
-    ) -> None:
+    def _finish_span(self, span: Span, response: RealizationResponse) -> None:
         """Tag the outcome on the root span, feed the engine phase
         histogram from its ``rounds`` spans, and hand it to the tracer."""
-        if response is not None:
-            span.tag("verdict", response.verdict)
-            if response.cached:
-                span.tag("cached", True)
-            if response.error_code is not None:
-                span.tag("error_code", response.error_code)
+        span.tag("verdict", response.verdict)
+        if response.cached:
+            span.tag("cached", True)
+        if response.error_code is not None:
+            span.tag("error_code", response.error_code)
         for phase, seconds in round_phase_seconds(span):
             self.engine_phase_hist.labels(phase=phase).observe(seconds)
         self.tracer.collect(span)
@@ -1018,8 +1002,8 @@ class BatchExecutor:
         key: tuple,
         request: RealizationRequest,
     ) -> Optional[RealizationResponse]:
-        """LRU lookup; on a hit, counts the request as handled and
-        returns the response re-enveloped for ``request``.
+        """LRU lookup; on a hit, returns the response re-enveloped for
+        ``request``.
 
         Direct cache hits are counted apart from coalesced followers
         (:meth:`_finish_async` counts those) — the two counters are
@@ -1030,9 +1014,7 @@ class BatchExecutor:
             if hit is None:
                 return None
             self._response_cache.move_to_end(key)
-            self.requests_handled.inc()
-            self.requests_by_kind.labels(kind=request.kind).inc()
-            self.response_cache_hits.inc()
+        self.response_cache_hits.inc()
         return hit.reenvelope(request.request_id, cached=True)
 
     def _cache_store_locked(
@@ -1042,35 +1024,13 @@ class BatchExecutor:
         responses for one key are deterministic anyway)."""
         if key not in self._response_cache:
             self._response_cache[key] = response
-            while len(self._response_cache) > self.max_cached_responses:
+            while len(self._response_cache) > MAX_CACHED_RESPONSES:
                 self._response_cache.popitem(last=False)
                 self.response_cache_evictions.inc()
-
-    def _note_code_locked(self, response: RealizationResponse) -> None:
-        """Counter bookkeeping for typed failures (cache lock held)."""
-        if response.error_code == "DEADLINE_EXCEEDED":
-            self.deadline_exceeded.inc()
 
     # ---------------------------------------------------------------- #
     # Single requests                                                  #
     # ---------------------------------------------------------------- #
-
-    def _journal_replay(
-        self, request: RealizationRequest
-    ) -> Optional[RealizationResponse]:
-        """Answer a duplicate submission from the journal, or None.
-
-        The replayed envelope is the journaled completion verbatim
-        (field-identical; only ``request_id`` follows the resubmission,
-        like a cache hit) — the request is never re-executed."""
-        assert self.journal is not None
-        replayed = self.journal.replay_idempotent(request)
-        if replayed is None:
-            return None
-        with self._cache_lock:
-            self.requests_handled.inc()
-            self.requests_by_kind.labels(kind=request.kind).inc()
-        return replayed
 
     def _journal_admit(
         self,
@@ -1106,13 +1066,6 @@ class BatchExecutor:
         if self._closed:  # cheap unlocked read; re-opening is rare
             self._reopen()
         return self._submit(request, Future(), session=session).result()
-
-    def handle_dict(self, payload: Mapping[str, Any]) -> RealizationResponse:
-        """Parse + handle one JSON-style request dict."""
-        parsed = parse_request_payload(payload)
-        if isinstance(parsed, RealizationResponse):
-            return parsed
-        return self.handle(parsed)
 
     # ---------------------------------------------------------------- #
     # The request core: asynchronous single requests                   #
@@ -1151,45 +1104,47 @@ class BatchExecutor:
         cache hit resolves it before returning, in the caller's thread;
         a miss resolves it later, from the lane or the pool's callback
         thread.  Every answer settles through :meth:`_settle`, timed
-        from here.  ``deadline`` lets front ends stamp arrival time
-        themselves (the socket server stamps at admission); by default
-        the request's ``deadline_ms`` clock starts here.
+        and traced from here: the root span opens before the journal is
+        consulted, so a replay gets one too.  ``deadline`` lets front
+        ends stamp arrival time themselves (the socket server stamps at
+        admission); by default the request's ``deadline_ms`` clock
+        starts here.
         """
         started = time.perf_counter()
+        span = self._start_span(request)
         journal = self.journal
         jseq = 0
         if journal is not None:
-            replayed = self._journal_replay(request)
+            # A duplicate idempotency_key is answered with the journaled
+            # completion verbatim (only ``request_id`` follows the
+            # resubmission): it runs nothing and completes no record.
+            replayed = journal.replay_idempotent(request)
             if replayed is not None:
-                # A replay runs nothing and completes no journal record.
-                self._settle(out, started, replayed, None, 0, ran=False)
+                if span is not None:
+                    span.tag("replayed", True)
+                self._settle(out, started, request, replayed, span, None, 0,
+                             ran=False)
                 return out
             jseq = self._journal_admit(request, session)
-        span = self._start_span(request)
         try:
             request.validate()
         except ServiceError as exc:
-            with self._cache_lock:
-                self.requests_handled.inc()
-                self.requests_by_kind.labels(kind=request.kind).inc()
             response = error_response(request.request_id, request.kind, str(exc))
-            if span is not None:
-                self._finish_span(span, response)
-            self._settle(out, started, response, journal, jseq)
+            self._settle(out, started, request, response, span, journal, jseq)
             return out
         key = request.cache_key() if self.cache_responses else None
         if key is not None:
             hit = self._cache_lookup(key, request)
             if hit is not None:
-                if span is not None:
-                    self._finish_span(span, hit)
-                self._settle(out, started, hit, journal, jseq)
+                self._settle(out, started, request, hit, span, journal, jseq)
                 return out
         # The execution machinery resolves this inner future; settling
         # ``out`` from its callback puts the bookkeeping first.
         pending: Future = Future()
         pending.add_done_callback(
-            lambda done: self._settle(out, started, done.result(), journal, jseq)
+            lambda done: self._settle(
+                out, started, request, done.result(), span, journal, jseq
+            )
         )
         if key is not None:
             with self._cache_lock:
@@ -1197,10 +1152,9 @@ class BatchExecutor:
                 if followers is not None:
                     followers.append((request, pending))
                     if span is not None:
-                        # Followers ride their leader's execution; their
-                        # own span covers admission only.
+                        # A follower rides its leader's execution; its
+                        # span lasts until the shared answer settles.
                         span.tag("coalesced", True)
-                        self._finish_span(span, None)
                     return out
                 self._followers[key] = []
         if deadline is None:
@@ -1214,25 +1168,38 @@ class BatchExecutor:
         self,
         out: "Future",
         started: float,
+        request: RealizationRequest,
         response: RealizationResponse,
+        span: Optional[Span],
         journal: Optional[RequestJournal],
         jseq: int,
         ran: bool = True,
     ) -> None:
         """Record one answered request, then resolve its future.
 
-        The latency samples and the journal completion land *before*
-        ``out`` resolves, so whoever it wakes (:meth:`handle`, a
-        gathering :meth:`run`, the socket emitter) sees counters that
-        include this request and never a response whose completion is
-        not journaled yet.  ERROR envelopes complete too: the journal
-        records what was *answered* — a replayed session must see the
-        same stream.  A future its caller cancelled (a dead stdio
-        writer) was never answered, so its record stays incomplete.
-        ``ran=False`` marks a journal replay: its envelope keeps the
-        original run's ``elapsed_sec``, but it executed nothing, so its
-        execution sample is 0.
+        Every answer settles here, once, whichever path produced it: a
+        journal replay, a validation failure, a cache hit, a run, or a
+        coalesced follower's share of its leader's answer.  Nothing else
+        counts requests or finishes a root span.  The counters, the
+        root span, the latency samples and the journal completion land
+        *before* ``out`` resolves, so whoever it wakes (:meth:`handle`,
+        a gathering :meth:`run`, the socket emitter) sees counters and
+        traces that include this request and never a response whose
+        completion is not journaled yet.  ERROR envelopes complete too:
+        the journal records what was *answered* — a replayed session
+        must see the same stream.  A future its caller cancelled (a dead
+        stdio writer) was never answered, so its record stays
+        incomplete.  ``ran=False`` marks a journal replay: its envelope
+        keeps the original run's ``elapsed_sec`` and error code, but it
+        executed nothing, so its execution sample is 0 and a replayed
+        ``DEADLINE_EXCEEDED`` is not counted again.
         """
+        self.requests_handled.inc()
+        self.requests_by_kind.labels(kind=request.kind).inc()
+        if ran and response.error_code == "DEADLINE_EXCEEDED":
+            self.deadline_exceeded.inc()
+        if span is not None:
+            self._finish_span(span, response)
         total = time.perf_counter() - started
         self.latency_hist.observe(total)
         self._observe_stages(total, response if ran else None)
@@ -1279,7 +1246,6 @@ class BatchExecutor:
                     "wall-clock deadline expired before dispatch",
                     code="DEADLINE_EXCEEDED",
                 ),
-                span=span,
             )
             return None
         if self.mode != "processes":
@@ -1287,8 +1253,7 @@ class BatchExecutor:
             return None
         if not self.breaker.allow():
             # Breaker open: degrade to the lane.
-            with self._cache_lock:
-                self.degraded_handled.inc()
+            self.degraded_handled.inc()
             if span is not None:
                 span.tag("degraded", True)
             self._dispatch_lane(request, key, out, deadline, span)
@@ -1314,7 +1279,7 @@ class BatchExecutor:
                 deadline,
             )
         except _ExecutorClosed:
-            self._finish_closed(request, key, out, span)
+            self._finish_closed(request, key, out)
             return None
         except BrokenExecutor:
             # The pool broke under a concurrent submission before its
@@ -1327,9 +1292,7 @@ class BatchExecutor:
         except Exception as exc:
             if attempt_span is not span:
                 attempt_span.finish()
-            self._finish_async(
-                request, key, out, _transport_failure(request, exc), span=span
-            )
+            self._finish_async(request, key, out, _transport_failure(request, exc))
             return None
         # Watch before wiring the completion callback: the callback's
         # _watch_pop must always find (and clear) the entry, even when
@@ -1386,8 +1349,7 @@ class BatchExecutor:
         if attempt_span is not span:
             attempt_span.finish(timed_out=False)
         self._finish_async(
-            request, key, out, response,
-            resubmit_followers=resubmit_followers, span=span,
+            request, key, out, response, resubmit_followers=resubmit_followers
         )
 
     def _on_pool_break(
@@ -1433,7 +1395,7 @@ class BatchExecutor:
                 "worker process died while executing this request",
                 code="WORKER_CRASHED",
             )
-        self._finish_async(request, key, out, response, span=span)
+        self._finish_async(request, key, out, response)
 
     def _retry_async(
         self,
@@ -1454,8 +1416,7 @@ class BatchExecutor:
         a pool that runs nothing else of theirs.  (A retry that hangs
         holds the lane until the watchdog kills it.)
         """
-        with self._cache_lock:
-            self.retries.inc()
+        self.retries.inc()
         with self._retry_lock:
             self._retry_queue.append((request, key, out, attempt, deadline, span))
             if self._retry_busy:
@@ -1487,83 +1448,56 @@ class BatchExecutor:
             future.add_done_callback(self._next_retry)
 
     def _finish_async(
-        self,
-        request,
-        key,
-        out,
-        response,
-        resubmit_followers: bool = True,
-        span: Optional[Span] = None,
+        self, request, key, out, response, resubmit_followers: bool = True
     ) -> None:
-        """Resolve the leader, fan out to followers, maintain caches.
+        """Resolve a leader's inner future, fan its answer out to the
+        followers and store it in the cache; each future's :meth:`_settle`
+        records its own answer.
 
-        The follower pop, the counters and the cache store share one
-        critical section: a window between pop and store would let an
-        identical request slip past both the cache and the in-flight
-        table and re-execute from scratch.  Future resolution happens
-        outside the lock.
+        The follower pop and the cache store share one critical section:
+        a window between them would let an identical request slip past
+        both the cache and the in-flight table and re-execute from
+        scratch.  Future resolution happens outside the lock.
         """
+        shared = response.verdict != "ERROR"
         followers: List[Tuple[RealizationRequest, Future]] = []
-        if span is not None:
-            self._finish_span(span, response)
-        if response.verdict != "ERROR":
+        if key is not None:
             with self._cache_lock:
-                if key is not None:
-                    followers = self._followers.pop(key, [])
-                self.requests_handled.inc(1 + len(followers))
-                self.requests_by_kind.labels(kind=request.kind).inc(
-                    1 + len(followers)
-                )
-                self.coalesced_hits.inc(len(followers))
-                if key is not None:
+                followers = self._followers.pop(key, [])
+                if shared:
+                    self.coalesced_hits.inc(len(followers))
                     self._cache_store_locked(key, response)
-            _resolve_future(out, response.reenvelope(request.request_id))
-            for follower_request, follower_out in followers:
+        _resolve_future(out, response.reenvelope(request.request_id))
+        for follower_request, follower_out in followers:
+            if shared:
                 _resolve_future(
                     follower_out,
                     response.reenvelope(follower_request.request_id, cached=True),
                 )
-        else:
-            with self._cache_lock:
-                if key is not None:
-                    followers = self._followers.pop(key, [])
-                # Followers resolved here (executor closed) still count
-                # as handled — stats must agree with the number of
-                # responses actually emitted; resubmitted followers are
-                # counted by their own completions instead.
-                emitted = 1 + (len(followers) if not resubmit_followers else 0)
-                self.requests_handled.inc(emitted)
-                self.requests_by_kind.labels(kind=request.kind).inc(emitted)
-                self._note_code_locked(response)
-            _resolve_future(out, response.reenvelope(request.request_id))
-            if not resubmit_followers:
+            elif not resubmit_followers:
                 # Executor closed: followers get the leader's envelope
                 # instead of an attempt that would rebuild the pool.
-                for follower_request, follower_out in followers:
-                    _resolve_future(
-                        follower_out,
-                        response.reenvelope(follower_request.request_id),
-                    )
-                return
-            # Failures are never shared: each coalesced follower gets
-            # its own independent attempt.  The retry runs with key=None
-            # — fully detached from the follower table, so an orphan
-            # completion can never pop (and steal) the follower list of
-            # a *newer* leader that registered the same key in the
-            # meantime.  The detached run skips the response cache; by
-            # determinism a follower of a failed leader almost always
-            # fails too, and errors are never cached anyway.
-            for follower_request, follower_out in followers:
+                _resolve_future(
+                    follower_out, response.reenvelope(follower_request.request_id)
+                )
+            else:
+                # Failures are never shared: each follower gets its own
+                # attempt.  It runs with key=None — fully detached from
+                # the follower table, so an orphan completion can never
+                # pop (and steal) the follower list of a *newer* leader
+                # that registered the same key in the meantime.  The
+                # detached run skips the response cache; by determinism
+                # a follower of a failed leader almost always fails too,
+                # and errors are never cached anyway.
                 self._submit_async(follower_request, None, follower_out)
 
-    def _finish_closed(self, request, key, out, span=None) -> None:
+    def _finish_closed(self, request, key, out) -> None:
         """Resolve a job that ``close()`` cut off with the closed
         envelope.  Its followers get the same envelope instead of their
         own attempt, which would rebuild a pool that nothing ever shuts
         down again."""
         self._finish_async(
-            request, key, out, _closed_response(request),
-            resubmit_followers=False, span=span,
+            request, key, out, _closed_response(request), resubmit_followers=False
         )
 
     # ---------------------------------------------------------------- #
@@ -1692,8 +1626,8 @@ def parse_request_payload(payload: Any):
     """One JSON-style value -> :class:`RealizationRequest`, or an ERROR
     :class:`RealizationResponse` enveloping the parse failure.
 
-    The single parse-error path every front end (``handle_dict``,
-    :func:`serve`, :func:`run_batch_lines`) shares.
+    The single parse-error path every front end (:func:`serve`,
+    :func:`run_batch_lines`, the socket server) shares.
     """
     try:
         return RealizationRequest.from_dict(payload)

@@ -18,8 +18,9 @@ import io
 import json
 import multiprocessing
 import sys
+import time
 import urllib.request
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -47,6 +48,7 @@ from repro.service import (
     FaultRule,
     NetworkPool,
     RealizationRequest,
+    RequestJournal,
     SocketServer,
     faults,
 )
@@ -54,6 +56,7 @@ from repro.service.executor import (
     _process_worker_init,
     _process_worker_run_wire,
 )
+from tests.conftest import block_execute
 
 HAS_SPAWN = "spawn" in multiprocessing.get_all_start_methods()
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -423,6 +426,91 @@ class TestExecutorTracing:
             ) in samples
         assert not any('phase="fallback"' in line for line in samples)
 
+    @pytest.mark.parametrize("mode", [
+        "sequential",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            not HAS_FORK, reason="fork start method unavailable")),
+    ])
+    def test_every_answer_is_counted_and_traced_once(
+        self, mode, tmp_path, monkeypatch
+    ):
+        """Each way a request can be answered (a miss, a coalesced
+        follower, a validation error, a cache hit, a journal replay, a
+        deadline expired before dispatch, and that answer's replay) is
+        one count, one latency sample and one collected root span."""
+        if mode == "processes":
+            # The leader's worker sleeps, so the follower joins it.
+            plan = FaultPlan([
+                FaultRule(action="slow", request_ids=("lead",), delay_ms=500)
+            ])
+            monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+            faults.clear()
+        tracer = Tracer()
+        journal = RequestJournal(str(tmp_path / "journal.wal"))
+        executor = BatchExecutor(
+            mode=mode, workers=1, pool=NetworkPool(), tracer=tracer,
+            journal=journal,
+        )
+        try:
+            if mode == "sequential":
+                started, release = block_execute(executor, "lead")
+            lead = executor.submit(
+                req(request_id="lead", seed=1, idempotency_key="k-lead")
+            )
+            if mode == "sequential":
+                assert started.wait(timeout=60)
+            follow = executor.submit(req(request_id="follow", seed=1))
+            if mode == "sequential":
+                release.set()
+            answers = {
+                "lead": lead.result(timeout=120),
+                "follow": follow.result(timeout=120),
+                "bad": executor.handle(RealizationRequest(
+                    kind="degree_implicit", degrees=(2, -1, 1),
+                    request_id="bad",
+                )),
+                "hit": executor.handle(req(request_id="hit", seed=1)),
+                "lead-dup": executor.handle(
+                    req(request_id="lead-dup", seed=1, idempotency_key="k-lead")
+                ),
+                "late": executor._submit(
+                    req(request_id="late", seed=2, idempotency_key="k-late"),
+                    Future(), deadline=time.monotonic() - 1,
+                ).result(timeout=60),
+                "late-dup": executor.handle(
+                    req(request_id="late-dup", seed=2, idempotency_key="k-late")
+                ),
+            }
+            stats = executor.stats()
+        finally:
+            executor.close()
+            journal.close()
+            faults.clear()
+        assert answers["lead"].verdict == "REALIZED"
+        assert answers["follow"].cached and answers["hit"].cached
+        assert answers["bad"].verdict == "ERROR"
+        assert answers["late"].error_code == "DEADLINE_EXCEEDED"
+        assert answers["late-dup"].error_code == "DEADLINE_EXCEEDED"
+        assert stats["journal"]["replays"] == 2
+        assert stats["coalesced_hits"] == 1
+        counts = {
+            "requests_handled": stats["requests_handled"],
+            "latency.count": stats["latency"]["count"],
+            "requests_by_kind": sum(stats["requests_by_kind"].values()),
+            "tracer.started": tracer.started,
+            "tracer.collected": tracer.collected,
+        }
+        assert counts == dict.fromkeys(counts, len(answers))
+        roots = {root.tags["request_id"]: root for root in tracer.drain()}
+        assert set(roots) == set(answers)
+        for rid, root in roots.items():
+            assert root.tags["verdict"] == answers[rid].verdict, rid
+        assert roots["lead-dup"].tags["replayed"] is True
+        assert roots["late-dup"].tags["replayed"] is True
+        assert roots["follow"].tags["coalesced"] is True
+        assert roots["follow"].tags["cached"] is True
+        assert stats["deadline_exceeded"] == 1
+
     def test_request_latency_is_one_histogram(self):
         """A miss, a hit and a validation error: one sample each, in the
         exposition and in ``stats()["latency"]``."""
@@ -678,7 +766,7 @@ class TestProcessTracing:
         tracer = Tracer()
         executor = BatchExecutor(
             mode="processes", workers=2, pool=NetworkPool(), tracer=tracer,
-            cache_responses=False, hang_timeout=0.5, watchdog_interval=0.05,
+            cache_responses=False, hang_timeout=0.5,
         )
         try:
             response = executor.submit(req(request_id="stuck")).result(timeout=120)

@@ -34,8 +34,10 @@ from repro.service import (
     FaultRule,
     NetworkPool,
     RealizationRequest,
+    RealizationResponse,
     ServiceError,
     default_registry,
+    parse_request_payload,
     run_batch_lines,
     serve,
     serve_socket,
@@ -646,9 +648,13 @@ class TestRemovedEngineNames:
     def test_sharded_engine_error_envelope_matches_unknown_engine(self):
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         try:
-            sharded, warp = (
-                executor.handle_dict({**self.BASE, "engine": engine})
+            parsed = [
+                parse_request_payload({**self.BASE, "engine": engine})
                 for engine in ("sharded", "warp")
+            ]
+            sharded, warp = (
+                p if isinstance(p, RealizationResponse) else executor.handle(p)
+                for p in parsed
             )
         finally:
             executor.close()

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.sequential import is_graphic
 from repro.sequential.trees import is_tree_realizable
 from repro.service import (
@@ -24,6 +25,7 @@ from repro.service import (
     RealizationResponse,
     ServiceError,
     default_registry,
+    parse_request_payload,
     run_batch_lines,
     serve,
 )
@@ -121,9 +123,11 @@ class TestRequestEnvelope:
     def test_negative_entries_never_lease_a_network(self, kind):
         executor = BatchExecutor(pool=NetworkPool())
         try:
-            response = executor.handle_dict(
+            parsed = parse_request_payload(
                 {"request_id": "neg", "kind": kind, "degrees": [2, -1, 1]}
             )
+            response = (parsed if isinstance(parsed, RealizationResponse)
+                        else executor.handle(parsed))
             leases = executor.stats()["pool"]["leases"]
         finally:
             executor.close()
@@ -317,8 +321,9 @@ class TestExecutor:
         assert not second.cached
         assert executor.response_cache_hits.value == 0
 
-    def test_response_cache_is_bounded(self):
-        executor = BatchExecutor(max_cached_responses=2)
+    def test_response_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_CACHED_RESPONSES", 2)
+        executor = BatchExecutor()
         for size in (8, 10, 12):
             executor.handle(
                 RealizationRequest(kind="tree", scenario="tree_star", n=size)

@@ -180,9 +180,9 @@ class TestProcessDrain:
 
 
 class TestResponseCacheLRU:
-    def test_eviction_is_lru_not_fifo(self):
-        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
-                                 max_cached_responses=2)
+    def test_eviction_is_lru_not_fifo(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_CACHED_RESPONSES", 2)
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         a, b, c = req(seed=1), req(seed=2), req(seed=3)
         executor.handle(a)
         executor.handle(b)
@@ -193,9 +193,9 @@ class TestResponseCacheLRU:
         assert executor.handle(a).cached  # a survived
         assert not executor.handle(b).cached  # b was evicted, re-runs
 
-    def test_counters_in_stats(self):
-        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
-                                 max_cached_responses=1)
+    def test_counters_in_stats(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_CACHED_RESPONSES", 1)
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         executor.handle(req(seed=1))
         executor.handle(req(seed=1))
         executor.handle(req(seed=2))

@@ -44,6 +44,7 @@ from repro.service import (
     SocketServer,
     default_registry,
 )
+import repro.service.executor as executor_module
 from repro.service import faults
 from repro.service.executor import lease_and_run, run_request
 from repro.service.server import EMIT_TIMEOUT_SEC
@@ -343,8 +344,6 @@ def make_executor(**kw):
     kw.setdefault("registry", default_registry())
     kw.setdefault("mode", "processes")
     kw.setdefault("workers", 2)
-    kw.setdefault("watchdog_interval", 0.05)
-    kw.setdefault("hang_grace", 0.1)
     return BatchExecutor(**kw)
 
 
@@ -376,7 +375,8 @@ class TestExecutorDeadlines:
         # hang_grace well past the slow fault: the worker wakes, notices
         # the expired deadline itself, and answers typed — the watchdog
         # (whose kill would yield WORKER_TIMEOUT instead) never fires.
-        with make_executor(cache_responses=False, hang_grace=2.0) as executor:
+        monkeypatch.setattr(executor_module, "HANG_GRACE_SEC", 2.0)
+        with make_executor(cache_responses=False) as executor:
             out = executor.run([
                 req(request_id="sluggish", seed=5, deadline_ms=150),
                 req(request_id="prompt", seed=6),
@@ -431,11 +431,6 @@ class TestWatchdog:
         for bad in (0, -1.5):
             with pytest.raises(ValueError, match="hang_timeout"):
                 make_executor(hang_timeout=bad)
-        for bad_grace in (-1, "x"):
-            with pytest.raises(ValueError, match="hang_grace"):
-                make_executor(hang_grace=bad_grace)
-        with pytest.raises(ValueError, match="watchdog_interval"):
-            make_executor(watchdog_interval=0)
 
 
 CO_VICTIMS = ("v1", "v2", "v3")
@@ -494,9 +489,9 @@ class TestBreakerDegrade:
         clock = SteppingClock(start=0.0)
         breaker = CircuitBreaker(failure_threshold=1, cooldown_sec=30.0,
                                  clock=clock)
-        with make_executor(cache_responses=False,
-                           retry_policy=RetryPolicy(max_attempts=1),
-                           breaker=breaker) as executor:
+        with make_executor(cache_responses=False) as executor:
+            executor.retry_policy = RetryPolicy(max_attempts=1)
+            executor.breaker = breaker
             crashed = executor.submit(req(request_id="c1", seed=12))
             assert crashed.result(timeout=60).error_code == "WORKER_CRASHED"
             assert breaker.state == CircuitBreaker.OPEN
@@ -522,7 +517,8 @@ class TestBreakerDegrade:
         breaker = CircuitBreaker(failure_threshold=1, cooldown_sec=3600.0)
         breaker.record_failure()  # pre-open
         batch = [req(request_id=f"g{i}", seed=20 + i) for i in range(3)]
-        with make_executor(cache_responses=False, breaker=breaker) as executor:
+        with make_executor(cache_responses=False) as executor:
+            executor.breaker = breaker
             out = executor.run(list(batch))
             stats = executor.stats()
         assert [r.verdict for r in out] == ["REALIZED"] * 3
