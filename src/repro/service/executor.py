@@ -38,8 +38,9 @@ Two drain modes; they differ only in where a cache miss executes:
     Results funnel back through the parent's deterministic response
     cache, so a drained batch is field-identical to the sequential
     drain.  A worker that dies mid-request (OOM-killed, crashed) breaks
-    the pool under every in-flight request; the victims retry one at a
-    time on fresh pools, so a deterministic crasher earns a typed
+    the pool under every in-flight request (a job submitted while it
+    breaks included); the victims retry one at a time on fresh pools,
+    so a deterministic crasher earns a typed
     ``WORKER_CRASHED`` error while its co-victims complete — one bad
     request cannot wedge the batch.  Requests and responses cross the
     boundary as compact wire envelopes (``to_wire``/``from_wire``), not
@@ -71,6 +72,7 @@ import os
 import signal
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import (
     BrokenExecutor,
@@ -374,6 +376,17 @@ def _process_worker_run_wire(wire: tuple, deadline: Optional[float] = None) -> t
     return response.to_wire(spans=encode_span_columns(span))
 
 
+def _fail_orphan(future: "Future") -> None:
+    """Fail a pool future its broken pool will never complete, as a
+    victim of the break (see ``BatchExecutor._reap_pool``)."""
+    try:
+        future.set_exception(
+            BrokenExecutor("the pool broke while this job was submitted")
+        )
+    except InvalidStateError:
+        pass  # the pool completed it after all
+
+
 def _resolve_future(out: "Future", response: RealizationResponse) -> None:
     """Resolve a response future, tolerating a racing cancellation.
 
@@ -542,8 +555,11 @@ class BatchExecutor:
         # One lock guards the cache and the follower table (the
         # registry's counters lock themselves).
         self._cache_lock = threading.Lock()
-        # In-flight key -> followers awaiting the leader's execution.
-        self._followers: Dict[tuple, List[Tuple[RealizationRequest, Future]]] = {}
+        # In-flight key -> followers awaiting the leader's execution,
+        # each with its root span (a detached re-run is traced on it).
+        self._followers: Dict[
+            tuple, List[Tuple[RealizationRequest, Future, Optional[Span]]]
+        ] = {}
         # Guards process-pool creation/replacement and the closed flag:
         # the async submit path reaches _ensure_process_pool from the
         # streaming reader thread and from pool callback threads
@@ -568,6 +584,9 @@ class BatchExecutor:
         # the ordinary crash-recovery machinery).
         self._watch_lock = threading.Lock()
         self._dispatch: Dict[Future, _WatchEntry] = {}
+        # Broken pools whose manager thread has exited: nothing will
+        # complete a future still pending on one (_reap_pool).
+        self._reaped: "weakref.WeakSet[ProcessPoolExecutor]" = weakref.WeakSet()
         self._watchdog_stop: Optional[threading.Event] = None
         # Crash-recovery lane: pool-break victims queue here and retry
         # one at a time (see _retry_async).
@@ -773,6 +792,9 @@ class BatchExecutor:
             kill_at = bound if kill_at is None else min(kill_at, bound)
         with self._watch_lock:
             self._dispatch[future] = _WatchEntry(kill_at, pool)
+            orphaned = pool in self._reaped
+        if orphaned:
+            _fail_orphan(future)
         if kill_at is not None:
             self._ensure_watchdog()
 
@@ -863,11 +885,44 @@ class BatchExecutor:
             ):
                 self._process_pool_broken = True
                 fresh_break = True
+                # Read before a replacement's shutdown() drops it.
+                manager = getattr(pool, "_executor_manager_thread", None)
         if not fresh_break:
             return
+        if manager is not None:
+            threading.Thread(
+                target=self._reap_pool,
+                args=(pool, manager),
+                name="executor-reaper",
+                daemon=True,
+            ).start()
         if crashed:
             self.worker_crashes.inc()
         self.breaker.record_failure()
+
+    def _reap_pool(
+        self, pool: ProcessPoolExecutor, manager: threading.Thread
+    ) -> None:
+        """Fail the futures a broken pool will never complete.
+
+        When a worker dies, the pool's manager thread fails every job it
+        holds and exits.  A ``submit`` racing that sweep can still add
+        its job after it (CPython 3.11's sweep does not take the pool's
+        submit lock), and that future would never complete, hanging its
+        request.  Once the manager has exited, any future of the pool
+        still pending, or registered later (:meth:`_watch`), is failed
+        as one more victim of the break, so it retries like the others.
+        """
+        manager.join()
+        with self._watch_lock:
+            self._reaped.add(pool)
+            orphans = [
+                future
+                for future, entry in self._dispatch.items()
+                if entry.pool is pool and not future.done()
+            ]
+        for future in orphans:
+            _fail_orphan(future)
 
     # ---------------------------------------------------------------- #
     # In-parent execution: the lane                                    #
@@ -1150,7 +1205,7 @@ class BatchExecutor:
             with self._cache_lock:
                 followers = self._followers.get(key)
                 if followers is not None:
-                    followers.append((request, pending))
+                    followers.append((request, pending, span))
                     if span is not None:
                         # A follower rides its leader's execution; its
                         # span lasts until the shared answer settles.
@@ -1460,7 +1515,7 @@ class BatchExecutor:
         scratch.  Future resolution happens outside the lock.
         """
         shared = response.verdict != "ERROR"
-        followers: List[Tuple[RealizationRequest, Future]] = []
+        followers: List[Tuple[RealizationRequest, Future, Optional[Span]]] = []
         if key is not None:
             with self._cache_lock:
                 followers = self._followers.pop(key, [])
@@ -1468,7 +1523,7 @@ class BatchExecutor:
                     self.coalesced_hits.inc(len(followers))
                     self._cache_store_locked(key, response)
         _resolve_future(out, response.reenvelope(request.request_id))
-        for follower_request, follower_out in followers:
+        for follower_request, follower_out, follower_span in followers:
             if shared:
                 _resolve_future(
                     follower_out,
@@ -1488,8 +1543,11 @@ class BatchExecutor:
                 # that registered the same key in the meantime.  The
                 # detached run skips the response cache; by determinism
                 # a follower of a failed leader almost always fails too,
-                # and errors are never cached anyway.
-                self._submit_async(follower_request, None, follower_out)
+                # and errors are never cached anyway.  Its own span rides
+                # along, so the re-run is traced like any other run.
+                self._submit_async(
+                    follower_request, None, follower_out, span=follower_span
+                )
 
     def _finish_closed(self, request, key, out) -> None:
         """Resolve a job that ``close()`` cut off with the closed

@@ -29,9 +29,14 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   queued: the request is answered immediately with an ``ERROR``
   envelope carrying ``error_code="ADMISSION_REJECTED"``, so clients can
   back off and retry instead of silently stalling.
-* **Round-robin fairness.**  The reader yields to the event loop after
-  every admission, so pipelined connections interleave one request at a
-  time instead of one socket being drained dry first.
+* **One yield per wait or per fair share, one write per run.**  A
+  connection's reader admits every complete line already buffered
+  before it yields: it yields when it must wait for bytes, or at the
+  latest after one fair share of lines, so pipelined connections
+  interleave a share at a time instead of one socket being drained dry
+  first.  Its emitter writes each run of answered responses with one
+  write and one drain, and writes what it holds before it waits on a
+  running miss.
 * **Graceful drain.**  ``drain()`` (installed on SIGTERM/SIGINT by
   :func:`serve_socket`) stops accepting connections, rejects new
   requests, lets in-flight work finish and flush, then shuts down.
@@ -419,10 +424,19 @@ class SocketServer:
             bound = min(bound, max(0.5, remaining))
         return bound
 
+    def _fair_share(self) -> int:
+        """One connection's share of the window: its cap on in-flight
+        admissions, and the most lines its reader admits per turn."""
+        return max(1, self.window // max(1, len(self._connections)))
+
     async def _read_loop(
         self, reader: asyncio.StreamReader, conn: _Connection
     ) -> None:
+        burst = 0
         while True:
+            # readline() returns a line already buffered without yielding,
+            # so a pipelined write is admitted in one turn; it yields when
+            # it must wait for bytes.
             line = await reader.readline()
             if not line:
                 return  # client EOF
@@ -432,10 +446,12 @@ class SocketServer:
             item = self._route(text, conn)
             if item is not _HANDLED:
                 conn.queue.put_nowait(item)
-            # Round-robin fairness: yield after every admission so
-            # pipelined connections interleave one request at a time
-            # instead of one socket being drained dry first.
-            await asyncio.sleep(0)
+            # Fairness: after a fair share of lines, yield anyway, so one
+            # socket holding a deep pipeline cannot starve the others.
+            burst += 1
+            if burst >= self._fair_share():
+                burst = 0
+                await asyncio.sleep(0)
 
     def _route(self, text: str, conn: _Connection) -> Any:
         """One request line -> FIFO item: a response payload (parse
@@ -592,7 +608,7 @@ class SocketServer:
                 ),
                 conn,
             )
-        share = max(1, self.window // max(1, len(self._connections)))
+        share = self._fair_share()
         if conn.inflight >= share:
             self.rejected += 1
             return self._immediate(
@@ -657,6 +673,12 @@ class SocketServer:
     async def _emit_loop(self, conn: _Connection) -> None:
         """Drain one connection's FIFO to its socket, in order.
 
+        Each pass takes every item already queued.  Answered items (a
+        response, an envelope, a replay, a finished future) join one
+        run, which goes out with one write and one drain
+        (:meth:`_flush`).  The run is flushed before the loop awaits a
+        pending future, so nothing answered waits behind a running miss.
+
         Session-slotted items (``_Indexed``) are recorded into the
         session's resume buffer *before* the write — and before the
         broken-connection check, which is the point: a response that
@@ -664,9 +686,16 @@ class SocketServer:
         must replay.  Replays (``_Replay``) are re-emitted verbatim and
         neither re-recorded nor re-counted in ``handled``.
         """
+        queue = conn.queue
+        held: List[bytes] = []  # the run: encoded lines not yet written
         while True:
-            item = await conn.queue.get()
+            if queue.empty():
+                await self._flush(conn, held)
+                item = await queue.get()
+            else:
+                item = queue.get_nowait()
             if item is _EOF:
+                await self._flush(conn, held)
                 return
             sidx: Optional[int] = None
             session: Optional[_Session] = None
@@ -675,11 +704,7 @@ class SocketServer:
                 payload["session_seq"] = item.index
                 self.session_replayed += 1
                 if not conn.broken:
-                    try:
-                        conn.writer.write((json.dumps(payload) + "\n").encode())
-                        await conn.writer.drain()
-                    except _WRITE_FAILURES:
-                        conn.broken = True
+                    held.append((json.dumps(payload) + "\n").encode())
                 continue
             if type(item) is _Indexed:
                 sidx, session, item = item.index, item.session, item.item
@@ -688,6 +713,8 @@ class SocketServer:
             elif isinstance(item, dict):
                 payload = item  # stats envelope
             else:
+                if not item.done():
+                    await self._flush(conn, held)
                 try:
                     response = await item
                 except asyncio.CancelledError:
@@ -704,22 +731,33 @@ class SocketServer:
                 self.errors += 1
             if not conn.broken:
                 # Chaos hook: a writer_error fault simulates the client
-                # vanishing right before this response hits the socket.
+                # vanishing right before this response hits the socket;
+                # the run ahead of it still goes out.
                 plan = faults.active()
                 if plan is not None and plan.match(
                     "writer_error", str(payload.get("request_id") or "")
                 ):
+                    await self._flush(conn, held)
                     conn.broken = True
             if conn.broken:
                 continue  # keep consuming so futures stay observed
-            try:
-                conn.writer.write((json.dumps(payload) + "\n").encode())
-                await conn.writer.drain()
-            except _WRITE_FAILURES:
-                # The client stopped reading.  Stop writing, but keep
-                # draining the FIFO: in-flight futures must still be
-                # awaited (observed) and released from the window.
-                conn.broken = True
+            held.append((json.dumps(payload) + "\n").encode())
+
+    async def _flush(self, conn: _Connection, held: List[bytes]) -> None:
+        """Write one run of encoded lines, if any, with one write and
+        one drain, and empty it."""
+        if not held:
+            return
+        data = b"".join(held)
+        held.clear()
+        try:
+            conn.writer.write(data)
+            await conn.writer.drain()
+        except _WRITE_FAILURES:
+            # The client stopped reading.  Stop writing, but keep
+            # draining the FIFO: in-flight futures must still be
+            # awaited (observed) and released from the window.
+            conn.broken = True
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

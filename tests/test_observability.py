@@ -511,6 +511,69 @@ class TestExecutorTracing:
         assert roots["follow"].tags["cached"] is True
         assert stats["deadline_exceeded"] == 1
 
+    @pytest.mark.parametrize("mode", [
+        "sequential",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            not HAS_FORK, reason="fork start method unavailable")),
+    ])
+    def test_follower_of_a_failed_leader_traces_its_own_run(
+        self, mode, monkeypatch
+    ):
+        """A follower whose leader failed re-runs on its own, and that
+        run hangs under the follower's root span like any other run and
+        feeds the engine phase histogram."""
+        tracer = Tracer()
+        executor = BatchExecutor(
+            mode=mode, workers=1, pool=NetworkPool(), tracer=tracer
+        )
+        if mode == "sequential":
+            # The leader queues behind "block" until its deadline passed.
+            started, release = block_execute(executor, "block")
+        else:
+            # The leader's worker hangs until the watchdog kills it at
+            # its deadline.
+            plan = FaultPlan([FaultRule(action="hang", request_ids=("lead",))])
+            monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+            faults.clear()
+        try:
+            if mode == "sequential":
+                block = executor.submit(req(request_id="block", seed=3))
+                assert started.wait(timeout=60)
+            lead = executor.submit(
+                req(request_id="lead", seed=1, deadline_ms=50)
+            )
+            follow = executor.submit(req(request_id="follow", seed=1))
+            if mode == "sequential":
+                time.sleep(0.1)  # past the leader's deadline
+                release.set()
+                assert block.result(timeout=120).verdict == "REALIZED"
+            lead, follow = lead.result(timeout=120), follow.result(timeout=120)
+            samples = executor.metrics.render().splitlines()
+        finally:
+            if mode == "sequential":
+                release.set()
+            executor.close()
+            faults.clear()
+        assert lead.error_code == (
+            "DEADLINE_EXCEEDED" if mode == "sequential" else "WORKER_TIMEOUT"
+        )
+        assert follow.verdict == "REALIZED" and not follow.cached
+        roots = {root.tags["request_id"]: root for root in tracer.drain()}
+        root = roots["follow"]
+        assert root.tags["coalesced"] is True
+        assert [s.name for s in root.walk()] == (
+            ["request", "pool.lease", "run", "rounds"]
+            if mode == "sequential"
+            else ["request", "worker", "pool.lease", "run", "rounds"]
+        )
+        # The blocker's run and the follower's; the leader ran no round.
+        runs = 2 if mode == "sequential" else 1
+        for phase in ("validate", "deliver"):
+            assert (
+                'repro_engine_phase_seconds_count{phase="%s"} %d'
+                % (phase, runs)
+            ) in samples
+
     def test_request_latency_is_one_histogram(self):
         """A miss, a hit and a validation error: one sample each, in the
         exposition and in ``stats()["latency"]``."""

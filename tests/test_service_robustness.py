@@ -481,6 +481,32 @@ class TestCrashRecoveryLane:
         assert stats["worker_timeouts"] == 1
         assert stats["worker_crashes"] == 0
 
+    def test_job_lost_by_a_breaking_pool_retries(self, monkeypatch):
+        """A job submitted while the pool breaks can miss the sweep that
+        fails every job the pool holds; its pool future then never
+        completes.  Once the broken pool's manager has exited, that
+        future fails as a victim of the break and its request retries."""
+        install_plan(monkeypatch,
+                     FaultRule(action="crash", request_ids=("boom",)))
+        with make_executor(cache_responses=False) as executor:
+            assert executor.handle(req(request_id="prime", seed=77)).ok
+            pool = executor._process_pool
+            submit = pool.submit
+
+            def losing_submit(fn, wire, *args):
+                if RealizationRequest.from_wire(wire).request_id == "lost":
+                    return Future()  # missed by the sweep: never completes
+                return submit(fn, wire, *args)
+
+            monkeypatch.setattr(pool, "submit", losing_submit)
+            lost = executor._submit(req(request_id="lost", seed=2), Future())
+            boom = executor._submit(req(request_id="boom", seed=99), Future())
+            assert boom.result(timeout=120).error_code == "WORKER_CRASHED"
+            response = lost.result(timeout=30)
+            stats = executor.stats()
+        assert response.verdict == "REALIZED"
+        assert stats["retries"] == 2  # boom's and the lost job's
+
 
 class TestBreakerDegrade:
     def test_open_degrade_probe_close_cycle(self, monkeypatch):
@@ -634,36 +660,50 @@ class TestServeChaos:
     def test_writer_error_fault_marks_connection_broken(self, monkeypatch):
         """A writer_error fault simulates the client dying right before
         its response is written: the server keeps draining (and counting)
-        instead of wedging on the dead socket."""
+        instead of wedging on the dead socket.  A response answered ahead
+        of the dead one, in the same client write, still arrives."""
         install_plan(monkeypatch,
                      FaultRule(action="writer_error", request_ids=("dead",)))
         executor = make_executor(mode="sequential")
         try:
+            # "first" and "dead" are cache hits, answered at admission, so
+            # the emitter holds them in one run; "next" is a miss.
+            for rid, seed in (("warm-first", 49), ("warm-dead", 50)):
+                warm = executor.handle(req(request_id=rid, seed=seed))
+                assert warm.verdict == "REALIZED"
+
             async def scenario():
                 server = await SocketServer(executor, port=0,
                                             window=4).start()
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
-                await _send(writer, jline("dead", 50))
-                await _send(writer, jline("next", 51))
-                # "dead" is swallowed by the injected write failure and
-                # broken-ness is sticky, so nothing ever arrives — wait
-                # for the server-side counters instead of a response
-                # before draining.
+                await _send(writer, "\n".join(
+                    [jline("first", 49), jline("dead", 50), jline("next", 51)]
+                ))
+                # Broken-ness is sticky, so nothing from "dead" onwards
+                # ever arrives — wait for the server-side counters
+                # instead of a response before draining.
                 for _ in range(3000):
-                    if server.handled >= 2:
+                    if server.handled >= 3:
                         break
                     await asyncio.sleep(0.01)
-                writer.close()
                 server.drain()
+                # Everything the server wrote, up to its close.
+                received = await asyncio.wait_for(reader.read(), 60)
+                writer.close()
+                await writer.wait_closed()
                 handled, errors = await server.wait_done()
-                return handled, errors
+                return received, handled, errors
 
-            handled, errors = run_loop(scenario())
+            received, handled, errors = run_loop(scenario())
+            hits = executor.stats()["response_cache_hits"]
         finally:
             faults.clear()
             executor.close()
-        assert handled == 2  # both responses consumed server-side
+        rows = [json.loads(row) for row in received.decode().splitlines()]
+        assert [row["request_id"] for row in rows] == ["first"]
+        assert rows[0]["cached"] is True and hits == 2
+        assert handled == 3  # every response consumed server-side
         assert errors == 0
 
     def test_emit_bound_derives_from_deadline_horizon(self):

@@ -426,6 +426,117 @@ class TestSocketServe:
         assert not released_before_hit
         assert miss["request_id"] == "miss" and miss["verdict"] == "REALIZED"
 
+    def test_pipelined_hits_go_out_in_one_write(self, monkeypatch):
+        """Eight cache hits in one client write come back in order and
+        field-identical, written together (one write, or two if the
+        lines arrive in two reads), not with one write each."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        hits = [line(f"h{i}", n=12, seed=5) for i in range(8)]
+        writers = []
+        write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            writers.append(self)
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=16).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, line("warm", n=12, seed=5))
+            warm = await recv(reader)
+            writers.clear()
+            await send(writer, "\n".join(hits))
+            rows = [await recv(reader) for _ in hits]
+            server_writes = sum(1 for w in writers if w is not writer)
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return warm, rows, server_writes
+
+        try:
+            warm, rows, server_writes = run(scenario())
+        finally:
+            executor.close()
+        assert warm["verdict"] == "REALIZED" and not warm["cached"]
+        assert [r["request_id"] for r in rows] == [f"h{i}" for i in range(8)]
+        assert all(r["cached"] for r in rows)
+        assert [strip(r) for r in rows] == [strip(warm)] * 8
+        assert 1 <= server_writes <= 2
+
+    def test_answered_line_ahead_of_a_running_one_is_not_held(self):
+        """A parse error sent ahead of a request still running reaches
+        the client before that request is answered."""
+        stub = _BlockingExecutor()
+
+        async def scenario():
+            server = await SocketServer(stub, port=0, window=4).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, "not json\n" + line("blocked"))
+            try:
+                first = await recv(reader, timeout=10)
+            finally:
+                stub.release.set()
+            second = await recv(reader)
+            await close(writer)
+            server.drain()
+            return first, second, await server.wait_done()
+
+        first, second, counts = run(scenario())
+        assert first["verdict"] == "ERROR" and "bad JSON" in first["error"]
+        assert second["request_id"] == "blocked"
+        assert second["verdict"] == "REALIZED"
+        assert counts == (2, 1)
+
+    def test_reader_yields_after_a_fair_share_of_lines(self, monkeypatch):
+        """window=4 over two connections is a share of 2 each: a reader
+        holding six pipelined lines yields after two, so the other
+        connection's line is admitted before the third."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        assert executor.handle(req_of(line("warm", n=12, seed=5))).verdict == (
+            "REALIZED"
+        )
+        admitted = []
+        admit = SocketServer._admit
+
+        def recording_admit(self, request, conn):
+            admitted.append(request.request_id)
+            return admit(self, request, conn)
+
+        monkeypatch.setattr(SocketServer, "_admit", recording_admit)
+        lines_a = [line(f"a{i}", n=12, seed=5) for i in range(6)]
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=4).start()
+            reader_a, writer_a = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            reader_b, writer_b = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            while len(server._connections) < 2:  # both registered
+                await asyncio.sleep(0.01)
+            # Both writes reach the sockets before the server reads.
+            writer_a.write(("\n".join(lines_a) + "\n").encode())
+            writer_b.write((line("b0", n=12, seed=5) + "\n").encode())
+            rows_a = [await recv(reader_a) for _ in lines_a]
+            row_b = await recv(reader_b)
+            await close(writer_a)
+            await close(writer_b)
+            server.drain()
+            await server.wait_done()
+            return rows_a, row_b
+
+        try:
+            rows_a, row_b = run(scenario())
+        finally:
+            executor.close()
+        assert [r["request_id"] for r in rows_a] == [f"a{i}" for i in range(6)]
+        assert row_b["request_id"] == "b0"
+        assert all(r["cached"] for r in rows_a + [row_b])
+        assert admitted.index("b0") < admitted.index("a2")
+
     def test_worker_crash_mid_connection_is_typed_and_recovers(self, monkeypatch):
         plan = FaultPlan([FaultRule(action="crash", request_ids=("boom",))])
         monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
