@@ -113,10 +113,10 @@ def cmd_realizer(args) -> int:
     from repro.service import RealizationRequest, ServiceError, run_request
 
     try:
-        request = RealizationRequest(
+        request = RealizationRequest.from_dict(dict(
             seed=args.seed, engine=args.engine,
             sort_fidelity=args.sort_fidelity, **args.fields(args),
-        ).validate()
+        ))
     except ServiceError as exc:
         print(f"ERROR: {exc}")
         return 1
@@ -405,7 +405,7 @@ def cmd_profile(args) -> int:
         scenario = DEFAULT_REGISTRY.get(name)
         request = None
         if not scenario.is_primitive:
-            request = RealizationRequest(
+            request = RealizationRequest.from_dict(dict(
                 kind=scenario.kind,
                 scenario=name,
                 n=args.n,
@@ -415,7 +415,7 @@ def cmd_profile(args) -> int:
                 # Matches realize_tree's default, which the pre-registry
                 # profile runner used (the service default is min).
                 tree_variant="max_diameter",
-            ).validate()
+            ))
     except ServiceError as exc:
         raise SystemExit(str(exc))
     profiler = cProfile.Profile()

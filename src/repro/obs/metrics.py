@@ -115,12 +115,21 @@ class _Metric:
         self._child = None if self.label_names else self.labels()
 
     def labels(self, **labels: Any) -> Any:
+        try:
+            key = tuple(map(str, map(labels.__getitem__, self.label_names)))
+        except KeyError:
+            key = None
+        # A child, once made, is never replaced or removed, so an existing
+        # one is found with one dict read, before the name check and the
+        # lock; a hot-path caller pays no more than that.
+        child = self._children.get(key)
+        if child is not None and len(labels) == len(self.label_names):
+            return child
         if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
             raise ValueError(
                 "metric %s expects labels %r, got %r"
                 % (self.name, self.label_names, tuple(labels))
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
         with self._lock:
             child = self._children.get(key)
             if child is None:

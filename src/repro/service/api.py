@@ -23,7 +23,7 @@ config and the CLI all read the row instead of testing the kind.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -170,7 +170,7 @@ def _params_key(params: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], .
     """
     if not params:
         return ()
-    if not isinstance(params, Mapping):
+    if type(params) is not dict and not isinstance(params, Mapping):
         raise ServiceError(
             f"'params' must be an object, got {type(params).__name__}"
         )
@@ -182,6 +182,15 @@ def _params_key(params: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], .
                 f"param {key!r} must be a scalar, got {type(value).__name__}"
             )
     return tuple(sorted(params.items()))
+
+
+#: The field types :meth:`RealizationRequest.validate` checks first, in
+#: the order it reports them.
+_FIELD_TYPES = (
+    ("request_id", str), ("kind", str), ("seed", int), ("repairs", int),
+    ("engine", str), ("sort_fidelity", str), ("tree_variant", str),
+    ("model", str), ("explicit_envelope", bool),
+)
 
 
 @dataclass(frozen=True)
@@ -257,14 +266,13 @@ class RealizationRequest:
             return self
         # Field types first: every later check (and the executor's cache
         # hashing and Network construction) assumes them.
-        for attr, expected in (
-            ("request_id", str), ("kind", str), ("seed", int),
-            ("repairs", int), ("engine", str), ("sort_fidelity", str),
-            ("tree_variant", str), ("model", str), ("explicit_envelope", bool),
-        ):
+        for attr, expected in _FIELD_TYPES:
             value = getattr(self, attr)
-            bad_bool = expected is int and isinstance(value, bool)
-            if bad_bool or not isinstance(value, expected):
+            if type(value) is expected:
+                continue
+            if not isinstance(value, expected) or (
+                expected is int and isinstance(value, bool)
+            ):
                 raise ServiceError(
                     f"{attr!r} must be {expected.__name__}, got "
                     f"{type(value).__name__}"
@@ -273,21 +281,27 @@ class RealizationRequest:
             not isinstance(self.n, int) or isinstance(self.n, bool)
         ):
             raise ServiceError(f"'n' must be an integer, got {self.n!r}")
-        if self.degrees is not None and any(
-            not isinstance(d, int) or isinstance(d, bool) or d < 0
-            for d in self.degrees
+        degrees = self.degrees or ()
+        # One C-speed test over the set of element types: bool cannot be
+        # subclassed, so ``bool in types`` is ``isinstance(d, bool)``.
+        types = set(map(type, degrees))
+        if types and (
+            bool in types
+            or not all(map(int.__subclasscheck__, types))
+            or min(degrees) < 0
         ):
             raise ServiceError(
                 f"'degrees' must contain non-negative integers only: "
                 f"{self.degrees!r}"
             )
-        try:
-            params_map = dict(self.params)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                f"'params' must be (name, value) pairs: {self.params!r}"
-            ) from None
-        _params_key(params_map)
+        if self.params:
+            try:
+                params_map = dict(self.params)
+            except (TypeError, ValueError):
+                raise ServiceError(
+                    f"'params' must be (name, value) pairs: {self.params!r}"
+                ) from None
+            _params_key(params_map)
         if self.kind not in KIND_TABLE:
             raise ServiceError(
                 f"unknown kind {self.kind!r}; expected one of {sorted(KINDS)}"
@@ -450,37 +464,48 @@ class RealizationRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RealizationRequest":
-        """Build and validate a request from a JSON-style dict."""
-        if not isinstance(payload, Mapping):
+        """Build and validate a request from a JSON-style dict.
+
+        One fill, as :meth:`from_wire` fills: the field defaults, then
+        the payload, then the one normalisation (``__post_init__``) and
+        the one check (:meth:`validate`).
+        """
+        if type(payload) is not dict and not isinstance(payload, Mapping):
             raise ServiceError(f"request must be an object, got {type(payload).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known - {"rho"}
-        if unknown:
+        if not _PAYLOAD_KEYS.issuperset(payload):
+            unknown = set(payload) - _PAYLOAD_KEYS
             raise ServiceError(f"unknown request field(s): {sorted(unknown)}")
-        data = dict(payload)
+        self = cls.__new__(cls)
+        inner = self.__dict__
+        inner.update(_DEFAULTS)
+        inner.update(payload)
         # "rho" is an accepted alias for the connectivity workload vector.
-        if "rho" in data:
-            if "degrees" in data:
+        if "rho" in payload:
+            if "degrees" in payload:
                 raise ServiceError("give either 'degrees' or 'rho', not both")
-            data["degrees"] = data.pop("rho")
-        if data.get("degrees") is not None:
-            if isinstance(data["degrees"], (str, bytes)):
+            inner["degrees"] = inner.pop("rho")
+        degrees = inner["degrees"]
+        if degrees is not None:
+            if isinstance(degrees, (str, bytes)):
                 raise ServiceError(
                     f"'degrees' must be a list of integers, not a string: "
-                    f"{data['degrees']!r}"
+                    f"{degrees!r}"
                 )
             try:
-                data["degrees"] = tuple(data["degrees"])
+                inner["degrees"] = tuple(degrees)
             except TypeError:
                 raise ServiceError(
-                    f"'degrees' must be a list of integers: {data['degrees']!r}"
+                    f"'degrees' must be a list of integers: {degrees!r}"
                 ) from None
-        data["params"] = _params_key(data.get("params"))
+        if "params" in payload:
+            inner["params"] = _params_key(inner["params"])
         try:
-            request = cls(**data)
+            if "kind" not in inner:
+                cls(**inner)  # raises, naming the missing field
+            self.__post_init__()
         except TypeError as exc:
             raise ServiceError(f"malformed request: {exc}") from None
-        return request.validate()
+        return self.validate()
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict, omitting defaulted fields for readability."""
@@ -494,20 +519,13 @@ class RealizationRequest:
             out["n"] = self.n
         if self.params:
             out["params"] = dict(self.params)
-        for attr, default in (
-            ("seed", 0),
-            ("engine", "fast"),
-            ("sort_fidelity", "charged"),
-            ("tree_variant", "min_diameter"),
-            ("model", "ncc0"),
-            ("repairs", 0),
-            ("explicit_envelope", False),
-            ("max_rounds", None),
-            ("deadline_ms", None),
-            ("idempotency_key", None),
+        for attr in (
+            "seed", "engine", "sort_fidelity", "tree_variant", "model",
+            "repairs", "explicit_envelope", "max_rounds", "deadline_ms",
+            "idempotency_key",
         ):
             value = getattr(self, attr)
-            if value != default:
+            if value != _DEFAULTS[attr]:
                 out[attr] = value
         return out
 
@@ -652,6 +670,16 @@ assert RealizationRequest._WIRE_KEYS == tuple(
 assert RealizationResponse._WIRE_KEYS == tuple(
     f.name for f in fields(RealizationResponse)
 ), "RealizationResponse._WIRE_KEYS drifted from the dataclass fields"
+
+#: The keys a request payload may carry: the fields and ``rho``, the
+#: alias of ``degrees``.
+_PAYLOAD_KEYS = frozenset(RealizationRequest._WIRE_KEYS) | {"rho"}
+
+#: Every request field's default (``kind`` has none): where
+#: :meth:`RealizationRequest.from_dict`'s fill starts.
+_DEFAULTS = {
+    f.name: f.default for f in fields(RealizationRequest) if f.default is not MISSING
+}
 
 
 def error_response(

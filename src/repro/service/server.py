@@ -10,7 +10,10 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   ``parse_request_payload``; responses are the standard
   :class:`~repro.service.api.RealizationResponse` dicts.  The executor's
   cache/coalescing layers sit behind the socket unchanged, so responses
-  are bit-identical to the stdio and ``run()`` paths.
+  are bit-identical to the stdio and ``run()`` paths.  A line longer
+  than the reader's limit (asyncio's default, 64 KiB) is answered with
+  an ``ERROR`` envelope and skipped through its newline; the connection
+  keeps serving.
 * **One admission path.**  Every request enters the executor's request
   core (``BatchExecutor._submit``) on the event loop, in every mode.
   Cache hits, journal replays and validation errors come back already
@@ -433,11 +436,39 @@ class SocketServer:
         self, reader: asyncio.StreamReader, conn: _Connection
     ) -> None:
         burst = 0
+        skipping = False  # inside an over-long line, dropped through its newline
         while True:
-            # readline() returns a line already buffered without yielding,
+            # readuntil() returns a line already buffered without yielding,
             # so a pipelined write is admitted in one turn; it yields when
             # it must wait for bytes.
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF: a last line may lack its newline
+            except asyncio.LimitOverrunError as exc:
+                # A line longer than the reader's limit is answered once
+                # and dropped: what has arrived of it now (up to its
+                # newline, if that came), the rest as it arrives.
+                await reader.readexactly(exc.consumed)
+                if not skipping:
+                    skipping = True
+                    # StreamReader has no public accessor for its limit,
+                    # so the private ``_limit`` is read: start_server()
+                    # passes none, and reading it keeps the message true
+                    # to asyncio's default (64 KiB) instead of a copy.
+                    limit = reader._limit
+                    conn.queue.put_nowait(self._immediate(
+                        error_response(
+                            "", "?",
+                            f"request line longer than the {limit}-byte "
+                            "line limit; line skipped",
+                        ),
+                        conn,
+                    ))
+                continue
+            if skipping:
+                skipping = False  # the over-long line's tail
+                continue
             if not line:
                 return  # client EOF
             text = line.decode("utf-8", errors="replace").strip()
@@ -464,11 +495,12 @@ class SocketServer:
             return self._immediate(
                 error_response("", "?", f"bad JSON: {exc}"), conn
             )
-        if isinstance(payload, dict) and payload.get("kind") == STATS_KIND:
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if kind == STATS_KIND:
             return self._stats_envelope(payload)
-        if isinstance(payload, dict) and payload.get("kind") == METRICS_KIND:
+        if kind == METRICS_KIND:
             return self._metrics_envelope(payload)
-        if isinstance(payload, dict) and payload.get("kind") == SESSION_KIND:
+        if kind == SESSION_KIND:
             self._session_handshake(payload, conn)
             return _HANDLED
         parsed = parse_request_payload(payload)

@@ -1,22 +1,29 @@
 """The cache-hit path does each step once.
 
-A hit validates its request once (at parse time), keys the response
-cache by a plain tuple, and re-envelopes the cached response by a field
-copy.  These tests pin each step against the formulation it replaced:
-the tuple key groups requests exactly as the old
-``dataclasses.replace``-built key did, the re-envelope equals the old
-``dataclasses.replace`` copy, an invalid request still raises on every
-``validate()`` call, and a parsed hit through ``BatchExecutor._submit``
-makes no ``dataclasses.replace`` call and re-runs none of validation's
-checks (counted with ``sys.setprofile``).
+A request line is parsed by one fill and checked at C speed; a hit
+validates its request once (at parse time), keys the response cache by
+a plain tuple, re-envelopes the cached response by a field copy, and
+finds its kind's counter without the metric's lock.  These tests pin
+each step against the formulation it replaced: the one-fill parse
+accepts and rejects exactly what ``cls(**data)`` and the per-element
+degree test did, with the same requests and messages; the tuple key
+groups requests exactly as the old ``dataclasses.replace``-built key
+did, the re-envelope equals the old ``dataclasses.replace`` copy, an
+invalid request still raises on every ``validate()`` call, and a parsed
+hit through ``BatchExecutor._submit`` makes no ``dataclasses.replace``
+call and re-runs none of validation's checks.  The counts are taken
+with ``sys.setprofile`` or a counting lock, so they hold on any host.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
+import types
 from concurrent.futures import Future
 from itertools import combinations
+from typing import Any, Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -199,22 +206,30 @@ WATCHED = {
 }
 
 
-def _calls(fn):
-    """Run ``fn`` and count the Python-level calls into ``WATCHED`` on
-    this thread."""
-    names = {func.__code__: name for name, func in WATCHED.items()}
-    counts = dict.fromkeys(WATCHED, 0)
+def _python_calls(fn, *args):
+    """Run ``fn(*args)`` and list the code object of every Python-level
+    call it makes on this thread, its own included."""
+    codes = []
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
+        if event == "call":
+            codes.append(frame.f_code)
 
     sys.setprofile(profile)
     try:
-        result = fn()
+        result = fn(*args)
     finally:
         sys.setprofile(None)
-    return result, counts
+    return result, codes
+
+
+def _calls(fn):
+    """Run ``fn`` and count the Python-level calls into ``WATCHED`` on
+    this thread."""
+    result, codes = _python_calls(fn)
+    return result, {
+        name: codes.count(func.__code__) for name, func in WATCHED.items()
+    }
 
 
 def test_parsed_hit_through_submit_does_each_step_once():
@@ -240,3 +255,446 @@ def test_parsed_hit_through_submit_does_each_step_once():
         "_params_key": 0,
         "engine_names": 0,
     }
+
+
+# ---------------------------------------------------------------------- #
+# The one-fill parse against the parse it replaced                       #
+# ---------------------------------------------------------------------- #
+
+
+def reference_validate(request: RealizationRequest) -> RealizationRequest:
+    """``validate()`` as it was before the C-speed checks, whole: an
+    ``isinstance`` pair per field, a generator over the degrees, and
+    ``params`` re-checked even when empty.  It never calls the new
+    ``validate()``, so a check the new one gets wrong in either direction
+    shows up as a difference."""
+    for attr, expected in (
+        ("request_id", str), ("kind", str), ("seed", int),
+        ("repairs", int), ("engine", str), ("sort_fidelity", str),
+        ("tree_variant", str), ("model", str), ("explicit_envelope", bool),
+    ):
+        value = getattr(request, attr)
+        bad_bool = expected is int and isinstance(value, bool)
+        if bad_bool or not isinstance(value, expected):
+            raise ServiceError(
+                f"{attr!r} must be {expected.__name__}, got "
+                f"{type(value).__name__}"
+            )
+    if request.n is not None and (
+        not isinstance(request.n, int) or isinstance(request.n, bool)
+    ):
+        raise ServiceError(f"'n' must be an integer, got {request.n!r}")
+    if request.degrees is not None and any(
+        not isinstance(d, int) or isinstance(d, bool) or d < 0
+        for d in request.degrees
+    ):
+        raise ServiceError(
+            f"'degrees' must contain non-negative integers only: "
+            f"{request.degrees!r}"
+        )
+    try:
+        params_map = dict(request.params)
+    except (TypeError, ValueError):
+        raise ServiceError(
+            f"'params' must be (name, value) pairs: {request.params!r}"
+        ) from None
+    api._params_key(params_map)
+    if request.kind not in api.KIND_TABLE:
+        raise ServiceError(
+            f"unknown kind {request.kind!r}; expected one of {sorted(KINDS)}"
+        )
+    if (request.degrees is None) == (request.scenario is None):
+        raise ServiceError(
+            "exactly one of 'degrees' and 'scenario' must be provided"
+        )
+    if request.scenario is not None and (request.n is None or request.n < 1):
+        raise ServiceError("scenario requests need a positive 'n'")
+    if request.degrees is not None:
+        if len(request.degrees) == 0:
+            raise ServiceError("'degrees' must be a non-empty integer list")
+        if request.n is not None and request.n != len(request.degrees):
+            raise ServiceError(
+                f"n={request.n} disagrees with len(degrees)={len(request.degrees)}"
+            )
+    if request.engine not in api.engine_names():
+        raise ServiceError(f"unknown engine {request.engine!r}")
+    if request.max_rounds is not None and (
+        not isinstance(request.max_rounds, int)
+        or isinstance(request.max_rounds, bool)
+        or request.max_rounds < 1
+    ):
+        raise ServiceError(
+            f"'max_rounds' must be a positive integer, got {request.max_rounds!r}"
+        )
+    if request.deadline_ms is not None and (
+        not isinstance(request.deadline_ms, int)
+        or isinstance(request.deadline_ms, bool)
+        or request.deadline_ms < 1
+    ):
+        raise ServiceError(
+            f"'deadline_ms' must be a positive integer, got {request.deadline_ms!r}"
+        )
+    if request.idempotency_key is not None and (
+        not isinstance(request.idempotency_key, str) or not request.idempotency_key
+    ):
+        raise ServiceError(
+            "'idempotency_key' must be a non-empty string, got "
+            f"{request.idempotency_key!r}"
+        )
+    if request.sort_fidelity not in ("full", "charged"):
+        raise ServiceError(f"unknown sort_fidelity {request.sort_fidelity!r}")
+    if request.tree_variant not in api._TREE_VARIANTS:
+        raise ServiceError(f"unknown tree_variant {request.tree_variant!r}")
+    if request.model not in ("ncc0", "ncc1"):
+        raise ServiceError(f"unknown connectivity model {request.model!r}")
+    if request.repairs < 0:
+        raise ServiceError("'repairs' must be >= 0")
+    object.__setattr__(request, "_validated", True)
+    return request
+
+
+def reference_from_dict(payload: Mapping[str, Any]) -> RealizationRequest:
+    """``RealizationRequest.from_dict`` as it was before the one fill: a
+    field set rebuilt per call, a copy of the payload, ``cls(**data)``,
+    and :func:`reference_validate`."""
+    cls = RealizationRequest
+    if not isinstance(payload, Mapping):
+        raise ServiceError(f"request must be an object, got {type(payload).__name__}")
+    known = {f for f in cls.__dataclass_fields__}
+    unknown = set(payload) - known - {"rho"}
+    if unknown:
+        raise ServiceError(f"unknown request field(s): {sorted(unknown)}")
+    data = dict(payload)
+    if "rho" in data:
+        if "degrees" in data:
+            raise ServiceError("give either 'degrees' or 'rho', not both")
+        data["degrees"] = data.pop("rho")
+    if data.get("degrees") is not None:
+        if isinstance(data["degrees"], (str, bytes)):
+            raise ServiceError(
+                f"'degrees' must be a list of integers, not a string: "
+                f"{data['degrees']!r}"
+            )
+        try:
+            data["degrees"] = tuple(data["degrees"])
+        except TypeError:
+            raise ServiceError(
+                f"'degrees' must be a list of integers: {data['degrees']!r}"
+            ) from None
+    data["params"] = api._params_key(data.get("params"))
+    try:
+        request = cls(**data)
+    except TypeError as exc:
+        raise ServiceError(f"malformed request: {exc}") from None
+    return reference_validate(request)
+
+
+def _outcome(parse, payload):
+    """``("ok", request)`` or ``("error", message)``; any other
+    exception propagates and fails the test."""
+    try:
+        return "ok", parse(payload)
+    except ServiceError as exc:
+        return "error", str(exc)
+
+
+def assert_parses_alike(payload) -> str:
+    """Both parses accept ``payload`` with equal requests, or both
+    reject it with the same message; returns which."""
+    old = _outcome(reference_from_dict, payload)
+    new = _outcome(RealizationRequest.from_dict, payload)
+    assert old[0] == new[0], (payload, old, new)
+    if old[0] == "error":
+        assert old[1] == new[1], payload
+    else:
+        ref, got = old[1], new[1]
+        assert got == ref, payload
+        assert vars(got) == vars(ref), payload
+        assert got.to_wire() == ref.to_wire(), payload
+        assert got.cache_key() == ref.cache_key(), payload
+    return old[0]
+
+
+class _Int(int):
+    """An ``int`` subclass: accepted as a degree, by the per-element test."""
+
+
+#: Values of every JSON shape, for fields that expect something else.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+DEGREE = st.one_of(
+    st.integers(0, 4), st.integers(-2, -1), st.booleans(),
+    st.floats(0, 4, width=16), st.sampled_from(["1", _Int(2)]),
+)
+
+#: Field values a client might well send, the aliases included.
+OPTIONS = {
+    "request_id": st.sampled_from(["", "r1"]),
+    "seed": st.integers(0, 2),
+    "engine": st.sampled_from(["fast", "reference", "warp"]),
+    "sort_fidelity": st.sampled_from(["charged", "full"]),
+    "tree_variant": st.sampled_from(
+        ["min", "max", "min_diameter", "max_diameter", "mid"]
+    ),
+    "model": st.sampled_from(["ncc0", "ncc1"]),
+    "repairs": st.integers(-1, 2),
+    "explicit_envelope": st.booleans(),
+    "max_rounds": st.sampled_from([None, 0, 1, 5]),
+    "deadline_ms": st.sampled_from([None, 0, 1, 250]),
+    "idempotency_key": st.sampled_from([None, "", "k"]),
+    "n": st.sampled_from([None, 1, 2, 3, True]),
+}
+
+WORKLOADS = st.one_of(
+    st.fixed_dictionaries({"degrees": st.lists(st.integers(0, 3), max_size=4)}),
+    st.fixed_dictionaries({"rho": st.lists(DEGREE, max_size=4)}),
+    st.fixed_dictionaries(
+        {"scenario": st.sampled_from(["regular", "tree_random"]),
+         "n": st.integers(0, 4)},
+        optional={"params": st.dictionaries(
+            st.sampled_from(["p", "q"]),
+            st.one_of(st.integers(0, 3), st.booleans(), st.none(),
+                      st.text(max_size=2), st.lists(st.integers(), max_size=1)),
+            max_size=2,
+        )},
+    ),
+)
+
+
+@st.composite
+def payloads(draw):
+    """A plausible request, sometimes with up to two keys (known or not)
+    set to junk."""
+    payload = {"kind": draw(st.sampled_from(KINDS))}
+    payload.update(draw(WORKLOADS))
+    payload.update(draw(st.fixed_dictionaries({}, optional=OPTIONS)))
+    payload.update(draw(st.dictionaries(
+        st.sampled_from(RealizationRequest._WIRE_KEYS + ("rho", "bogus")), JUNK,
+        max_size=2,
+    )))
+    return payload
+
+
+def _tree(**fields):
+    return {"kind": "tree", "degrees": [2, 1, 1], **fields}
+
+
+#: The payloads the parse must treat as the old one did, by name.
+EXPLICIT = {
+    "plain": _tree(),
+    "degrees_bools": _tree(degrees=[True, 1]),
+    "degrees_bool_only": _tree(degrees=[False]),
+    "degrees_negative": _tree(degrees=[2, -1, 1]),
+    "degrees_float": _tree(degrees=[2.0, 1, 1]),
+    "degrees_string_items": _tree(degrees=["2", 1, 1]),
+    "degrees_int_subclass": _tree(degrees=[_Int(2), 1, 1]),
+    "degrees_with_zero": {"kind": "degree_implicit", "degrees": [1, 1, 0]},
+    "degrees_empty": _tree(degrees=[]),
+    "degrees_null": _tree(degrees=None),
+    "degrees_string": _tree(degrees="2,1,1"),
+    "degrees_bytes": _tree(degrees=b"\x02\x01\x01"),
+    "degrees_number": _tree(degrees=3),
+    "degrees_object": _tree(degrees={"a": 1}),
+    "degrees_huge": _tree(degrees=[2 ** 70, 1]),
+    "rho_alone": {"kind": "connectivity", "rho": [1, 2, 1]},
+    "rho_ncc1": {"kind": "connectivity", "model": "ncc1", "rho": [1, 2, 1]},
+    "rho_and_degrees": {"kind": "connectivity", "rho": [1, 1], "degrees": [1, 1]},
+    "rho_negative": {"kind": "connectivity", "rho": [1, -2]},
+    "unknown_field": _tree(bogus=1),
+    "unknown_fields": _tree(zeta=1, alpha=2),
+    "private_mark": _tree(_validated=True),
+    "kind_missing": {"degrees": [2, 1, 1]},
+    "kind_missing_bad_degrees": {"degrees": "2,1,1"},
+    "kind_missing_bad_variant": {"degrees": [2, 1, 1], "tree_variant": ["min"]},
+    "kind_null": _tree(kind=None),
+    "kind_unknown": _tree(kind="nope"),
+    "kind_unhashable": _tree(kind=["tree"]),
+    "engine_unhashable": _tree(engine=["fast"]),
+    "tree_variant_unhashable": _tree(tree_variant=["min"]),
+    "tree_variant_object": _tree(tree_variant={"min": 1}),
+    "tree_variant_unknown": _tree(tree_variant="mid"),
+    "alias_min": _tree(tree_variant="min"),
+    "alias_max": _tree(tree_variant="max"),
+    "mapping_proxy": types.MappingProxyType(_tree()),
+    "mapping_proxy_rho": types.MappingProxyType(
+        {"kind": "connectivity", "rho": [1, 1]}
+    ),
+    "mapping_proxy_unknown": types.MappingProxyType(_tree(bogus=1)),
+    "not_a_mapping_list": [["kind", "tree"]],
+    "not_a_mapping_string": "tree",
+    "not_a_mapping_null": None,
+    "not_a_mapping_number": 7,
+    "params_mapping": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                       "params": {"q": 1, "p": "x"}},
+    "params_empty": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                     "params": {}},
+    "params_null": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                    "params": None},
+    "params_pairs_list": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                          "params": [["p", 1]]},
+    "params_string": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                      "params": "p=1"},
+    "params_number": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                      "params": 3},
+    "params_list_value": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                          "params": {"p": [1]}},
+    "params_object_value": {"kind": "tree", "scenario": "tree_random", "n": 4,
+                            "params": {"p": {"a": 1}}},
+    "params_name_not_string": {"kind": "tree", "scenario": "tree_random",
+                               "n": 4, "params": {1: 2}},
+    "params_with_degrees": _tree(params={"p": 1}),
+    "n_redundant": _tree(n=3),
+    "n_inconsistent": _tree(n=4),
+    "n_bool": _tree(n=True),
+    "n_bool_one_degree": _tree(degrees=[0], n=True),
+    "n_float": _tree(n=3.0),
+    "n_zero_scenario": {"kind": "tree", "scenario": "tree_random", "n": 0},
+    "n_missing_scenario": {"kind": "tree", "scenario": "tree_random"},
+    "both_workloads": _tree(scenario="tree_random", n=3),
+    "no_workload": {"kind": "tree"},
+    "max_rounds_zero": _tree(max_rounds=0),
+    "max_rounds_one": _tree(max_rounds=1),
+    "max_rounds_bool": _tree(max_rounds=True),
+    "max_rounds_float": _tree(max_rounds=1.5),
+    "deadline_zero": _tree(deadline_ms=0),
+    "deadline_one": _tree(deadline_ms=1),
+    "deadline_negative": _tree(deadline_ms=-5),
+    "deadline_bool": _tree(deadline_ms=True),
+    "idempotency_empty": _tree(idempotency_key=""),
+    "idempotency_one_char": _tree(idempotency_key="k"),
+    "idempotency_number": _tree(idempotency_key=5),
+    "seed_bool": _tree(seed=False),
+    "seed_float": _tree(seed=1.0),
+    "repairs_negative": {"kind": "approximate", "degrees": [1, 1], "repairs": -1},
+    "explicit_envelope_int": _tree(explicit_envelope=1),
+    "sort_fidelity_unknown": _tree(sort_fidelity="half"),
+    "model_unknown": _tree(model="ncc2"),
+    "request_id_number": _tree(request_id=5),
+}
+
+#: The explicit payloads the old parse accepted.
+ACCEPTED = {
+    "plain", "degrees_with_zero", "degrees_int_subclass", "degrees_huge",
+    "rho_alone", "rho_ncc1", "alias_min", "alias_max", "mapping_proxy",
+    "mapping_proxy_rho", "params_mapping", "params_empty", "params_null",
+    "params_with_degrees", "n_redundant", "max_rounds_one", "deadline_one",
+    "idempotency_one_char",
+}
+
+
+class TestOneFillParse:
+    @pytest.mark.parametrize("case", sorted(EXPLICIT))
+    def test_explicit_payloads_parse_as_before(self, case):
+        verdict = assert_parses_alike(EXPLICIT[case])
+        assert verdict == ("ok" if case in ACCEPTED else "error")
+
+    @settings(max_examples=600, deadline=None)
+    @given(payloads())
+    def test_drawn_payloads_parse_as_before(self, payload):
+        assert_parses_alike(payload)
+
+
+#: Python-level calls one parse of an inline-vector line makes, whatever
+#: the vector's length: ``parse_request_payload``, ``from_dict``,
+#: ``__post_init__``, ``validate`` and its ``engine_names`` lookup.
+PARSE_CALLS = 5
+
+
+def _serve_hot_payload(shape: str, n: int):
+    """The inline-vector shapes of perfbench's ``serve_hot`` hot set."""
+    if shape == "tree":
+        return {"kind": "tree", "degrees": [2] * (n - 2) + [1, 1],
+                "request_id": "c0-17"}
+    return {"kind": "connectivity", "model": "ncc1",
+            "rho": [1 + i % 8 for i in range(n)], "request_id": "c1-3"}
+
+
+@pytest.mark.parametrize("shape", ["tree", "rho"])
+@pytest.mark.parametrize("n", [64, 640])
+def test_parse_is_one_fill_at_any_vector_length(shape, n):
+    payload = _serve_hot_payload(shape, n)
+    parse_request_payload(payload)  # warm any first-call caches
+    request, codes = _python_calls(parse_request_payload, payload)
+    assert isinstance(request, RealizationRequest) and request.size == n
+    assert codes.count(RealizationRequest.__init__.__code__) == 0
+    assert codes.count(RealizationRequest.validate.__code__) == 1
+    assert len(codes) == PARSE_CALLS, [code.co_name for code in codes]
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_settle_counts_a_known_kind_without_the_lock():
+    """303 answers over 3 kinds are each counted under their kind, and
+    ``requests_by_kind`` takes its lock 3 times in all: once per kind, to
+    make its child at the kind's first answer.  The 300 hits find their
+    kind's child with a dict read."""
+    payloads = [
+        {"kind": "degree_implicit", "scenario": "regular", "n": 12, "seed": 5},
+        {"kind": "tree", "scenario": "tree_random", "n": 10, "seed": 2},
+        {"kind": "connectivity", "scenario": "rho_uniform", "n": 10, "seed": 3},
+    ]
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    lock = executor.requests_by_kind._lock = _CountingLock()
+    try:
+        for payload in payloads:  # the misses that fill the cache
+            assert not executor.handle(parse_request_payload(payload)).cached
+        hits = [
+            executor.handle(parse_request_payload({**payload, "request_id": f"h{i}"}))
+            for i in range(100) for payload in payloads
+        ]
+        taken = lock.taken
+        by_kind = executor.stats()["requests_by_kind"]
+    finally:
+        executor.close()
+    assert len(hits) == 300 and all(hit.cached for hit in hits)
+    assert taken == 3
+    assert by_kind == {"connectivity": 101, "degree_implicit": 101, "tree": 101}
+
+
+def test_kind_counters_survive_racing_first_answers():
+    """Threads answering their kinds' first requests at once share one
+    counter child per kind: every answer is counted under its kind."""
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    kinds = [f"k{i}" for i in range(12)]  # unknown kinds: answered at once
+    per_thread = 120
+
+    def answer_all(offset):
+        for i in range(per_thread):
+            kind = kinds[(i + offset) % len(kinds)]
+            request = RealizationRequest(kind=kind, degrees=(1, 1))
+            assert executor.handle(request).verdict == "ERROR"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=answer_all, args=(t,)) for t in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        by_kind = executor.stats()["requests_by_kind"]
+    finally:
+        sys.setswitchinterval(interval)
+        executor.close()
+    assert by_kind == {kind: 8 * per_thread // len(kinds) for kind in kinds}

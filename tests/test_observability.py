@@ -101,6 +101,8 @@ class TestMetrics:
             c.inc()  # labeled family needs .labels()
         with pytest.raises(ValueError):
             c.labels(nope=1)
+        with pytest.raises(ValueError):
+            c.labels(kind="tree", nope=1)  # a known child, an extra name
 
     def test_registry_idempotent_by_name_and_type_checked(self):
         reg = MetricsRegistry()

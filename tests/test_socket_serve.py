@@ -38,6 +38,7 @@ from repro.service import (
     serve_socket,
 )
 from repro.service import faults
+from repro.service.journal import RequestJournal
 from repro.service.server import ADMISSION_REJECTED
 from tests.conftest import block_execute
 
@@ -536,6 +537,90 @@ class TestSocketServe:
         assert row_b["request_id"] == "b0"
         assert all(r["cached"] for r in rows_a + [row_b])
         assert admitted.index("b0") < admitted.index("a2")
+
+    def test_over_long_line_is_answered_and_the_connection_keeps_serving(self):
+        """A ~120 KB line between two hits, in one client write: the
+        client reads the hit, an ERROR naming the line limit, and the
+        second hit, and no exception reaches the loop's handler."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        assert executor.handle(req_of(line("warm", n=12, seed=5))).verdict == (
+            "REALIZED"
+        )
+        long_line = json.dumps(
+            {"request_id": "long", "kind": "tree", "degrees": [1] * 40_000}
+        )
+        assert 110_000 < len(long_line) < 130_000
+        unhandled = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server = await SocketServer(executor, port=0, window=8).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            before = server.handled
+            await send(writer, "\n".join(
+                [line("h0", n=12, seed=5), long_line, line("h1", n=12, seed=5)]
+            ))
+            rows = [await recv(reader, timeout=30) for _ in range(3)]
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows, server.handled - before
+
+        try:
+            rows, handled = run(scenario())
+        finally:
+            executor.close()
+        assert [r["request_id"] for r in rows] == ["h0", "", "h1"]
+        assert rows[0]["cached"] and rows[2]["cached"]
+        assert rows[1]["verdict"] == "ERROR"
+        assert "65536-byte line limit" in rows[1]["error"]
+        assert handled == 3
+        assert unhandled == []
+
+    @pytest.mark.parametrize("size", [100_000, 300_000])
+    def test_over_long_line_in_pieces_is_skipped_to_its_newline(
+        self, tmp_path, size
+    ):
+        """An over-long line whose newline arrives in a later write (at
+        300 KB, after several reads past the limit) is answered once,
+        journaled as rejected and given its session slot, like a bad
+        JSON line; the line after it is served."""
+        journal = RequestJournal(str(tmp_path / "j.bin"), fsync="never")
+        executor = BatchExecutor(
+            pool=NetworkPool(), registry=default_registry(), journal=journal
+        )
+        head = b'{"request_id": "long", "kind": "tree", "degrees": ['
+        body = b"1, " * (size // 3)
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=8).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, json.dumps({"kind": "session"}))
+            assert (await recv(reader))["verdict"] == "SESSION"
+            writer.write(head + body)
+            await writer.drain()
+            await asyncio.sleep(0.2)  # the server reads past its limit
+            await send(writer, "1]}\n" + line("after", n=12, seed=5))
+            rows = [await recv(reader, timeout=30) for _ in range(2)]
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows
+
+        try:
+            rows = run(scenario())
+            rejected = journal.stats()["rejected"]
+        finally:
+            executor.close()
+            journal.close()
+        error, after = rows
+        assert error["verdict"] == "ERROR" and "line limit" in error["error"]
+        assert error["session_seq"] == 0
+        assert after["request_id"] == "after" and after["verdict"] == "REALIZED"
+        assert after["session_seq"] == 1
+        assert rejected == 1
 
     def test_worker_crash_mid_connection_is_typed_and_recovers(self, monkeypatch):
         plan = FaultPlan([FaultRule(action="crash", request_ids=("boom",))])
