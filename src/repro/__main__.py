@@ -14,18 +14,16 @@ writing a script:
   realizer;
 * ``scenarios`` — list the named workload scenarios of the service
   registry;
-* ``batch requests.jsonl`` (or ``-`` for stdin) — drain a JSONL request
-  batch through the warm-pool executor, one JSON response per line
-  (``--mode processes --workers N`` drains across worker processes,
-  each with its own warm network pool; ``sequential``, the default,
-  runs misses one at a time in-process);
-* ``serve`` — long-lived JSONL service on stdin/stdout that streams in
-  both modes: requests enter the executor as their lines arrive and
-  responses are emitted in input order as they complete
-  (``--mode processes --workers N`` runs the misses across worker
-  processes); with ``--port`` it becomes a multi-client TCP socket
-  server with bounded admission (``--window``) and typed
-  ``ADMISSION_REJECTED`` overflow responses; requests may carry a
+* ``serve`` — long-lived JSONL service on stdin/stdout (``serve <
+  requests.jsonl`` drains a file) that streams in both modes: requests
+  enter the executor as their lines arrive and responses are emitted
+  in input order as they complete (``--mode processes --workers N``
+  runs the misses across worker processes, each with its own warm
+  network pool; ``sequential``, the default, runs them one at a time
+  in-process); with ``--port`` it serves multi-client TCP instead
+  (stdin/stdout is one more connection of the same server code), with
+  bounded admission (``--window``: stdio waits for room, a socket gets
+  typed ``ADMISSION_REJECTED`` overflow responses); requests may carry a
   ``deadline_ms`` wall-clock budget (typed ``DEADLINE_EXCEEDED``), and
   ``--hang-timeout`` arms the processes-mode watchdog (typed
   ``WORKER_TIMEOUT``); ``--trace-out`` collects request-scoped traces
@@ -167,52 +165,6 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def cmd_batch(args) -> int:
-    import json
-
-    from repro.service import run_batch_lines
-
-    if args.path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            raise SystemExit(f"cannot read batch file: {exc}")
-    executor = _make_executor(args)
-    try:
-        responses = run_batch_lines(lines, executor)
-        # Capture the counters while the executor is live: close() tears
-        # the pool down, so a later stats() call would describe a
-        # torn-down executor (it now freezes, but the summary should not
-        # depend on that).
-        stats = executor.stats()
-    finally:
-        executor.close()
-    errors = 0
-    for response in responses:
-        if response.verdict == "ERROR":
-            errors += 1
-        print(json.dumps(response.to_dict()))
-    pool = stats.get("pool", {})
-    summary = (
-        f"batch[{stats['mode']}]: {len(responses)} response(s), "
-        f"{errors} error(s); cache hits {stats['response_cache_hits']}, "
-        f"coalesced {stats['coalesced_hits']}"
-    )
-    if stats["mode"] == "processes":
-        # Worker processes own their pools; the parent pool is unused.
-        if stats["worker_crashes"]:
-            summary += f", worker crashes {stats['worker_crashes']}"
-    else:
-        summary += (
-            f", pool hits {pool.get('pool_hits', 0)}/{pool.get('leases', 0)}"
-        )
-    print(summary, file=sys.stderr)
-    return 1 if errors else 0
-
-
 def _serve_child_argv(args) -> List[str]:
     """Rebuild the ``serve`` argv for a supervised child process.
 
@@ -236,8 +188,8 @@ def _serve_child_argv(args) -> List[str]:
 
 
 def cmd_serve(args) -> int:
-    from repro.service import serve
     from repro.service.executor import validate_window
+    from repro.service.server import serve, serve_socket
 
     try:
         window = validate_window(args.window)
@@ -315,36 +267,28 @@ def cmd_serve(args) -> int:
             f"http://127.0.0.1:{metrics_httpd.server_address[1]}/metrics",
             file=sys.stderr, flush=True,
         )
-    if args.port is not None:
-        from repro.service.server import serve_socket
 
-        def ready(server) -> None:
-            # Machine-parseable (the CI smoke and tests scrape it): with
-            # --port 0 this is how callers learn the bound port.
-            print(
-                f"serve[{executor.mode}]: listening on "
-                f"{server.host}:{server.port}",
-                file=sys.stderr, flush=True,
-            )
+    def ready(server) -> None:
+        # Machine-parseable (the CI smoke and tests scrape it): with
+        # --port 0 this is how callers learn the bound port.
+        print(
+            f"serve[{executor.mode}]: listening on {server.host}:{server.port}",
+            file=sys.stderr, flush=True,
+        )
 
-        try:
+    try:
+        if args.port is None:
+            handled, errors = serve(sys.stdin, sys.stdout, executor, window=window)
+        else:
             handled, errors = serve_socket(
                 executor, host=args.host, port=args.port, window=window,
                 ready=ready, sessions=sessions,
             )
-        finally:
-            executor.close()
-            if metrics_httpd is not None:
-                metrics_httpd.shutdown()
-                metrics_httpd.server_close()
-    else:
-        try:
-            handled, errors = serve(sys.stdin, sys.stdout, executor, window=window)
-        finally:
-            executor.close()
-            if metrics_httpd is not None:
-                metrics_httpd.shutdown()
-                metrics_httpd.server_close()
+    finally:
+        executor.close()
+        if metrics_httpd is not None:
+            metrics_httpd.shutdown()
+            metrics_httpd.server_close()
     if journal is not None:
         # Clean drain: every admitted request has its completed record,
         # so compaction shrinks the journal to the replay/session tail.
@@ -512,24 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scenarios)
 
     p = sub.add_parser(
-        "batch", help="drain a JSONL request batch (file path or '-' for stdin)"
-    )
-    p.add_argument("path", help="JSONL file with one request object per line")
-    p.add_argument(
-        "--mode",
-        choices=_MODES,
-        default="sequential",
-        help="where cache misses run (sequential = one at a time "
-        "in-process; processes = one warm NetworkPool per worker "
-        "process, true parallel execution)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="worker processes for --mode processes (default %(default)s)",
-    )
-    p.set_defaults(fn=cmd_batch)
-
-    p = sub.add_parser(
         "serve",
         help="long-lived JSONL service on stdin/stdout (default) or, "
         "with --port, a multi-client TCP socket server",
@@ -560,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=int, default=None,
         help="in-flight backpressure window (>= 1; default "
-        "%(default)s -> module default): the stdio streaming path "
-        "blocks its reader at the window, the socket server rejects "
-        "with error_code=ADMISSION_REJECTED",
+        "%(default)s -> module default): on stdin/stdout the reader "
+        "waits for room at the window, a socket connection is "
+        "rejected with error_code=ADMISSION_REJECTED",
     )
     p.add_argument(
         "--hang-timeout", type=float, default=None,
@@ -585,9 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="also expose the Prometheus text exposition on "
         "http://127.0.0.1:PORT/metrics (0 = ephemeral; the bound "
-        "address is printed to stderr).  On --port connections the "
-        "same text is also available in-band via a "
-        "{\"kind\": \"metrics\"} request line",
+        "address is printed to stderr).  The same text is also "
+        "available in-band via a {\"kind\": \"metrics\"} request line",
     )
     p.add_argument(
         "--journal", default=None, metavar="PATH",

@@ -4,12 +4,12 @@ The long-lived front end over the paper's realizers: typed
 request/response envelopes (:mod:`~repro.service.api`), a registry of
 named workload scenarios (:mod:`~repro.service.registry`), a warm
 :class:`NetworkPool` built on the verified ``Network.reset()`` lease
-contract (:mod:`~repro.service.pool`), and a batch/queue executor with
-JSONL front ends (:mod:`~repro.service.executor`), plus an asyncio TCP
-front end multiplexing many concurrent JSONL connections onto one shared
-executor (:mod:`~repro.service.server`), exposed on the CLI as
-``python -m repro serve`` (``--port`` for the socket server) and
-``python -m repro batch``.
+contract (:mod:`~repro.service.pool`), a batch/queue executor
+(:mod:`~repro.service.executor`), and one asyncio JSONL front end
+(:mod:`~repro.service.server`) that multiplexes many concurrent
+connections onto one shared executor, stdin/stdout being one more
+connection, exposed on the CLI as ``python -m repro serve``
+(``--port`` for a TCP socket, stdin/stdout without it).
 
 Quickstart::
 
@@ -36,12 +36,9 @@ from repro.service.supervise import supervise_loop, supervisor_policy
 from repro.service.executor import (
     SERVE_STREAM_WINDOW,
     BatchExecutor,
-    parse_request_line,
     parse_request_payload,
     resolve_workload,
-    run_batch_lines,
     run_request,
-    serve,
     validate_window,
 )
 from repro.service.pool import NetworkPool
@@ -54,6 +51,7 @@ from repro.service.server import (
     STATS_KIND,
     SocketServer,
     retry_after_hint,
+    serve,
     serve_socket,
 )
 from repro.service.registry import (
@@ -91,11 +89,9 @@ __all__ = [
     "Tracer",
     "default_registry",
     "error_response",
-    "parse_request_line",
     "parse_request_payload",
     "resolve_workload",
     "retry_after_hint",
-    "run_batch_lines",
     "run_request",
     "serve",
     "serve_socket",

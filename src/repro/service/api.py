@@ -281,6 +281,10 @@ class RealizationRequest:
             not isinstance(self.n, int) or isinstance(self.n, bool)
         ):
             raise ServiceError(f"'n' must be an integer, got {self.n!r}")
+        if self.scenario is not None and not isinstance(self.scenario, str):
+            raise ServiceError(
+                f"'scenario' must be str, got {type(self.scenario).__name__}"
+            )
         degrees = self.degrees or ()
         # One C-speed test over the set of element types: bool cannot be
         # subclassed, so ``bool in types`` is ``isinstance(d, bool)``.

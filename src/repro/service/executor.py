@@ -59,14 +59,13 @@ completion, before its future resolves.  :meth:`BatchExecutor.handle`
 blocks on that future and :meth:`BatchExecutor.submit` returns it;
 :meth:`BatchExecutor.run` submits a whole batch and gathers the futures
 in input order (sequential mode handles one request at a time); and the
-serve front ends *stream* — requests are submitted as their lines
-arrive and responses are emitted, in input order, as futures complete.
+serve front end (:mod:`repro.service.server`, over a socket or stdio)
+*streams* — requests are submitted as their lines arrive and responses
+are emitted, in input order, as futures complete.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import multiprocessing
 import os
 import signal
@@ -82,7 +81,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from queue import Empty, Queue
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ncc.errors import DeadlineExceeded, RoundBudgetExceeded
@@ -390,10 +388,10 @@ def _fail_orphan(future: "Future") -> None:
 def _resolve_future(out: "Future", response: RealizationResponse) -> None:
     """Resolve a response future, tolerating a racing cancellation.
 
-    A serve loop whose writer died cancels the futures it will never
-    emit (:func:`_drain_pending`); the executor's completion callbacks
-    race that cancellation and must not crash the pool's callback
-    thread on an ``InvalidStateError``.
+    A connection torn down before an answer came cancels the future it
+    waited on (the socket server's bounded closing flush); the
+    executor's completion callbacks race that cancellation and must not
+    crash the pool's callback thread on an ``InvalidStateError``.
     """
     if not out.cancelled():
         try:
@@ -1151,7 +1149,7 @@ class BatchExecutor:
         session: Optional[Tuple[str, int]] = None,
     ) -> "Future":
         """The one request core, without the re-open: internal callers
-        (the serve front ends) must not resurrect a closed executor — a
+        (the serve front end) must not resurrect a closed executor — a
         racing ``close()`` resolves their futures with the closed
         envelope instead.
 
@@ -1242,9 +1240,9 @@ class BatchExecutor:
         traces that include this request and never a response whose
         completion is not journaled yet.  ERROR envelopes complete too:
         the journal records what was *answered* — a replayed session
-        must see the same stream.  A future its caller cancelled (a dead
-        stdio writer) was never answered, so its record stays
-        incomplete.  ``ran=False`` marks a journal replay: its envelope
+        must see the same stream.  A future its caller cancelled (a
+        socket connection whose closing flush timed out) was never
+        answered, so its record stays incomplete.  ``ran=False`` marks a journal replay: its envelope
         keeps the original run's ``elapsed_sec`` and error code, but it
         executed nothing, so its execution sample is 0 and a replayed
         ``DEADLINE_EXCEEDED`` is not counted again.
@@ -1567,7 +1565,7 @@ class BatchExecutor:
 
         Every request goes through the one core — the same cache,
         coalescing, crash-recovery, journal and tracing path the serve
-        front ends stream through.  ``sequential`` handles one request
+        front end streams through.  ``sequential`` handles one request
         at a time; ``processes`` submits the whole batch and gathers the
         futures in input order.
         """
@@ -1594,7 +1592,7 @@ class BatchExecutor:
     def _live_stats(self) -> Dict[str, Any]:
         # The counters live in the metrics registry now; ``.value``
         # yields the plain ints this dict has always carried (the serve
-        # front ends json.dumps it verbatim).
+        # front end json.dumps it verbatim).
         out: Dict[str, Any] = {
             "mode": self.mode,
             "workers": self.workers,
@@ -1676,7 +1674,7 @@ class BatchExecutor:
 
 
 # ---------------------------------------------------------------------- #
-# JSONL front ends (python -m repro serve / batch)                       #
+# The JSONL front end's executor-side pieces                             #
 # ---------------------------------------------------------------------- #
 
 
@@ -1684,8 +1682,9 @@ def parse_request_payload(payload: Any):
     """One JSON-style value -> :class:`RealizationRequest`, or an ERROR
     :class:`RealizationResponse` enveloping the parse failure.
 
-    The single parse-error path every front end (:func:`serve`,
-    :func:`run_batch_lines`, the socket server) shares.
+    The single parse-error path: the JSONL front end
+    (:class:`~repro.service.server.SocketServer`, over a socket or
+    stdio) routes every request line through it.
     """
     try:
         return RealizationRequest.from_dict(payload)
@@ -1695,21 +1694,11 @@ def parse_request_payload(payload: Any):
         return error_response(str(rid), str(kind), str(exc))
 
 
-def parse_request_line(line: str):
-    """One JSONL line -> request or ERROR response (never raises)."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return error_response("", "?", f"bad JSON: {exc}")
-    return parse_request_payload(payload)
-
-
-#: Default in-flight window of the serve front ends: how many submitted-
-#: but-unemitted requests a stream may run ahead by before backpressure
-#: applies.  The streaming stdio loop *blocks* its reader at the window;
-#: the socket server *rejects* (typed ``ADMISSION_REJECTED``) instead.
-#: Both take the validated knob through ``serve()`` / ``SocketServer`` /
-#: the CLI's ``--window``.
+#: Default in-flight window of the JSONL front end: how many admitted
+#: misses may run at once before backpressure applies.  A pipe (stdio)
+#: connection's reader waits for room at the window; a socket connection
+#: is answered ``ADMISSION_REJECTED`` instead.  ``serve()``,
+#: ``SocketServer`` and the CLI's ``--window`` take the validated knob.
 SERVE_STREAM_WINDOW = 256
 
 
@@ -1720,158 +1709,3 @@ def validate_window(window: Optional[int]) -> int:
     if not isinstance(window, int) or isinstance(window, bool) or window < 1:
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     return window
-
-
-def _drain_pending(queue: "Queue") -> int:
-    """Discard a serve queue's unemitted items after a writer failure.
-
-    Every pending response ``Future`` is cancelled — so the executor's
-    completion callbacks stop resolving work nobody will read and a
-    reader blocked on ``put()`` can proceed — and already-completed ones
-    have their exception retrieved, so teardown never leaves a stored
-    exception unobserved.  Returns the number of discarded items.
-    """
-    discarded = 0
-    while True:
-        try:
-            item = queue.get_nowait()
-        except Empty:
-            return discarded
-        discarded += 1
-        if isinstance(item, Future) and not item.cancel():
-            try:
-                item.exception(timeout=0)
-            except Exception:  # cancelled concurrently: nothing stored
-                pass
-
-
-def serve(
-    in_stream: io.TextIOBase,
-    out_stream: io.TextIOBase,
-    executor: Optional[BatchExecutor] = None,
-    window: Optional[int] = None,
-) -> Tuple[int, int]:
-    """Long-lived JSONL loop: one request per line in, one response out.
-
-    Malformed lines produce ``verdict="ERROR"`` responses (the stream
-    keeps serving).  Returns ``(handled, errors)`` — the number of
-    responses emitted (including parse-error envelopes;
-    ``executor.requests_handled`` counts only the requests that reached
-    the executor) and how many of them carried ``verdict="ERROR"``, so
-    front ends can propagate a nonzero exit code like ``batch`` does.
-    The loop ends at EOF.  Without an ``executor`` it builds one and
-    closes it on the way out; a caller's executor stays open.
-
-    The loop *streams*, in every mode: a reader thread parses lines and
-    submits each request to the executor's request core as it arrives,
-    while the calling thread emits responses in input order as their
-    futures complete — the same core the socket server admits through.
-    A client that writes one line and waits sees its response without
-    closing stdin.  The executor's mode decides only where misses run:
-    on its one lane thread (``sequential``) or its worker pool
-    (``processes``, where pipelined lines run in parallel).  A line's
-    ``deadline_ms`` clock starts when the reader reads it, so time
-    queued behind earlier lines counts against it; a line identical to
-    one still in flight joins that execution as a coalesced follower
-    (its emitted line is a cache hit's; ``coalesced_hits`` counts it).
-    ``window`` bounds how far the reader may run ahead of the writer
-    (default :data:`SERVE_STREAM_WINDOW`, validated >= 1 — the same
-    knob the socket front end rejects on).
-    """
-    window = validate_window(window)
-    if executor is None:
-        with BatchExecutor(pool=NetworkPool()) as owned:
-            return serve(in_stream, out_stream, owned, window)
-    queue: "Queue" = Queue(maxsize=window)
-    reader_failure: List[BaseException] = []
-    stop = threading.Event()
-
-    def pump() -> None:
-        try:
-            for line in in_stream:
-                if stop.is_set():  # writer died: stop submitting
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                parsed = parse_request_line(line)
-                if isinstance(parsed, RealizationResponse):
-                    queue.put(parsed)  # parse error: already a response
-                else:
-                    # the non-reopening entry: a racing close() must
-                    # resolve this future, not resurrect the pool
-                    queue.put(executor._submit(parsed, Future()))
-        except BaseException as exc:  # re-raised on the caller's thread
-            reader_failure.append(exc)
-        finally:
-            queue.put(None)  # EOF sentinel (also on reader failure)
-
-    reader = threading.Thread(target=pump, name="serve-stream-reader", daemon=True)
-    reader.start()
-    handled = errors = 0
-    try:
-        while True:
-            item = queue.get()
-            if item is None:
-                break
-            response = item.result() if isinstance(item, Future) else item
-            out_stream.write(json.dumps(response.to_dict()) + "\n")
-            out_stream.flush()
-            handled += 1
-            if response.verdict == "ERROR":
-                errors += 1
-    except BaseException:
-        # Writer failed (e.g. BrokenPipeError: the client closed its
-        # read end).  Signal the reader to stop submitting, then cancel
-        # and discard the unemitted responses — cancelling releases the
-        # bounded queue (a pump blocked in put() can proceed) and marks
-        # the in-flight futures dead so completion callbacks and worker
-        # results are observed, not leaked ("exception was never
-        # retrieved" noise) — and propagate immediately, without joining
-        # or block-draining: a reader blocked on input that never
-        # arrives would stall forever (it is a daemon thread and retires
-        # at its next line or at EOF).
-        stop.set()
-        _drain_pending(queue)
-        raise
-    reader.join()
-    if reader_failure:
-        # A dying reader must not masquerade as clean EOF: the stream
-        # failure reaches the caller, after what completed is emitted.
-        raise reader_failure[0]
-    return handled, errors
-
-
-def run_batch_lines(
-    lines: Iterable[str],
-    executor: Optional[BatchExecutor] = None,
-) -> List[RealizationResponse]:
-    """Parse a JSONL batch and drain it through ``executor``.
-
-    Without an ``executor`` it builds one and closes it on the way out;
-    a caller's executor stays open.
-    """
-    if executor is None:
-        with BatchExecutor(pool=NetworkPool()) as owned:
-            return run_batch_lines(lines, owned)
-    # Parse every line first (parse errors become in-place ERROR
-    # responses), then drain the well-formed requests as one batch so
-    # the process drain can overlap them.
-    responses: List[Optional[RealizationResponse]] = []
-    requests: List[RealizationRequest] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        parsed = parse_request_line(line)
-        if isinstance(parsed, RealizationResponse):
-            responses.append(parsed)
-        else:
-            requests.append(parsed)
-            responses.append(None)  # placeholder, filled after the drain
-
-    outcomes = iter(executor.run(requests))
-    return [
-        response if response is not None else next(outcomes)
-        for response in responses
-    ]

@@ -149,9 +149,9 @@ class JournalRecovery:
 class RequestJournal:
     """Append-only, CRC-framed, fsync-policy-configurable request log.
 
-    Thread-safe: appends arrive from the serve event loop, the stdio
-    reader, the executor's lane thread and the process pool's callback
-    threads at once.
+    Thread-safe: appends arrive from the serve event loop (socket and
+    stdio connections alike), the executor's lane thread, a caller's
+    thread and the process pool's callback threads at once.
     """
 
     def __init__(self, path: str, fsync: str = "batch") -> None:

@@ -1,16 +1,18 @@
-"""Asyncio TCP front end for the realization service.
+"""The JSONL front end of the realization service, over TCP or stdio.
 
 The paper's NCC model targets overlay/peer-to-peer settings where many
-independent parties issue small realization queries concurrently — a
-workload the stdio ``serve`` pipe (one client, one stream) cannot
-express.  :class:`SocketServer` multiplexes any number of newline-
-delimited JSONL connections onto one shared :class:`BatchExecutor`:
+independent parties issue small realization queries concurrently.
+:class:`SocketServer` multiplexes any number of newline-delimited JSONL
+connections onto one shared :class:`BatchExecutor`, and :func:`serve`
+runs a pair of streams (``python -m repro serve`` without ``--port``:
+stdin and stdout) as one more connection of the same server, so one
+read loop, route, admission, journal and emit path answers both:
 
 * **Same envelopes.**  Each line is parsed by the executor's own
   ``parse_request_payload``; responses are the standard
   :class:`~repro.service.api.RealizationResponse` dicts.  The executor's
-  cache/coalescing layers sit behind the socket unchanged, so responses
-  are bit-identical to the stdio and ``run()`` paths.  A line longer
+  cache/coalescing layers sit behind the connection unchanged, so
+  responses are bit-identical to the ``run()`` path.  A line longer
   than the reader's limit (asyncio's default, 64 KiB) is answered with
   an ``ERROR`` envelope and skipped through its newline; the connection
   keeps serving.
@@ -26,12 +28,17 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
   completes *and* every earlier response on that connection has been
   written.  Connections never block each other.
 * **Bounded admission, typed rejection.**  A global in-flight window
-  (the same validated knob as the stdio path's ``--window``) caps the
-  work outstanding across all clients, and each client is further held
-  to a fair share ``max(1, window // connections)``.  Overflow is not
-  queued: the request is answered immediately with an ``ERROR``
-  envelope carrying ``error_code="ADMISSION_REJECTED"``, so clients can
-  back off and retry instead of silently stalling.
+  (the CLI's ``--window``) caps the misses running across all clients,
+  and each client is further held to a fair share
+  ``max(1, window // connections)``.  Overflow is not queued: the
+  request is answered immediately with an ``ERROR`` envelope carrying
+  ``error_code="ADMISSION_REJECTED"``, so clients can back off and
+  retry instead of silently stalling.
+* **A pipe waits instead.**  A stdio client can neither retry nor
+  reconnect, so on a pipe connection the reader waits for room at the
+  window instead of drawing a rejection, and once the input ends every
+  answer is written, however long it runs (a socket's closing flush is
+  bounded by :data:`EMIT_TIMEOUT_SEC`).
 * **One yield per wait or per fair share, one write per run.**  A
   connection's reader admits every complete line already buffered
   before it yields: it yields when it must wait for bytes, or at the
@@ -43,6 +50,7 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
 * **Graceful drain.**  ``drain()`` (installed on SIGTERM/SIGINT by
   :func:`serve_socket`) stops accepting connections, rejects new
   requests, lets in-flight work finish and flush, then shuts down.
+  :func:`serve` ends at the end of its input instead.
 * **Introspection.**  A ``{"kind": "stats"}`` line is answered inline
   (never queued behind realization work) with the executor's counters —
   cache, coalescing, crashes, and p50/p99 request latency — plus
@@ -71,9 +79,12 @@ delimited JSONL connections onto one shared :class:`BatchExecutor`:
 from __future__ import annotations
 
 import asyncio
+import io
 import json
+import os
 import secrets
 import signal
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -97,6 +108,7 @@ __all__ = [
     "STATS_KIND",
     "SocketServer",
     "retry_after_hint",
+    "serve",
     "serve_socket",
 ]
 
@@ -106,9 +118,8 @@ __all__ = [
 #: and resubmit.
 ADMISSION_REJECTED = "ADMISSION_REJECTED"
 
-#: Request ``kind`` answered by the server itself (not a realizer —
-#: deliberately absent from ``api.KINDS`` so the stdio path still
-#: rejects it as unknown rather than half-supporting it).
+#: Request ``kind`` answered by the server itself, on every connection
+#: (not a realizer, so absent from ``api.KINDS``).
 STATS_KIND = "stats"
 
 #: Request ``kind`` answered inline with the Prometheus text exposition
@@ -225,10 +236,10 @@ class _Connection:
 
     __slots__ = (
         "writer", "queue", "inflight", "broken", "deadline_horizon", "bare",
-        "session",
+        "session", "pipe",
     )
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(self, writer: Any, pipe: bool = False) -> None:
         self.writer = writer
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self.inflight = 0  # admitted, future not yet done
@@ -239,6 +250,116 @@ class _Connection:
         self.deadline_horizon: Optional[float] = None
         self.bare = False
         self.session: Optional[_Session] = None
+        # A pipe (stdio) connection's "a miss finished" signal, for a
+        # reader waiting for room at the window; None on a socket.
+        self.pipe: Optional[asyncio.Event] = asyncio.Event() if pipe else None
+
+
+class _PipeReader(asyncio.StreamReader):
+    """A pipe connection's input, read by a daemon thread one chunk at
+    a time, each when the read loop has used up the last: the read-ahead
+    stays within a chunk even while the loop blocks in a stdout write.
+
+    A descriptor is read with ``os.read``: a thread blocked inside
+    ``sys.stdin``'s buffered reader holds its lock, and a pool worker
+    forked meanwhile waits on it forever when its start-up closes
+    ``sys.stdin``.  Any other stream is iterated, one item per line.  A
+    failed read reaches the read loop as its exception.
+    """
+
+    def __init__(self, stream: Any) -> None:
+        super().__init__()
+        self._wanted = threading.Semaphore(0)
+        self._closed = False
+        self._ended = False  # EOF or the read's failure was handed over
+        self._thread = threading.Thread(
+            target=self._pump,
+            args=(_read_chunk(stream), asyncio.get_running_loop()),
+            name="serve-stdin", daemon=True,
+        )
+        self._thread.start()
+
+    async def _wait_for_data(self, func_name: str) -> None:
+        # Where every read that finds the buffer used up waits: ask for
+        # the next chunk.  (StreamReader's own flow control pauses only
+        # past twice its limit, and only while the loop runs the feeds.)
+        self._wanted.release()
+        await super()._wait_for_data(func_name)
+
+    def _pump(self, read: Callable[[], bytes], loop: asyncio.AbstractEventLoop) -> None:
+        try:
+            while True:
+                self._wanted.acquire()
+                if self._closed:
+                    return
+                try:
+                    chunk = read()
+                except Exception as exc:
+                    self._ended = True
+                    loop.call_soon_threadsafe(self.set_exception, exc)
+                    return
+                if not chunk:
+                    self._ended = True
+                    loop.call_soon_threadsafe(self.feed_eof)
+                    return
+                loop.call_soon_threadsafe(self.feed_data, chunk)
+        except RuntimeError:
+            pass  # the loop closed while a read outlived the connection
+
+    def close(self) -> None:
+        """Stop the thread: joined if the input ended, else left to a
+        read it is blocked in (a daemon, it exits after that)."""
+        self._closed = True
+        self._wanted.release()
+        if self._ended:
+            self._thread.join()
+
+
+def _read_chunk(stream: Any) -> Callable[[], bytes]:
+    """The read function behind :class:`_PipeReader` (``b""`` at EOF)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError):  # io.StringIO, a line iterator
+        lines = iter(stream)
+
+        def next_line() -> bytes:
+            line = next(lines, None)
+            if line is None:
+                return b""
+            return (line if line.endswith("\n") else line + "\n").encode()
+
+        return next_line
+    return lambda: os.read(fd, io.DEFAULT_BUFFER_SIZE)
+
+
+class _PipeWriter:
+    """A pipe connection's output, written and flushed in the event loop
+    itself (it serves this one connection).  A failed write is kept for
+    :func:`serve` to raise and ends the reading too: a read waiting on
+    the input raises it at once."""
+
+    def __init__(self, stream: Any, reader: _PipeReader) -> None:
+        self.stream = stream
+        self.reader = reader
+        self.error: Optional[Exception] = None
+
+    def write(self, data: bytes) -> None:
+        try:
+            self.stream.write(data.decode())
+            self.stream.flush()
+        except Exception as exc:
+            self.error = exc
+            self.reader.set_exception(exc)
+            raise
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass  # the stream is the caller's
+
+    async def wait_closed(self) -> None:
+        pass
 
 
 class SocketServer:
@@ -305,6 +426,15 @@ class SocketServer:
     async def start(self) -> "SocketServer":
         """Bind and start accepting; resolves ``self.port`` (port 0 ⇒
         ephemeral) so callers can discover the real address."""
+        self._attach()
+        self._server = await asyncio.start_server(
+            self._client_connected, host=self.host, port=self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    def _attach(self) -> None:
+        """Bind the server to the running event loop."""
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
         self.started_at = time.monotonic()
@@ -315,11 +445,6 @@ class SocketServer:
         registry = getattr(self.executor, "metrics", None)
         if registry is not None:
             registry.register_collector("server", self._server_metrics)
-        self._server = await asyncio.start_server(
-            self._client_connected, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
 
     def drain(self) -> None:
         """Begin graceful shutdown (idempotent, callable from signal
@@ -364,7 +489,7 @@ class SocketServer:
     # ------------------------------------------------------------------ #
 
     async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, writer: Any, pipe: bool = False
     ) -> None:
         if self._draining:
             # Accepted before close() landed: one typed rejection, bye.
@@ -379,7 +504,7 @@ class SocketServer:
                 pass
             writer.close()
             return
-        conn = _Connection(writer)
+        conn = _Connection(writer, pipe)
         self._connections.add(conn)
         self.connections_total += 1
         task = asyncio.current_task()
@@ -399,7 +524,9 @@ class SocketServer:
                 # Shielded: a second cancellation must not abandon the
                 # flush of already-completed responses.
                 await asyncio.wait_for(
-                    asyncio.shield(emit), timeout=self._emit_bound(conn)
+                    asyncio.shield(emit),
+                    # A pipe client cannot reconnect: every answer is written.
+                    timeout=None if conn.pipe is not None else self._emit_bound(conn),
                 )
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 emit.cancel()
@@ -474,6 +601,12 @@ class SocketServer:
             text = line.decode("utf-8", errors="replace").strip()
             if not text:
                 continue
+            if conn.pipe is not None:
+                # A pipe client cannot retry: wait for room at the
+                # window instead of drawing ADMISSION_REJECTED.
+                while self._inflight >= self.window:
+                    conn.pipe.clear()
+                    await conn.pipe.wait()
             item = self._route(text, conn)
             if item is not _HANDLED:
                 conn.queue.put_nowait(item)
@@ -701,9 +834,11 @@ class SocketServer:
     def _release(self, conn: _Connection) -> None:
         self._inflight -= 1
         conn.inflight -= 1
+        if conn.pipe is not None:
+            conn.pipe.set()
 
     async def _emit_loop(self, conn: _Connection) -> None:
-        """Drain one connection's FIFO to its socket, in order.
+        """Drain one connection's FIFO to its writer, in order.
 
         Each pass takes every item already queued.  Answered items (a
         response, an envelope, a replay, a finished future) join one
@@ -880,6 +1015,48 @@ class SocketServer:
             (name, kind, help, [(name, (), value)])
             for name, kind, help, value in series
         ]
+
+
+def serve(
+    in_stream: Any,
+    out_stream: Any,
+    executor: Optional[BatchExecutor] = None,
+    window: Optional[int] = None,
+) -> Tuple[int, int]:
+    """The stdio front end: ``in_stream`` and ``out_stream`` served as
+    one pipe connection of a :class:`SocketServer` until the input ends.
+
+    Each line is answered as on a socket, streamed in input order as it
+    completes; the connection being a pipe, it waits for room at the
+    ``window`` instead of rejecting, and at EOF it writes every answer
+    still running.  ``in_stream`` is a descriptor-backed stream or any
+    iterable of lines; ``out_stream`` takes ``write(str)`` and
+    ``flush()``.  Returns ``(handled, errors)``: responses emitted and
+    how many carried ``verdict="ERROR"``.  A failed write stops the
+    reading and is raised once the running answers are done; a failed
+    read is raised after what completed is written.  Without an
+    ``executor`` it builds one and closes it on the way out; a caller's
+    executor stays open.
+    """
+    window = validate_window(window)
+    if executor is None:
+        with BatchExecutor(pool=NetworkPool()) as owned:
+            return serve(in_stream, out_stream, owned, window)
+
+    async def _run() -> Tuple[int, int]:
+        server = SocketServer(executor, window=window)
+        server._attach()
+        reader = _PipeReader(in_stream)
+        writer = _PipeWriter(out_stream, reader)
+        try:
+            await server._client_connected(reader, writer, pipe=True)
+        finally:
+            reader.close()
+        if writer.error is not None:
+            raise writer.error
+        return server.handled, server.errors
+
+    return asyncio.run(_run())
 
 
 def serve_socket(

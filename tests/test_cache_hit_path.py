@@ -267,7 +267,9 @@ def reference_validate(request: RealizationRequest) -> RealizationRequest:
     ``isinstance`` pair per field, a generator over the degrees, and
     ``params`` re-checked even when empty.  It never calls the new
     ``validate()``, so a check the new one gets wrong in either direction
-    shows up as a difference."""
+    shows up as a difference.  One check joined both since: a
+    ``scenario`` must be a string (a list or dict one used to pass and
+    then break the response cache's hashing)."""
     for attr, expected in (
         ("request_id", str), ("kind", str), ("seed", int),
         ("repairs", int), ("engine", str), ("sort_fidelity", str),
@@ -284,6 +286,10 @@ def reference_validate(request: RealizationRequest) -> RealizationRequest:
         not isinstance(request.n, int) or isinstance(request.n, bool)
     ):
         raise ServiceError(f"'n' must be an integer, got {request.n!r}")
+    if request.scenario is not None and not isinstance(request.scenario, str):
+        raise ServiceError(
+            f"'scenario' must be str, got {type(request.scenario).__name__}"
+        )
     if request.degrees is not None and any(
         not isinstance(d, int) or isinstance(d, bool) or d < 0
         for d in request.degrees
@@ -553,6 +559,10 @@ EXPLICIT = {
     "n_bool": _tree(n=True),
     "n_bool_one_degree": _tree(degrees=[0], n=True),
     "n_float": _tree(n=3.0),
+    "scenario_list": {"kind": "tree", "scenario": ["tree_random"], "n": 4},
+    "scenario_object": {"kind": "tree", "scenario": {"tree_random": 1}, "n": 4},
+    "scenario_number": {"kind": "tree", "scenario": 5, "n": 4},
+    "scenario_bool": {"kind": "tree", "scenario": True, "n": 4},
     "n_zero_scenario": {"kind": "tree", "scenario": "tree_random", "n": 0},
     "n_missing_scenario": {"kind": "tree", "scenario": "tree_random"},
     "both_workloads": _tree(scenario="tree_random", n=3),

@@ -167,8 +167,6 @@ class TestRealizerRequests:
 #: bounds are module constants, and ``--sort-fidelity charged`` replaced
 #: the realizer subcommands' ``--fast``.
 REMOVED_FLAGS = [
-    ["batch", "-", "--no-pool"],
-    ["batch", "-", "--no-cache"],
     ["serve", "--no-pool"],
     ["serve", "--no-cache"],
     ["serve", "--emit-timeout", "5"],
@@ -187,8 +185,10 @@ class TestServiceCLI:
         for name in ("power_law", "tree_random", "rho_uniform", "sorting"):
             assert name in out
 
-    def test_batch_file(self, tmp_path, capsys):
+    def test_serve_file_on_stdin(self, tmp_path, capsys, monkeypatch):
+        """``serve < FILE``: a regular file is read through its descriptor."""
         import json
+        import sys as _sys
 
         path = tmp_path / "requests.jsonl"
         path.write_text(
@@ -201,12 +201,14 @@ class TestServiceCLI:
                 ]
             )
         )
-        assert main(["batch", str(path)]) == 0
+        with path.open() as stdin:
+            monkeypatch.setattr(_sys, "stdin", stdin)
+            assert main(["serve"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["request_id"] for r in rows] == ["a", "b"]
         assert all(r["verdict"] == "REALIZED" for r in rows)
 
-    def test_batch_stdin_with_error_exits_nonzero(self, capsys, monkeypatch):
+    def test_serve_stdin_with_error_exits_nonzero(self, capsys, monkeypatch):
         import io
         import json
         import sys as _sys
@@ -215,13 +217,9 @@ class TestServiceCLI:
             _sys, "stdin",
             io.StringIO('{"kind": "wat", "degrees": [1, 1]}\n'),
         )
-        assert main(["batch", "-"]) == 1
+        assert main(["serve"]) == 1
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows[0]["verdict"] == "ERROR"
-
-    def test_batch_missing_file(self):
-        with pytest.raises(SystemExit, match="cannot read batch file"):
-            main(["batch", "/nonexistent/requests.jsonl"])
 
     def test_serve_stdin_stdout(self, capsys, monkeypatch):
         import io
@@ -241,7 +239,7 @@ class TestServiceCLI:
         assert rows[0]["verdict"] == "REALIZED"
 
     def test_serve_error_responses_exit_nonzero(self, capsys, monkeypatch):
-        """serve must propagate errors in its exit code like batch does."""
+        """serve propagates errors in its exit code."""
         import io
         import json
         import sys as _sys
@@ -281,26 +279,6 @@ class TestServiceCLI:
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows[0]["verdict"] == "REALIZED"
 
-    def test_batch_summary_reflects_live_stats(self, tmp_path, capsys):
-        """Regression: the summary counters were read after close()."""
-        path = tmp_path / "requests.jsonl"
-        request = (
-            '{{"request_id": "{rid}", "kind": "degree_implicit",'
-            ' "scenario": "regular", "n": 12, "seed": 3}}'
-        )
-        path.write_text(
-            request.format(rid="c1") + "\n" + request.format(rid="c2")
-        )
-        assert main(["batch", str(path)]) == 0
-        err = capsys.readouterr().err
-        # Identical computations: one execution (one pool lease), one
-        # cache hit — visible only if stats were captured pre-close.
-        assert "cache hits 1" in err
-        assert "pool hits 0/1" in err
-        assert main(["profile", "tree_random", "--n", "12", "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "profile: tree_random" in out
-
     @pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
     def test_removed_flags_are_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -311,9 +289,11 @@ class TestServiceCLI:
     @pytest.mark.parametrize("argv", [
         ["supervise", "--port", "0"],
         ["trace", "-", "--out", "t.json"],
+        ["batch", "-"],
     ], ids=lambda argv: argv[0])
     def test_removed_commands_are_unknown(self, argv, capsys):
-        """``serve --supervise`` and ``serve --trace-out`` replace them."""
+        """``serve --supervise``, ``serve --trace-out`` and ``serve <
+        FILE`` replace them."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -366,3 +346,8 @@ class TestServiceCLI:
         assert main(["profile", "realize", "--n", "12", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "profile: realize" in out
+
+    def test_profile_scenario_by_name(self, capsys):
+        assert main(["profile", "tree_random", "--n", "12", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "profile: tree_random" in out

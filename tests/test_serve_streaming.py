@@ -9,17 +9,25 @@ interleaves writes with blocking reads.  The streams are queue-backed
 rather than OS pipes: fork-started pool workers inherit every open fd of
 this *test* process, including a pipe's write end, which would keep the
 in-process serve loop from ever seeing EOF (in production the write end
-lives in the client process, so EOF works — the CI smoke step drives the
-real ``python -m repro serve`` over real pipes).
+lives in the client process, so EOF works).  The one test that needs
+real pipes runs ``python -m repro serve`` as a subprocess.
+
+``serve`` is one connection of the socket server, so a script run
+through it and through a socket connection must get the same answers.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import multiprocessing
+import os
 import queue
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -36,13 +44,15 @@ from repro.service import (
     RealizationRequest,
     RealizationResponse,
     ServiceError,
+    SocketServer,
     default_registry,
     parse_request_payload,
-    run_batch_lines,
     serve,
     serve_socket,
 )
 from repro.service import faults
+from repro.service import server as server_module
+from repro.service.journal import RequestJournal
 from tests.conftest import block_execute
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -315,6 +325,265 @@ class TestStdioDecisions:
         assert executor.stats()["deadline_exceeded"] == 1
 
 
+class _CountingSource:
+    """``lines`` copies of one line, counting how many were taken."""
+
+    def __init__(self, text, lines):
+        self.text = text + "\n"
+        self.lines = lines
+        self.asked = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.asked += 1
+        if self.asked > self.lines:
+            raise StopIteration
+        return self.text
+
+
+class _BlockedSink(_LineSink):
+    """A ``_LineSink`` whose writes block until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+
+    def write(self, text):
+        assert self.release.wait(timeout=60), "test never released stdout"
+        super().write(text)
+
+
+class _BrokenSink:
+    def write(self, text):
+        raise BrokenPipeError("stdout is gone")
+
+    def flush(self):
+        pass
+
+
+class TestStdioConnection:
+    """Stdio is a pipe connection of the socket server: where a socket
+    is rejected or cut off, it waits, and it stops where a socket
+    would."""
+
+    def test_read_ahead_is_one_line_while_stdout_blocks(self):
+        """The reader takes a chunk (from a line iterable, one line)
+        only when the read loop has used up the last one, so a stdout
+        blocked in its first write holds it to that line and one more."""
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        hit = line("hit", n=12, seed=3)
+        executor.handle(RealizationRequest.from_dict(json.loads(hit)))
+        source = _CountingSource(hit, 10_000)  # every line a cache hit
+        sink = _BlockedSink()
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(serve(source, sink, executor)),
+            daemon=True,
+        )
+        try:
+            thread.start()
+            time.sleep(1.5)
+            taken = source.asked
+            source.lines = taken  # the next read ends the input
+        finally:
+            sink.release.set()
+            thread.join(timeout=60)
+            executor.close()
+        assert taken <= 2
+        assert not thread.is_alive()
+        assert result == [(taken, 0)]
+
+    def test_answers_still_running_at_eof_are_all_written(self, monkeypatch):
+        """A socket's closing flush is bounded by EMIT_TIMEOUT_SEC; a
+        pipe's waits for every answer."""
+        monkeypatch.setattr(server_module, "EMIT_TIMEOUT_SEC", 1.0)
+        plan = FaultPlan(
+            [FaultRule(action="slow", request_ids=("slow",), delay_ms=2500)]
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        faults.clear()
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                                 mode="processes", workers=2)
+        out = io.StringIO()
+        try:
+            text = line("slow", seed=1) + "\n" + line("next", seed=2) + "\n"
+            assert serve(io.StringIO(text), out, executor) == (2, 0)
+        finally:
+            executor.close()
+        rows = [json.loads(row) for row in out.getvalue().splitlines()]
+        assert [row["request_id"] for row in rows] == ["slow", "next"]
+        assert all(row["verdict"] == "REALIZED" for row in rows)
+
+    def test_failed_write_with_input_open_raises_at_once(self):
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        source = _LineSource()
+        raised = []
+
+        def run():
+            try:
+                serve(source, _BrokenSink(), executor)
+            except BrokenPipeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+            source.put(line("lost"))
+            thread.join(timeout=5)  # the input stays open meanwhile
+            assert not thread.is_alive(), "serve() waited for the input to end"
+        finally:
+            source.close()
+            thread.join(timeout=60)
+            executor.close()
+        assert len(raised) == 1
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_processes_mode_survives_a_worker_crash_over_real_pipes(self):
+        """A worker respawned while the reader waits on stdin must start:
+        the reader holds no lock of ``sys.stdin`` a forked child needs.
+        Each line is written only after the last answer was read, with
+        stdin open throughout."""
+        plan = FaultPlan([FaultRule(action="crash", request_ids=("boom",))])
+        env = dict(os.environ)
+        env[faults.ENV_VAR] = plan.to_json()
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        answers: "queue.Queue" = queue.Queue()
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--mode", "processes",
+             "--workers", "2"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env,
+            start_new_session=True,  # its workers die with it, hung or not
+        ) as proc:
+            collector = threading.Thread(
+                target=lambda: [answers.put(row) for row in proc.stdout],
+                daemon=True,
+            )
+            collector.start()
+            try:
+                got = []
+                for request_id, seed in (("ok0", 1), ("boom", 9), ("ok1", 2),
+                                         ("ok2", 3)):
+                    proc.stdin.write(line(request_id, seed=seed) + "\n")
+                    proc.stdin.flush()
+                    row = json.loads(answers.get(timeout=60))
+                    got.append((row["request_id"], row["verdict"],
+                                row.get("error_code")))
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 1  # one typed error
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the server and its workers are all gone
+                collector.join(timeout=60)
+        assert got == [
+            ("ok0", "REALIZED", None),
+            ("boom", "ERROR", "WORKER_CRASHED"),
+            ("ok1", "REALIZED", None),
+            ("ok2", "REALIZED", None),
+        ]
+
+
+class TestOneFrontEnd:
+    """One script through ``serve()`` and through one socket connection,
+    each on a fresh journaled executor, one line at a time."""
+
+    SCRIPT = [
+        line("miss", n=12, seed=5),
+        line("hit", n=12, seed=5),
+        "this is not json",
+        json.dumps({"request_id": "wat", "kind": "wat", "degrees": [1, 1]}),
+        json.dumps({"request_id": "listed", "kind": "tree",
+                    "scenario": ["tree_random"], "n": 4}),
+        line("valid", n=10, seed=2, kind="tree", scenario="tree_random"),
+        json.dumps({"kind": "stats"}),
+        json.dumps({"kind": "metrics"}),
+        json.dumps({"request_id": "k1", "kind": "tree", "degrees": [2, 1, 1],
+                    "idempotency_key": "key-1"}),
+        json.dumps({"request_id": "k2", "kind": "tree", "degrees": [2, 1, 1],
+                    "idempotency_key": "key-1"}),
+    ]
+
+    def journaled_executor(self, path):
+        journal = RequestJournal(str(path))
+        rejected = []
+        append = journal.append_rejected
+
+        def counting(*args):
+            rejected.append(args)
+            return append(*args)
+
+        journal.append_rejected = counting
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                                 journal=journal)
+        return executor, journal, rejected
+
+    def stdio_answers(self, executor):
+        harness = _ServeHarness(executor)
+        rows = []
+        for text in self.SCRIPT:
+            harness.send(text)
+            rows.append(harness.recv())
+        assert harness.finish() == (len(rows), 3)
+        return rows
+
+    def socket_answers(self, executor):
+        async def scenario():
+            server = await SocketServer(executor, port=0).start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            rows = []
+            for text in self.SCRIPT:
+                writer.write((text + "\n").encode())
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.readline(), timeout=60)
+                assert raw, "connection closed before the expected answer"
+                rows.append(json.loads(raw))
+            writer.close()
+            await writer.wait_closed()
+            server.drain()
+            assert await server.wait_done() == (len(rows), 3)
+            return rows
+
+        return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+    def test_same_lines_same_answers_same_journal(self, tmp_path):
+        answers, rejects = {}, {}
+        for side, run in (("stdio", self.stdio_answers),
+                          ("socket", self.socket_answers)):
+            executor, journal, rejected = self.journaled_executor(
+                tmp_path / f"{side}.wal"
+            )
+            try:
+                answers[side] = run(executor)
+            finally:
+                executor.close()
+                journal.close()
+            rejects[side] = len(rejected)
+
+        def shape(row):
+            if row["verdict"] in ("STATS", "METRICS"):
+                return row["verdict"], sorted(row)
+            return {k: v for k, v in row.items() if k != "elapsed_sec"}
+
+        stdio, sock = answers["stdio"], answers["socket"]
+        assert [shape(row) for row in stdio] == [shape(row) for row in sock]
+        assert [row["verdict"] for row in stdio] == [
+            "REALIZED", "REALIZED", "ERROR", "ERROR", "ERROR", "REALIZED",
+            "STATS", "METRICS", "REALIZED", "REALIZED",
+        ]
+        assert stdio[1]["cached"] is True
+        assert stdio[4]["error"] == "'scenario' must be str, got list"
+        assert stdio[9]["request_id"] == "k2"
+        assert stdio[9]["elapsed_sec"] == stdio[8]["elapsed_sec"]  # replayed
+        assert rejects == {"stdio": 3, "socket": 3}
+
+
 class TestSubmitApi:
     def test_validation_and_cache_resolve_immediately(self, processes_executor):
         bad = processes_executor.submit(
@@ -442,8 +711,8 @@ class TestServeWindowKnob:
 
 
 class TestOwnedExecutor:
-    """``serve``, ``run_batch_lines`` and ``serve_socket`` close an
-    executor they built, and leave a caller's executor open."""
+    """``serve`` and ``serve_socket`` close an executor they built, and
+    leave a caller's executor open."""
 
     def new_threads(self, before):
         return [t.name for t in threading.enumerate() if t not in before]
@@ -489,12 +758,6 @@ class TestOwnedExecutor:
         assert json.loads(out.getvalue())["verdict"] == "REALIZED"
         assert self.new_threads(before) == []
 
-    def test_run_batch_lines_closes_the_executor_it_builds(self):
-        before = set(threading.enumerate())
-        (response,) = run_batch_lines([line("own-b", seed=2)])
-        assert response.verdict == "REALIZED"
-        assert self.new_threads(before) == []
-
     def test_serve_socket_closes_only_the_executor_it_builds(self):
         before = set(threading.enumerate())
         assert self.serve_socket_once() == (1, 0)
@@ -513,18 +776,17 @@ class TestOwnedExecutor:
         try:
             serve(io.StringIO(line("mine", seed=3) + "\n"), io.StringIO(),
                   executor)
-            run_batch_lines([line("mine", seed=3)], executor)
             stats = executor.stats()
         finally:
             executor.close()
         assert stats["closed"] is False
-        assert stats["requests_handled"] == 2
+        assert stats["requests_handled"] == 1
 
 
 class TestExecutorLifecycle:
     def test_stats_freeze_at_close_and_thaw_on_reopen(self):
-        """cmd_batch's summary bug: stats() after close() must describe
-        the executor as it was at close time, not a torn-down pool."""
+        """stats() after close() must describe the executor as it was at
+        close time, not a torn-down pool."""
         executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
         executor.handle(req(seed=1, request_id="x"))
         live = executor.stats()
@@ -547,31 +809,6 @@ class TestExecutorLifecycle:
         latency = executor.stats()["latency"]
         assert latency["count"] == 2
         assert latency["p99_ms"] >= latency["p50_ms"] >= 0.0
-
-    def test_drain_pending_cancels_and_observes_futures(self):
-        """The writer-failure drain must not abandon in-flight futures:
-        pending ones are cancelled, completed ones observed (so no
-        'exception was never retrieved' teardown noise)."""
-        from concurrent.futures import Future
-        from queue import Queue
-
-        from repro.service.executor import _drain_pending
-
-        q = Queue()
-        pending = Future()  # never started: cancel() must succeed
-        failed = Future()
-        failed.set_running_or_notify_cancel()
-        failed.set_exception(RuntimeError("boom"))
-        done = Future()
-        done.set_running_or_notify_cancel()
-        done.set_result("ok")
-        for item in (pending, failed, done, "payload"):
-            q.put(item)
-        assert _drain_pending(q) == 4
-        assert q.empty()
-        assert pending.cancelled()
-        assert isinstance(failed.exception(timeout=0), RuntimeError)
-        assert done.result(timeout=0) == "ok"
 
     def test_resolve_future_tolerates_racing_cancellation(self):
         from concurrent.futures import Future

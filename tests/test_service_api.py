@@ -26,7 +26,6 @@ from repro.service import (
     ServiceError,
     default_registry,
     parse_request_payload,
-    run_batch_lines,
     serve,
 )
 from repro.service.registry import DEFAULT_REGISTRY
@@ -390,7 +389,7 @@ class TestExecutor:
 
 
 class TestJSONLFrontEnds:
-    def test_run_batch_lines_preserves_order_and_reports_errors(self):
+    def test_serve_preserves_order_and_reports_errors(self):
         lines = [
             '{"request_id": "good", "kind": "tree", "scenario": "tree_star", "n": 8}',
             "not json",
@@ -398,9 +397,11 @@ class TestJSONLFrontEnds:
             "",
             '{"request_id": "good2", "kind": "degree_implicit", "degrees": [2, 2, 2]}',
         ]
-        responses = run_batch_lines(lines)
-        assert [r.request_id for r in responses] == ["good", "", "bad", "good2"]
-        assert [r.verdict for r in responses] == [
+        out = io.StringIO()
+        assert serve(io.StringIO("\n".join(lines) + "\n"), out) == (4, 2)
+        rows = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["request_id"] for r in rows] == ["good", "", "bad", "good2"]
+        assert [r["verdict"] for r in rows] == [
             "REALIZED", "ERROR", "ERROR", "REALIZED",
         ]
 
@@ -421,10 +422,14 @@ class TestJSONLFrontEnds:
         assert rows[0]["num_edges"] == rows[2]["num_edges"]
 
     def test_response_roundtrip(self):
-        response = run_batch_lines(
-            ['{"request_id": "x", "kind": "degree_implicit", "degrees": [2,2,2]}']
-        )[0]
-        again = RealizationResponse.from_dict(response.to_dict())
+        text = '{"request_id": "x", "kind": "degree_implicit", "degrees": [2,2,2]}'
+        out = io.StringIO()
+        assert serve(io.StringIO(text + "\n"), out) == (1, 0)
+        row = json.loads(out.getvalue())
+        again = RealizationResponse.from_dict(row)
+        with BatchExecutor(pool=NetworkPool()) as executor:
+            response = executor.handle(parse_request_payload(json.loads(text)))
         # elapsed_sec is rounded in the JSON form; everything else survives.
         assert again.fingerprint() == response.fingerprint()
         assert again.request_id == response.request_id
+        assert again.to_dict() == row

@@ -407,15 +407,11 @@ class TestModeSurface:
         assert BatchExecutor(mode="processes").mode == "processes"
         assert _MODES == executor_module.EXECUTOR_MODES
 
-    @pytest.mark.parametrize("command", [
-        ["batch", "-"],
-        ["serve"],
-    ], ids=lambda command: command[0])
-    def test_cli_rejects_threads_mode(self, command, capsys):
+    def test_cli_rejects_threads_mode(self, capsys):
         from repro.__main__ import build_parser
 
         with pytest.raises(SystemExit) as info:
-            build_parser().parse_args(command + ["--mode", "threads"])
+            build_parser().parse_args(["serve", "--mode", "threads"])
         assert info.value.code == 2
         assert "argument --mode: invalid choice: 'threads'" in (
             capsys.readouterr().err
@@ -426,8 +422,9 @@ class TestModeSurface:
         executor.close()
         executor.close()
 
-    def test_cli_batch_mode_processes(self, tmp_path, capsys):
+    def test_cli_serve_mode_processes(self, tmp_path, capsys, monkeypatch):
         import json
+        import sys
 
         from repro.__main__ import main
 
@@ -438,8 +435,9 @@ class TestModeSurface:
             '{"request_id": "p2", "kind": "tree", "scenario": "tree_random", '
             '"n": 12, "seed": 2}\n'
         )
-        assert main(["batch", str(path), "--mode", "processes",
-                     "--workers", "2"]) == 0
+        with path.open() as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main(["serve", "--mode", "processes", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["request_id"] for r in rows] == ["p1", "p2"]
