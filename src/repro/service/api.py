@@ -22,6 +22,7 @@ config and the CLI all read the row instead of testing the kind.
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -574,6 +575,13 @@ class RealizationResponse:
     error: Optional[str] = None
     error_code: Optional[str] = None
 
+    # Not annotated, so not a field: it stays out of ``==``,
+    # ``fingerprint()``, the wire envelope, ``to_dict()`` and the journal.
+    # A cached copy of a stored answer carries its key's
+    # :func:`hit_line_tail` here (see :meth:`reenvelope`); every other
+    # response reads this class default.
+    line_tail = None
+
     def fingerprint(self) -> Tuple:
         """Everything except identity and measurement volatiles."""
         return (
@@ -623,10 +631,23 @@ class RealizationResponse:
         """The worker-side span columns trailer, or ``None``."""
         return wire.wire_trailer(wire_tuple, len(cls._WIRE_KEYS))
 
-    def reenvelope(self, request_id: str, cached: bool = False) -> "RealizationResponse":
+    def reenvelope(
+        self,
+        request_id: str,
+        cached: bool = False,
+        line_tail: Optional[bytes] = None,
+    ) -> "RealizationResponse":
         """This answer under ``request_id``: a field copy filled as
         :meth:`from_wire` fills.  ``cached=True`` marks a hit or coalesced
-        follower, which ran nothing itself (``elapsed_sec`` reads 0.0)."""
+        follower, which ran nothing itself (``elapsed_sec`` reads 0.0).
+
+        Only such a ``cached=True`` copy carries a ``line_tail``: the
+        executor passes its key's :func:`hit_line_tail`, which encodes
+        every field of the copy but ``request_id``.  The answer the
+        response cache stores is the leader's own (``cached`` false, its
+        real ``elapsed_sec``) and never carries one, so a copy made for
+        the leader writes its own line.  A copy of a copy keeps the
+        tail, which still matches: only ``request_id`` changed."""
         out = RealizationResponse.__new__(RealizationResponse)
         inner = out.__dict__
         inner.update(self.__dict__)
@@ -634,6 +655,8 @@ class RealizationResponse:
         if cached:
             inner["cached"] = True
             inner["elapsed_sec"] = 0.0
+            if line_tail is not None:
+                inner["line_tail"] = line_tail
         return out
 
     def to_dict(self) -> Dict[str, Any]:
@@ -663,6 +686,27 @@ class RealizationResponse:
         data = dict(payload)
         data["detail"] = tuple(sorted(dict(data.get("detail", ())).items()))
         return cls(**data)
+
+
+#: How every response line starts: :meth:`RealizationResponse.to_dict`
+#: puts ``request_id`` first.
+LINE_HEAD = b'{"request_id": '
+
+
+def hit_line_tail(response: RealizationResponse) -> bytes:
+    """The encoded rest of a cache hit's line on ``response``, after its
+    ``request_id``: ``, "kind": ..., "cached": true, "elapsed_sec":
+    0.0}`` and the newline.
+
+    ``LINE_HEAD + json.dumps(request_id).encode() + tail`` is byte for
+    byte ``(json.dumps(hit.to_dict()) + "\\n").encode()`` for every
+    ``cached=True`` copy of ``response`` under that ``request_id``, so
+    the executor encodes a stored answer once and each hit writes only
+    its own ``request_id``.
+    """
+    payload = response.reenvelope("", cached=True).to_dict()
+    del payload["request_id"]
+    return (", " + json.dumps(payload)[1:] + "\n").encode()
 
 
 # The wire envelopes zip positional tuples against _WIRE_KEYS, and zip

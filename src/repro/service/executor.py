@@ -15,7 +15,9 @@ service wants:
   ``cache_key()``, a plain tuple of the computation's fields, so
   repeated requests are answered without re-running the realizer.  A
   hit re-checks nothing a parsed request passed, and its answer is a
-  field copy (``RealizationResponse.reenvelope``).  The cache is
+  field copy (``RealizationResponse.reenvelope``) carrying its key's
+  stored encoding (``api.hit_line_tail``), so the front end writes a
+  hit as that encoding behind the hit's own ``request_id``.  The cache is
   LRU-bounded (:data:`MAX_CACHED_RESPONSES`), with hit/eviction counters in
   :meth:`BatchExecutor.stats`.  Cached responses are field-identical to
   fresh ones (``fingerprint()``) and are marked ``cached=True``;
@@ -100,6 +102,7 @@ from repro.service.api import (
     RealizationResponse,
     ServiceError,
     error_response,
+    hit_line_tail,
 )
 from repro.service.journal import RequestJournal
 from repro.service.pool import NetworkPool
@@ -549,7 +552,10 @@ class BatchExecutor:
         self.retry_policy = RetryPolicy()
         self.breaker = CircuitBreaker()
         self.hang_timeout = hang_timeout
-        self._response_cache: "OrderedDict[tuple, RealizationResponse]" = OrderedDict()
+        # Key -> (the leader's answer, its hit line's encoded tail).
+        self._response_cache: (
+            "OrderedDict[tuple, Tuple[RealizationResponse, bytes]]"
+        ) = OrderedDict()
         # One lock guards the cache and the follower table (the
         # registry's counters lock themselves).
         self._cache_lock = threading.Lock()
@@ -1055,28 +1061,32 @@ class BatchExecutor:
         key: tuple,
         request: RealizationRequest,
     ) -> Optional[RealizationResponse]:
-        """LRU lookup; on a hit, returns the response re-enveloped for
-        ``request``.
+        """LRU lookup under the already-held cache lock; on a hit, the
+        stored answer re-enveloped for ``request`` as a ``cached=True``
+        copy that carries its key's encoded line tail, so the front end
+        writes it as that tail behind the hit's own ``request_id``.
 
         Direct cache hits are counted apart from coalesced followers
         (:meth:`_finish_async` counts those) — the two counters are
         disjoint.
         """
-        with self._cache_lock:
-            hit = self._response_cache.get(key)
-            if hit is None:
-                return None
-            self._response_cache.move_to_end(key)
+        entry = self._response_cache.get(key)
+        if entry is None:
+            return None
+        self._response_cache.move_to_end(key)
         self.response_cache_hits.inc()
-        return hit.reenvelope(request.request_id, cached=True)
+        response, line_tail = entry
+        return response.reenvelope(
+            request.request_id, cached=True, line_tail=line_tail
+        )
 
     def _cache_store_locked(
-        self, key: tuple, response: RealizationResponse
+        self, key: tuple, response: RealizationResponse, line_tail: bytes
     ) -> None:
         """Insert under the already-held cache lock (first writer wins —
         responses for one key are deterministic anyway)."""
         if key not in self._response_cache:
-            self._response_cache[key] = response
+            self._response_cache[key] = (response, line_tail)
             while len(self._response_cache) > MAX_CACHED_RESPONSES:
                 self._response_cache.popitem(last=False)
                 self.response_cache_evictions.inc()
@@ -1187,35 +1197,56 @@ class BatchExecutor:
             return out
         key = request.cache_key() if self.cache_responses else None
         if key is not None:
-            hit = self._cache_lookup(key, request)
+            # One hold decides: answer from the cache, join the leader
+            # running this computation, or lead it.  A leader finishing
+            # in a gap between the three would leave this request to
+            # re-run an answer already stored.
+            with self._cache_lock:
+                hit = self._cache_lookup(key, request)
+                if hit is None:
+                    followers = self._followers.get(key)
+                    if followers is None:
+                        self._followers[key] = []
+                    else:
+                        pending = self._pending(
+                            out, started, request, span, journal, jseq
+                        )
+                        followers.append((request, pending, span))
+                        if span is not None:
+                            # A follower rides its leader's execution;
+                            # its span lasts until the shared answer
+                            # settles.
+                            span.tag("coalesced", True)
+                        return out
             if hit is not None:
                 self._settle(out, started, request, hit, span, journal, jseq)
                 return out
-        # The execution machinery resolves this inner future; settling
-        # ``out`` from its callback puts the bookkeeping first.
-        pending: Future = Future()
-        pending.add_done_callback(
-            lambda done: self._settle(
-                out, started, request, done.result(), span, journal, jseq
-            )
-        )
-        if key is not None:
-            with self._cache_lock:
-                followers = self._followers.get(key)
-                if followers is not None:
-                    followers.append((request, pending, span))
-                    if span is not None:
-                        # A follower rides its leader's execution; its
-                        # span lasts until the shared answer settles.
-                        span.tag("coalesced", True)
-                    return out
-                self._followers[key] = []
+        pending = self._pending(out, started, request, span, journal, jseq)
         if deadline is None:
             deadline = self._deadline_for(request)
         self._submit_async(
             request, key, pending, attempt=1, deadline=deadline, span=span
         )
         return out
+
+    def _pending(
+        self,
+        out: "Future",
+        started: float,
+        request: RealizationRequest,
+        span: Optional[Span],
+        journal: Optional[RequestJournal],
+        jseq: int,
+    ) -> "Future":
+        """The inner future a run (or a leader's fan-out) resolves;
+        settling ``out`` from its callback puts the bookkeeping first."""
+        pending: Future = Future()
+        pending.add_done_callback(
+            lambda done: self._settle(
+                out, started, request, done.result(), span, journal, jseq
+            )
+        )
+        return pending
 
     def _settle(
         self,
@@ -1511,21 +1542,34 @@ class BatchExecutor:
         a window between them would let an identical request slip past
         both the cache and the in-flight table and re-execute from
         scratch.  Future resolution happens outside the lock.
+
+        A shared answer's hit line is encoded here, once per stored
+        answer, on the lane or the pool's callback thread rather than
+        the event loop: the cache keeps it beside the answer, and every
+        follower's ``cached=True`` copy carries it.  The leader's own
+        copy carries none; its line says ``cached: false`` and its real
+        ``elapsed_sec``.
         """
         shared = response.verdict != "ERROR"
         followers: List[Tuple[RealizationRequest, Future, Optional[Span]]] = []
+        line_tail: Optional[bytes] = None
         if key is not None:
+            if shared:
+                line_tail = hit_line_tail(response)
             with self._cache_lock:
                 followers = self._followers.pop(key, [])
                 if shared:
                     self.coalesced_hits.inc(len(followers))
-                    self._cache_store_locked(key, response)
+                    self._cache_store_locked(key, response, line_tail)
         _resolve_future(out, response.reenvelope(request.request_id))
         for follower_request, follower_out, follower_span in followers:
             if shared:
                 _resolve_future(
                     follower_out,
-                    response.reenvelope(follower_request.request_id, cached=True),
+                    response.reenvelope(
+                        follower_request.request_id, cached=True,
+                        line_tail=line_tail,
+                    ),
                 )
             elif not resubmit_followers:
                 # Executor closed: followers get the leader's envelope

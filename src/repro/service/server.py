@@ -92,7 +92,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.service import faults
-from repro.service.api import RealizationResponse, error_response
+from repro.service.api import LINE_HEAD, RealizationResponse, error_response
 from repro.service.executor import (
     BatchExecutor,
     parse_request_payload,
@@ -846,12 +846,21 @@ class SocketServer:
         (:meth:`_flush`).  The run is flushed before the loop awaits a
         pending future, so nothing answered waits behind a running miss.
 
-        Session-slotted items (``_Indexed``) are recorded into the
-        session's resume buffer *before* the write — and before the
-        broken-connection check, which is the point: a response that
-        completes after the client dropped is exactly the one a resume
-        must replay.  Replays (``_Replay``) are re-emitted verbatim and
-        neither re-recorded nor re-counted in ``handled``.
+        A cache hit's line is its key's stored encoding: the executor
+        encoded the rest of the line once, when it stored the answer
+        (``line_tail``), and the hit adds only its own ``request_id``,
+        through this module's ``json.dumps``.  Every other response —
+        a miss, an error, a journal replay — and every envelope is
+        encoded whole.
+
+        Session-slotted items (``_Indexed``) keep the dict: it is
+        recorded into the session's resume buffer *before* the write —
+        and before the broken-connection check, which is the point: a
+        response that completes after the client dropped is exactly the
+        one a resume must replay.  Replays (``_Replay``) are re-emitted
+        verbatim and neither re-recorded nor re-counted in ``handled``.
+        The ``handled``/``errors`` counts and the ``writer_error`` fault
+        hook read a response's ``verdict`` and ``request_id`` fields.
         """
         queue = conn.queue
         held: List[bytes] = []  # the run: encoded lines not yet written
@@ -875,26 +884,32 @@ class SocketServer:
                 continue
             if type(item) is _Indexed:
                 sidx, session, item = item.index, item.session, item.item
-            if isinstance(item, RealizationResponse):
-                payload = item.to_dict()
-            elif isinstance(item, dict):
-                payload = item  # stats envelope
+            line_tail: Optional[bytes] = None
+            if isinstance(item, dict):
+                # A stats, metrics or session envelope.
+                payload = item
+                request_id, verdict = item.get("request_id"), item.get("verdict")
             else:
-                if not item.done():
-                    await self._flush(conn, held)
-                try:
-                    response = await item
-                except asyncio.CancelledError:
-                    if item.cancelled():
-                        continue  # future killed in forced teardown
-                    raise  # the emit task itself was cancelled
-                payload = response.to_dict()
+                if not isinstance(item, RealizationResponse):
+                    if not item.done():
+                        await self._flush(conn, held)
+                    try:
+                        item = await item
+                    except asyncio.CancelledError:
+                        if item.cancelled():
+                            continue  # future killed in forced teardown
+                        raise  # the emit task itself was cancelled
+                request_id, verdict = item.request_id, item.verdict
+                if sidx is None:
+                    line_tail = item.line_tail
+                if line_tail is None:
+                    payload = item.to_dict()
             if sidx is not None and session is not None:
                 session.record(sidx, dict(payload))
                 payload = dict(payload)
                 payload["session_seq"] = sidx
             self.handled += 1
-            if payload.get("verdict") == "ERROR":
+            if verdict == "ERROR":
                 self.errors += 1
             if not conn.broken:
                 # Chaos hook: a writer_error fault simulates the client
@@ -902,13 +917,16 @@ class SocketServer:
                 # the run ahead of it still goes out.
                 plan = faults.active()
                 if plan is not None and plan.match(
-                    "writer_error", str(payload.get("request_id") or "")
+                    "writer_error", str(request_id or "")
                 ):
                     await self._flush(conn, held)
                     conn.broken = True
             if conn.broken:
                 continue  # keep consuming so futures stay observed
-            held.append((json.dumps(payload) + "\n").encode())
+            if line_tail is not None:
+                held.append(LINE_HEAD + json.dumps(request_id).encode() + line_tail)
+            else:
+                held.append((json.dumps(payload) + "\n").encode())
 
     async def _flush(self, conn: _Connection, held: List[bytes]) -> None:
         """Write one run of encoded lines, if any, with one write and

@@ -11,13 +11,20 @@ groups requests exactly as the old ``dataclasses.replace``-built key
 did, the re-envelope equals the old ``dataclasses.replace`` copy, an
 invalid request still raises on every ``validate()`` call, and a parsed
 hit through ``BatchExecutor._submit`` makes no ``dataclasses.replace``
-call and re-runs none of validation's checks.  The counts are taken
-with ``sys.setprofile`` or a counting lock, so they hold on any host.
+call and re-runs none of validation's checks.  A hit's line is its
+key's stored encoding behind its own ``request_id``: it is pinned byte
+for byte against the line its ``to_dict()`` encodes, for every kind on
+both transports, and hits make no ``to_dict`` call.  A request whose
+leader finishes while it looks the cache up is answered from that run,
+not run again.  The counts are taken with ``sys.setprofile``, a
+counting lock or a counting wrapper, so they hold on any host.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import json
 import sys
 import threading
 import types
@@ -36,10 +43,15 @@ from repro.service import (
     RealizationRequest,
     RealizationResponse,
     ServiceError,
+    SocketServer,
     default_registry,
+    serve,
 )
 from repro.service import api
 from repro.service.executor import parse_request_payload
+from repro.service.journal import RequestJournal
+from tests.conftest import block_execute
+from tests.test_kind_table import PINNED
 
 
 def reference_key(request: RealizationRequest) -> RealizationRequest:
@@ -142,14 +154,22 @@ RESPONSES = {
 class TestReenvelope:
     @pytest.mark.parametrize("name", sorted(RESPONSES))
     @pytest.mark.parametrize("cached", [False, True])
-    def test_equals_the_replace_copy(self, name, cached):
+    @pytest.mark.parametrize("line_tail", [None, b', "kind": "tree"}\n'])
+    def test_equals_the_replace_copy(self, name, cached, line_tail):
+        """A ``cached`` copy alone carries a line tail, which is no
+        field: the copy equals, dumps and ships as the one without."""
         response = RESPONSES[name]
         before = response.to_wire()
-        copy = response.reenvelope("follower", cached=cached)
+        copy = response.reenvelope("follower", cached=cached, line_tail=line_tail)
         swapped = {"request_id": "follower"}
         if cached:
             swapped.update(cached=True, elapsed_sec=0.0)
-        assert copy == dataclasses.replace(response, **swapped)
+        replaced = dataclasses.replace(response, **swapped)
+        assert copy == replaced and copy.to_dict() == replaced.to_dict()
+        assert copy.to_wire() == replaced.to_wire()
+        assert copy.line_tail == (line_tail if cached else None)
+        assert replaced.line_tail is None
+        assert "line_tail" not in {f.name for f in dataclasses.fields(copy)}
         assert copy.fingerprint() == response.fingerprint()
         for field in RealizationResponse._WIRE_KEYS:
             expected = swapped.get(field, getattr(response, field))
@@ -708,3 +728,327 @@ def test_kind_counters_survive_racing_first_answers():
         sys.setswitchinterval(interval)
         executor.close()
     assert by_kind == {kind: 8 * per_thread // len(kinds) for kind in kinds}
+
+
+# ---------------------------------------------------------------------- #
+# One encode per cached answer                                           #
+# ---------------------------------------------------------------------- #
+
+#: The requests ``tests/test_kind_table.py`` pins: every row of the kind
+#: table, NCC1 connectivity and two unrealizable ones included.
+REQUESTS = {case: fields for case, (fields, _) in PINNED.items()}
+
+#: Hit ``request_id``s that JSON must escape, or that are long.
+HIT_IDS = ["", '"', "\\", 'a"b\\c', "é☃", "\x01\x1f", "k" * 1024]
+
+
+def _line(payload: Mapping[str, Any], request_id: str) -> str:
+    return json.dumps({**payload, "request_id": request_id})
+
+
+def _encoded(response: RealizationResponse, **extra: Any) -> bytes:
+    """A response's line as the emitter encodes a dict."""
+    return (json.dumps({**response.to_dict(), **extra}) + "\n").encode()
+
+
+class _Sink:
+    """An output stream keeping each written line, as bytes."""
+
+    def __init__(self) -> None:
+        self.lines: list = []
+        self._buffer = ""
+        self._changed = threading.Condition()
+
+    def write(self, text: str) -> None:
+        with self._changed:
+            *done, self._buffer = (self._buffer + text).split("\n")
+            self.lines.extend((line + "\n").encode() for line in done)
+            self._changed.notify_all()
+
+    def flush(self) -> None:
+        pass
+
+    def wait_for(self, count: int) -> None:
+        with self._changed:
+            assert self._changed.wait_for(lambda: len(self.lines) >= count, 60)
+
+
+def stdio_lines(executor: BatchExecutor, groups) -> list:
+    """Each group of lines through :func:`serve`, sent once every line
+    before it is answered; the answers' raw lines."""
+    sink = _Sink()
+
+    def script():
+        sent = 0
+        for group in groups:
+            sink.wait_for(sent)
+            yield from group
+            sent += len(group)
+
+    serve(script(), sink, executor)
+    return sink.lines
+
+
+async def _ask(reader, writer, *texts) -> list:
+    """Write ``texts`` as lines, in one write; one raw line read back
+    for each."""
+    writer.write("".join(text + "\n" for text in texts).encode())
+    await writer.drain()
+    return [await asyncio.wait_for(reader.readline(), 60) for _ in texts]
+
+
+def socket_lines(executor: BatchExecutor, groups) -> list:
+    """:func:`stdio_lines` over one socket connection."""
+
+    async def scenario():
+        server = await SocketServer(executor, port=0).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        lines = []
+        for group in groups:
+            lines += await _ask(reader, writer, *group)
+        writer.close()
+        await writer.wait_closed()
+        server.drain()
+        await server.wait_done()
+        return lines
+
+    return asyncio.run(asyncio.wait_for(scenario(), 120))
+
+
+@pytest.mark.parametrize("transport", [stdio_lines, socket_lines],
+                         ids=["stdio", "socket"])
+def test_a_hit_line_is_the_bytes_its_dict_encodes(transport):
+    """Per pinned request, a warm miss and then hits under ids JSON must
+    escape: each hit's line (its key's stored encoding behind its own
+    ``request_id``) is byte for byte the line its ``to_dict()`` encodes,
+    and it parses to the warm answer with ``cached`` true and
+    ``elapsed_sec`` 0.0.  The warm miss's own line says ``cached``
+    false with its real ``elapsed_sec``."""
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    try:
+        groups = []
+        for case, payload in REQUESTS.items():
+            groups.append([_line(payload, f"warm-{case}")])
+            groups.append([_line(payload, rid) for rid in HIT_IDS])
+        lines = transport(executor, groups)
+        expected = {
+            (case, rid): executor.handle(
+                parse_request_payload({**payload, "request_id": rid})
+            )
+            for case, payload in REQUESTS.items() for rid in HIT_IDS
+        }
+    finally:
+        executor.close()
+    assert len(lines) == len(REQUESTS) * (1 + len(HIT_IDS))
+    per_case = iter(lines)
+    for case in REQUESTS:
+        warm = json.loads(next(per_case))
+        assert warm["request_id"] == f"warm-{case}"
+        assert warm["cached"] is False and warm["elapsed_sec"] > 0.0
+        for rid in HIT_IDS:
+            raw = next(per_case)
+            hit = expected[case, rid]
+            assert hit.cached and hit.line_tail is not None
+            assert raw == _encoded(hit), (case, rid)
+            row = json.loads(raw)
+            assert row["request_id"] == rid
+            assert row["cached"] is True and row["elapsed_sec"] == 0.0
+            assert (RealizationResponse.from_dict(row).fingerprint()
+                    == RealizationResponse.from_dict(warm).fingerprint())
+
+
+def test_the_leader_writes_its_own_line_and_followers_the_cached_one():
+    """Two requests coalesced onto a held leader: the leader's line says
+    ``cached`` false with its real ``elapsed_sec``; each follower's is
+    the ``cached`` copy, encoded from the tail the leader's store
+    made."""
+    payload = REQUESTS["tree"]
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    started, release = block_execute(executor, "lead")
+    sink = _Sink()
+
+    def script():
+        yield _line(payload, "lead")
+        assert started.wait(60)
+        yield _line(payload, "f1")
+        yield _line(payload, 'f"2')
+        # Asked for more: both followers have joined the held leader.
+        release.set()
+
+    try:
+        assert serve(script(), sink, executor) == (3, 0)
+        coalesced = executor.coalesced_hits.value
+        expected = executor.handle(
+            parse_request_payload({**payload, "request_id": 'f"2'})
+        )
+    finally:
+        executor.close()
+    lead, f1, f2 = (json.loads(raw) for raw in sink.lines)
+    assert coalesced == 2
+    assert lead["cached"] is False and lead["elapsed_sec"] > 0.0
+    assert f1["cached"] is True and f1["elapsed_sec"] == 0.0
+    assert sink.lines[2] == _encoded(expected)
+    assert {k: v for k, v in f1.items() if k != "request_id"} == {
+        k: v for k, v in f2.items() if k != "request_id"
+    }
+
+
+def test_a_journal_replay_writes_the_journaled_answer(tmp_path):
+    """A keyed miss and a keyed hit, each resubmitted: the replay's line
+    is the journaled answer under the new ``request_id``, the miss's
+    ``cached`` false and its ``elapsed_sec`` included."""
+    payload = REQUESTS["degree_implicit"]
+    journal = RequestJournal(str(tmp_path / "j.wal"), fsync="never")
+    executor = BatchExecutor(
+        pool=NetworkPool(), registry=default_registry(), journal=journal
+    )
+    keyed = {**payload, "idempotency_key": "k-miss"}
+    keyed_hit = {**payload, "idempotency_key": "k-hit"}
+    try:
+        lines = stdio_lines(executor, [
+            [_line(keyed, "a")], [_line(keyed, "b")],
+            [_line(keyed_hit, "c")], [_line(keyed_hit, "d")],
+        ])
+        replays = journal.stats()["replays"]
+    finally:
+        executor.close()
+        journal.close()
+    a, b, c, d = (json.loads(raw) for raw in lines)
+    assert replays == 2
+    assert a["cached"] is False and c["cached"] is True
+    for first, replay, raw in ((a, b, lines[1]), (c, d, lines[3])):
+        assert raw == (json.dumps({**first, "request_id": replay["request_id"]})
+                       + "\n").encode()
+
+
+def test_a_session_slotted_hit_keeps_its_seq_and_replays_alike():
+    """On a session, a hit's line carries ``session_seq`` (the emitter
+    keeps the dict for the resume buffer), and a resume replays every
+    line byte for byte."""
+    payload = REQUESTS["approximate"]
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+
+    async def scenario():
+        server = await SocketServer(executor, port=0).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        hello = await _ask(reader, writer, json.dumps({"kind": "session"}))
+        token = json.loads(hello[0])["session"]
+        lines = await _ask(reader, writer, _line(payload, "warm"))
+        lines += await _ask(
+            reader, writer, *(_line(payload, rid) for rid in HIT_IDS)
+        )
+        writer.close()
+        await writer.wait_closed()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        resume = json.dumps({"kind": "session", "session": token, "acked": 0})
+        (resumed,) = await _ask(reader, writer, resume)
+        replayed = [
+            await asyncio.wait_for(reader.readline(), 60) for _ in lines
+        ]
+        writer.close()
+        await writer.wait_closed()
+        server.drain()
+        await server.wait_done()
+        return lines, json.loads(resumed), replayed
+
+    try:
+        lines, resumed, replayed = asyncio.run(asyncio.wait_for(scenario(), 120))
+        hits = [
+            executor.handle(parse_request_payload({**payload, "request_id": rid}))
+            for rid in HIT_IDS
+        ]
+    finally:
+        executor.close()
+    assert resumed["resumed"] is True and resumed["replayed"] == len(lines)
+    assert [json.loads(raw)["session_seq"] for raw in lines] == list(
+        range(len(lines))
+    )
+    for seq, (raw, hit) in enumerate(zip(lines[1:], hits), start=1):
+        assert raw == _encoded(hit, session_seq=seq)
+    assert replayed == lines
+
+
+class _ReleaseHook:
+    """A lock that runs a hook once, right after the first release by
+    the thread that armed it."""
+
+    def __init__(self, lock) -> None:
+        self._lock = lock
+        self._armed_by = None
+        self._hook = None
+
+    def arm(self, hook) -> None:
+        self._armed_by, self._hook = threading.get_ident(), hook
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        result = self._lock.__exit__(*exc)
+        if self._armed_by == threading.get_ident():
+            self._armed_by = None
+            self._hook()
+        return result
+
+
+def test_a_leader_finishing_at_the_lookup_is_not_run_again():
+    """Leader ``L`` is held on the lane; an identical request ``R``
+    arrives, and ``L`` finishes right after ``R``'s first release of the
+    cache lock.  ``R`` is answered from ``L``'s run (``cached`` true),
+    and the pool leased one network for the two.  Deciding between the
+    cache, the leader and a new run in two holds of the lock would let
+    ``R`` find neither and run the computation again."""
+    payload = {"kind": "tree", "scenario": "tree_random", "n": 10, "seed": 2}
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    started, release = block_execute(executor, "L")
+    try:
+        lead = executor.submit(parse_request_payload({**payload, "request_id": "L"}))
+        assert started.wait(60)
+        hook = executor._cache_lock = _ReleaseHook(executor._cache_lock)
+
+        def finish_the_leader():
+            release.set()
+            lead.result(timeout=60)
+
+        hook.arm(finish_the_leader)
+        same = parse_request_payload({**payload, "request_id": "R"})
+        answer = executor._submit(same, Future()).result(timeout=60)
+        leases = executor.pool.stats()["leases"]
+    finally:
+        release.set()
+        executor.close()
+    assert not lead.result().cached
+    assert answer.cached and answer.request_id == "R"
+    assert answer.fingerprint() == lead.result().fingerprint()
+    assert leases == 1
+
+
+def test_hits_make_no_to_dict_call(tmp_path, monkeypatch):
+    """50 pipelined hits over 2 keys through :func:`serve`: each line is
+    its key's stored encoding plus its ``request_id``, so at most one
+    ``to_dict`` call per key is made, on any thread (the lane's
+    included).  Encoding each hit whole made one per hit."""
+    payloads = [REQUESTS["degree_implicit"], REQUESTS["tree"]]
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+    path = tmp_path / "hits.jsonl"
+    path.write_text("".join(
+        _line(payloads[i % 2], f"h{i}") + "\n" for i in range(50)
+    ))
+    calls = []
+    to_dict = RealizationResponse.to_dict
+
+    def counting(self):
+        calls.append(self.request_id)
+        return to_dict(self)
+
+    try:
+        for payload in payloads:
+            executor.handle(parse_request_payload(payload))  # warm the cache
+        monkeypatch.setattr(RealizationResponse, "to_dict", counting)
+        sink = _Sink()
+        with open(path) as hits:
+            assert serve(hits, sink, executor) == (50, 0)
+    finally:
+        executor.close()
+    assert all(json.loads(raw)["cached"] for raw in sink.lines)
+    assert len(calls) <= len(payloads), calls[:5]
