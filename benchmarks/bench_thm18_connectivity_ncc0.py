@@ -24,7 +24,6 @@ def experiment() -> Experiment:
     for delta in (2, 4, 8, 16):
         result, valid = measure(48, uniform_rho(48, delta))
         ok &= valid and result.approximation_ratio <= 2.0 + 1e-9
-        bound = delta * log2n(48) ** 3  # Õ(Δ) envelope
         delta_rounds[delta] = result.stats.rounds
         rows.append([f"uniform ρ=Δ={delta}, n=48", result.stats.rounds,
                      f"{result.stats.rounds / (delta + log2n(48)):.1f}",

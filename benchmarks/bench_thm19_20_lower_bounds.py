@@ -8,10 +8,10 @@ The reproduction evidence is the tightness ratio staying within a
 polylog envelope as the driving parameter grows.
 """
 
-from common import Experiment, log2n, make_net
+from common import Experiment, make_net
 from repro.core.degree_realization import realize_degree_sequence
 from repro.core.explicit import realize_degree_sequence_explicit
-from repro.core.lower_bounds import degree_lower_bounds, tightness_ratio
+from repro.core.lower_bounds import degree_lower_bounds
 from repro.workloads import regular_sequence, sqrt_m_family
 
 

@@ -2,7 +2,7 @@
 
 Reconstruction of the contributions-list claim "an Õ(1) round algorithm
 for approximate degree sequence realization" (the preprint omits its
-details; see DESIGN.md §5).  Three shapes to verify:
+details; see ``repro/core/approximate.py``).  Three shapes to verify:
 
 1. **constant phases** — unlike Algorithm 3, cost does not multiply with
    min{√m, Δ} phases: growing Δ at fixed n leaves rounds nearly flat

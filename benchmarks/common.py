@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -11,6 +10,7 @@ sys.setrecursionlimit(200_000)
 
 from repro.analysis.tables import format_table
 from repro.ncc.config import NCCConfig, Variant
+from repro.ncc.metrics import log2n
 from repro.ncc.network import Network
 from repro.primitives.bbst import build_indexed_path
 from repro.primitives.path_ops import build_undirected_path
@@ -65,10 +65,6 @@ def indexed_net(n: int, seed: int = 0, ns: str = "ip") -> Network:
 
     run_protocol(net, proto())
     return net
-
-
-def log2n(n: int) -> float:
-    return max(1.0, math.log2(max(2, n)))
 
 
 def flat_or_decreasing(series: Sequence[float], slack: float = 1.4) -> bool:

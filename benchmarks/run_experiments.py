@@ -6,7 +6,11 @@ Usage:  python benchmarks/run_experiments.py [output_path] [--smoke]
 
 Each ``bench_*.py`` module exposes ``experiment() -> Experiment``; this
 driver runs them all (full sweeps, deterministic seeds) and renders the
-paper-claim-vs-measured record.  Runtime: a few minutes.
+paper-claim-vs-measured record.  Runtime: a few minutes.  The
+``BENCH_*.json`` records are written next to ``output_path``, so a run
+without one rewrites the committed records; regenerate into another
+directory to compare.  ``check_experiments.py`` compares the paper tables
+with the committed EXPERIMENTS.md without writing a file.
 
 ``--smoke`` runs a one-scale subset (the engine-throughput replay, the
 end-to-end protocol wall-clock, the serve chaos drive, plus one cheap
@@ -46,7 +50,9 @@ import traceback
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 sys.setrecursionlimit(200_000)
 
-MODULES = [
+#: The paper experiments: deterministic tables, checked byte for byte
+#: against the committed EXPERIMENTS.md by ``check_experiments.py``.
+PAPER_MODULES = [
     "bench_fig1_binary_tree",
     "bench_fig2_bbst",
     "bench_thm01_bbst",
@@ -66,11 +72,17 @@ MODULES = [
     "bench_ablation_parallel_stars",
     "bench_xa3_approximate",
     "bench_ablation_fidelity",
+]
+
+#: The implementation benchmarks: their tables hold wall-clock times.
+TIMED_MODULES = [
     "bench_engine_throughput",
     "bench_protocol_wallclock",
     "bench_multiprocess",
     "bench_serve",
 ]
+
+MODULES = PAPER_MODULES + TIMED_MODULES
 
 SMOKE_MODULES = [
     "bench_thm01_bbst",
@@ -86,7 +98,7 @@ Auto-generated by ``python benchmarks/run_experiments.py``; do not edit by
 hand.  Each section reproduces one theorem/figure of *Distributed Graph
 Realizations* (IPDPS 2020) on the NCC simulator.  "Rounds" are simulated
 synchronous NCC rounds (plus conservatively charged rounds where a sweep
-uses `fidelity="charged"` sorting — see DESIGN.md and the X-A2 ablation).
+uses `fidelity="charged"` sorting — see the X-A2 ablation).
 We match the paper's *shape* (who wins, scaling exponents, approximation
 factors), not wall-clock constants: the substrate is a simulator, not the
 authors' testbed (the paper reports no experiments of its own — this
@@ -373,8 +385,14 @@ def check_against_committed(tolerance: float = 0.15) -> int:
     return 0
 
 
-def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
-    modules = SMOKE_MODULES if smoke else MODULES
+def run_modules(modules):
+    """Run each module's ``experiment()``, in order.
+
+    Returns ``(summary_rows, sections, failures, errors)``: one summary
+    row per module (an ERROR row when the module raised), the rendered
+    section of each experiment that ran, and the counts of shape
+    mismatches and raised modules.
+    """
     sections = []
     summary_rows = []
     failures = 0
@@ -397,13 +415,23 @@ def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
         if not exp.shape_holds:
             failures += 1
         print(f"[{exp.exp_id:>9}] {verdict:>14}  ({elapsed:.1f}s)")
+    return summary_rows, sections, failures, errors
 
+
+def render(summary_rows, sections) -> str:
+    """The EXPERIMENTS.md text holding these summary rows and sections."""
     summary = "\n".join(
         ["| experiment | claim | verdict |", "|---|---|---|"] + summary_rows
     )
-    body = HEADER.format(summary=summary) + "\n".join(sections)
+    return HEADER.format(summary=summary) + "\n".join(sections)
+
+
+def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
+    summary_rows, sections, failures, errors = run_modules(
+        SMOKE_MODULES if smoke else MODULES
+    )
     with open(out_path, "w") as handle:
-        handle.write(body)
+        handle.write(render(summary_rows, sections))
 
     suffix = ".smoke.json" if smoke else ".json"
     out_dir = os.path.dirname(out_path) or "."

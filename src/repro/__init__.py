@@ -16,7 +16,7 @@ A production-grade Python library implementing the paper's full stack:
   Havel–Hakimi, greedy trees, Frank–Chou);
 * :mod:`repro.workloads`, :mod:`repro.validation`, :mod:`repro.analysis`
   — instance generators, networkx-based independent validation, and
-  scaling-fit analysis used by the benchmark harness.
+  the benchmark harness's table formatting.
 
 Quickstart::
 

@@ -1,18 +1,5 @@
-"""Analysis utilities for the benchmark harness: scaling fits and tables."""
+"""Table formatting for the benchmark harness."""
 
-from repro.analysis.scaling import (
-    ScalingFit,
-    bound_ratios,
-    fit_power_law,
-    fit_polylog_ratio,
-)
-from repro.analysis.tables import format_table, series_summary
+from repro.analysis.tables import format_table
 
-__all__ = [
-    "ScalingFit",
-    "bound_ratios",
-    "fit_polylog_ratio",
-    "fit_power_law",
-    "format_table",
-    "series_summary",
-]
+__all__ = ["format_table"]

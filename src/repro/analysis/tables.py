@@ -7,7 +7,7 @@ Markdown code fences.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -28,13 +28,3 @@ def _fmt(value) -> str:
         return f"{value:.3g}"
     return str(value)
 
-
-def series_summary(label: str, xs: Sequence, ys: Sequence[float]) -> str:
-    """One-line series summary: label, endpoints, min/max."""
-    if not ys:
-        return f"{label}: (empty)"
-    return (
-        f"{label}: x={list(xs)[0]}..{list(xs)[-1]} "
-        f"y_first={ys[0]:.3g} y_last={ys[-1]:.3g} "
-        f"y_min={min(ys):.3g} y_max={max(ys):.3g}"
-    )

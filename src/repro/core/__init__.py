@@ -44,8 +44,6 @@ from repro.core.connectivity import (
 from repro.core.lower_bounds import (
     DegreeLowerBounds,
     degree_lower_bounds,
-    polylog_envelope,
-    tightness_ratio,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "explicitness_holds",
     "overlay_degrees",
     "overlay_edges",
-    "polylog_envelope",
     "realize_connectivity_ncc0",
     "realize_connectivity_ncc1",
     "realize_degree_sequence",
@@ -73,5 +70,4 @@ __all__ = [
     "realize_envelope",
     "realize_tree",
     "record_edge",
-    "tightness_ratio",
 ]

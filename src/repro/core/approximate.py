@@ -3,8 +3,7 @@
 The paper's contributions list announces "an Õ(1) round algorithm for
 approximate degree sequence realization", but the preprint does not spell
 it out.  This module provides a principled reconstruction built entirely
-from the paper's own toolbox, with a precise, measurable guarantee (see
-DESIGN.md §5 for the substitution record):
+from the paper's own toolbox, with a precise, measurable guarantee:
 
 1. **Sort + stub intervals** (Theorem 3 + prefix sums): nodes sort by
    degree; node at position ``i`` owns the stub interval

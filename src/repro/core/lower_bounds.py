@@ -48,10 +48,7 @@ def degree_lower_bounds(
     """
     n = len(degrees)
     total = sum(degrees)
-    if total % 2:
-        m = total // 2  # non-graphic inputs still get a nominal bound
-    else:
-        m = total // 2
+    m = total // 2  # non-graphic inputs still get a nominal bound
     delta = max(degrees) if degrees else 0
     cap = max(1, recv_cap)
     return DegreeLowerBounds(
@@ -63,13 +60,3 @@ def degree_lower_bounds(
         implicit_sqrt_m_rounds=math.sqrt(max(0, m)) / cap,
         implicit_regular_rounds=float(delta),
     )
-
-
-def tightness_ratio(measured_rounds: int, bound_rounds: float) -> float:
-    """measured / bound — Theorems 19/20 predict this stays polylog(n)."""
-    return measured_rounds / max(1.0, bound_rounds)
-
-
-def polylog_envelope(n: int, power: int = 3, constant: float = 64.0) -> float:
-    """A generous ``c · log^power n`` envelope used by tightness checks."""
-    return constant * max(1.0, math.log2(max(2, n))) ** power

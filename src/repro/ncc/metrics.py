@@ -44,14 +44,6 @@ class RoundStats:
             out[record.label] = out.get(record.label, 0) + record.rounds
         return out
 
-    def per_log_n(self) -> float:
-        """rounds / log2(n) — flat for O(log n) protocols."""
-        return self.rounds / max(1.0, math.log2(max(2, self.n)))
-
-    def per_polylog(self, power: int) -> float:
-        """rounds / log2(n)^power."""
-        return self.rounds / max(1.0, math.log2(max(2, self.n)) ** power)
-
     def ratio_to(self, bound: float) -> float:
         """rounds / bound — the bound-normalised cost."""
         return self.rounds / max(1.0, bound)

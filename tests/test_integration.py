@@ -10,9 +10,10 @@ from repro import NCCConfig, Network, Variant
 from repro.core.degree_realization import realize_degree_sequence
 from repro.core.explicit import realize_degree_sequence_explicit
 from repro.core.envelope import envelope_holds, realize_envelope
-from repro.core.lower_bounds import degree_lower_bounds, polylog_envelope, tightness_ratio
+from repro.core.lower_bounds import degree_lower_bounds
 from repro.core.tree_realization import realize_tree
 from repro.core.connectivity import realize_connectivity_ncc0, realize_connectivity_ncc1
+from repro.ncc.metrics import polylog
 from repro.sequential import havel_hakimi, is_graphic
 from repro.sequential.havel_hakimi import degree_sequence_of
 from repro.validation import (
@@ -151,8 +152,7 @@ class TestEndToEndScenarios:
         net = make_net(16, seed=10)
         result = realize_degree_sequence_explicit(net, dict(zip(net.node_ids, seq)))
         bounds = degree_lower_bounds(seq, recv_cap=net.recv_cap)
-        ratio = tightness_ratio(result.stats.rounds, bounds.explicit_rounds)
-        assert ratio <= polylog_envelope(16, power=4, constant=256)
+        assert result.stats.ratio_to(bounds.explicit_rounds) <= 256 * polylog(16, 4)
 
 
 class TestSeedStability:

@@ -132,17 +132,22 @@ class TestMetrics:
             messages=10, words=20, send_cap=12, recv_cap=12, max_round_load=3,
         )
 
-    def test_per_log_n(self):
-        stats = self._stats(n=64, rounds=36)
-        assert stats.per_log_n() == pytest.approx(6.0)
-
-    def test_per_polylog(self):
-        stats = self._stats(n=64, rounds=216)
-        assert stats.per_polylog(3) == pytest.approx(1.0)
-
     def test_ratio_to(self):
         stats = self._stats(rounds=100)
         assert stats.ratio_to(50) == pytest.approx(2.0)
+        assert stats.ratio_to(0.0) == 100.0  # a zero bound divides by 1
+
+    def test_ratio_to_log_n(self):
+        stats = self._stats(n=64, rounds=36)
+        assert stats.ratio_to(log2n(stats.n)) == pytest.approx(6.0)
+
+    def test_ratio_to_polylog(self):
+        stats = self._stats(n=64, rounds=216)
+        assert stats.ratio_to(polylog(stats.n, 3)) == pytest.approx(1.0)
+
+    def test_polylog_grows_with_n_and_clamps_at_one(self):
+        assert polylog(1024, 4) > polylog(16, 4)
+        assert polylog(1, 3) == polylog(2, 3) == 1.0
 
     def test_helpers(self):
         assert log2n(2) == 1.0

@@ -1,5 +1,9 @@
 """Micro-tests for result types, validation negatives, and misc helpers."""
 
+import math
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.envelope import envelope_holds
@@ -11,13 +15,16 @@ from repro.core.result import (
     overlay_edges,
     record_edge,
 )
-from repro.analysis.scaling import fit_power_law, is_flat_or_decreasing
 from repro.ncc.message import Message, msg
-from repro.ncc.metrics import RoundStats
+from repro.ncc.metrics import RoundStats, polylog
 from repro.sequential.envelope import discrepancy
 from repro.validation.overlay import holders_of
 
 from tests.conftest import make_net
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from common import flat_or_decreasing  # noqa: E402
 
 
 def _stats(n=8):
@@ -114,18 +121,33 @@ class TestMessageHelpers:
         assert msg("k", data=(None,)).words(64) == 1
 
 
-class TestAnalysisEdges:
-    def test_constant_series_r_squared(self):
-        fit = fit_power_law([2, 4, 8], [5.0, 5.0, 5.0])
-        assert fit.alpha == pytest.approx(0.0, abs=1e-9)
-        assert fit.r_squared == 1.0
+class TestFlatOrDecreasing:
+    """The verdict rule of FIG-1, T-1, C-2, T-3, T-4, T-14 and T-17: the
+    last ratio may exceed the first by at most the 1.4x slack."""
 
-    def test_flatness_short_series(self):
-        assert is_flat_or_decreasing([1.0])
-        assert is_flat_or_decreasing([])
+    @pytest.mark.parametrize(
+        "series, holds",
+        [
+            ([], True),
+            ([3.0], True),
+            ([2.0, 2.0, 2.0], True),
+            ([4.0, 3.0, 1.0], True),
+            ([1.0, 1.3, 1.4], True),
+            ([1.0, 1.3, math.nextafter(1.4, 2.0)], False),
+        ],
+        ids=["empty", "one", "flat", "falling", "at-slack", "above-slack"],
+    )
+    def test_verdict(self, series, holds):
+        assert flat_or_decreasing(series) is holds
 
-    def test_flatness_rejects_growth(self):
-        assert not is_flat_or_decreasing([1.0, 2.0, 4.0, 8.0])
+    NS = [16, 64, 256, 1024]
+
+    def test_polylog_rounds_read_flat(self):
+        rounds = [int(5 * math.log2(n) ** 2) for n in self.NS]
+        assert flat_or_decreasing([r / polylog(n, 2) for n, r in zip(self.NS, rounds)])
+
+    def test_linear_rounds_read_growing(self):
+        assert not flat_or_decreasing([n / polylog(n, 1) for n in self.NS])
 
 
 class TestStatsArithmetic:

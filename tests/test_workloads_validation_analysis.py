@@ -7,19 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    bound_ratios,
-    fit_polylog_ratio,
-    fit_power_law,
-    format_table,
-    series_summary,
-)
-from repro.analysis.scaling import is_flat_or_decreasing
-from repro.core.lower_bounds import (
-    degree_lower_bounds,
-    polylog_envelope,
-    tightness_ratio,
-)
+from repro.analysis import format_table
+from repro.core.lower_bounds import degree_lower_bounds
 from repro.sequential import is_graphic, is_tree_realizable
 from repro.validation.graph_checks import (
     check_connectivity_thresholds,
@@ -165,45 +154,11 @@ class TestValidationChecks:
 
 
 class TestAnalysis:
-    def test_power_law_fit_recovers_exponent(self):
-        xs = [10, 20, 40, 80, 160]
-        ys = [3 * x**1.5 for x in xs]
-        fit = fit_power_law(xs, ys)
-        assert fit.alpha == pytest.approx(1.5, abs=0.01)
-        assert fit.constant == pytest.approx(3.0, rel=0.05)
-        assert fit.r_squared > 0.999
-        assert fit.predict(100) == pytest.approx(3 * 100**1.5, rel=0.05)
-
-    def test_fit_requires_two_points(self):
-        with pytest.raises(ValueError):
-            fit_power_law([1], [1])
-
-    def test_polylog_ratio_flat_for_polylog_series(self):
-        ns = [16, 64, 256, 1024]
-        rounds = [int(5 * math.log2(n) ** 2) for n in ns]
-        ratios = fit_polylog_ratio(ns, rounds, power=2)
-        assert is_flat_or_decreasing(ratios)
-
-    def test_polylog_ratio_grows_for_linear_series(self):
-        ns = [16, 64, 256, 1024]
-        rounds = [n for n in ns]
-        ratios = fit_polylog_ratio(ns, rounds, power=1)
-        assert not is_flat_or_decreasing(ratios)
-
-    def test_bound_ratios(self):
-        out = bound_ratios([4, 9], [8, 18], lambda x: 2 * x)
-        assert out == [1.0, 1.0]
-
     def test_format_table(self):
         text = format_table(["n", "rounds"], [[16, 100], [64, 250]])
         lines = text.splitlines()
         assert "n" in lines[0] and "rounds" in lines[0]
         assert len(lines) == 4
-
-    def test_series_summary(self):
-        out = series_summary("x", [1, 2, 3], [1.0, 2.0, 3.0])
-        assert out.startswith("x:")
-        assert series_summary("empty", [], []) == "empty: (empty)"
 
 
 class TestLowerBounds:
@@ -215,9 +170,12 @@ class TestLowerBounds:
         assert bounds.implicit_regular_rounds == 4.0
         assert bounds.implicit_sqrt_m_rounds == pytest.approx(math.sqrt(8) / 8)
 
-    def test_tightness_ratio(self):
-        assert tightness_ratio(100, 10.0) == pytest.approx(10.0)
-        assert tightness_ratio(5, 0.0) == 5.0  # clamped denominator
+    def test_odd_total_floors_the_edge_count(self):
+        bounds = degree_lower_bounds([3, 2, 2], recv_cap=4)
+        assert bounds.m == 3
+        assert bounds.implicit_sqrt_m_rounds == pytest.approx(math.sqrt(3) / 4)
 
-    def test_polylog_envelope_monotone(self):
-        assert polylog_envelope(1024) > polylog_envelope(16)
+    def test_empty_sequence_and_zero_cap(self):
+        bounds = degree_lower_bounds([], recv_cap=0)
+        assert (bounds.n, bounds.m, bounds.max_degree, bounds.recv_cap) == (0, 0, 0, 1)
+        assert bounds.explicit_rounds == bounds.implicit_sqrt_m_rounds == 0.0
