@@ -9,7 +9,7 @@ scaling sweeps never understate round complexity).
 
 import random
 
-from common import Experiment, log2n, make_net
+from common import Experiment, make_net
 from repro.core.degree_realization import realize_degree_sequence
 from repro.primitives.protocol import run_protocol
 from repro.primitives.sorting import distributed_sort
@@ -67,11 +67,3 @@ def experiment() -> Experiment:
         "it can only overstate, never understate, round costs.",
     )
 
-
-def test_ablation_fidelity(benchmark):
-    def run():
-        return sort_both(64, seed=38)["charged"][1]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -70,11 +70,3 @@ def experiment() -> Experiment:
         "on same-degree-heavy inputs.",
     )
 
-
-def test_ablation_parallel_stars(benchmark):
-    def run():
-        return parallel_run(regular_sequence(64, 4), seed=35).phases
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -1,6 +1,7 @@
 """C-2: positions and the median in O(log n) rounds (Corollary 2)."""
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import COROLLARY_2
 from repro.primitives.bbst import build_bbst
 from repro.primitives.protocol import ns_state, run_protocol
 from repro.primitives.traversal import (
@@ -32,30 +33,21 @@ def measure(n: int, seed: int = 3):
 
 
 def experiment() -> Experiment:
-    rows, ratios = [], []
+    rows = []
+    sweep = Series("n", COROLLARY_2)
     for n in (8, 32, 128, 512, 2048):
         rounds, valid = measure(n)
-        ratio = rounds / log2n(n)
-        ratios.append(ratio)
+        ratio = sweep.add(n, rounds, n=n)
         rows.append([n, rounds, f"{ratio:.2f}", valid])
-    shape = flat_or_decreasing(ratios) and all(r[-1] for r in rows)
     return Experiment(
         exp_id="C-2",
         claim="every node learns its path position; the median's address "
         "becomes common knowledge — O(log n) rounds",
         headers=["n", "rounds (post-BBST)", "rounds/log2(n)", "valid"],
         rows=rows,
-        shape_holds=shape,
+        shape_holds=all(r[-1] for r in rows),
+        series=[sweep],
         notes="Cost on top of the Theorem-1 tree: sizes (height), positions "
         "(height), median escalation + flood (2x height).",
     )
 
-
-def test_cor02_position_median(benchmark):
-    def run():
-        return measure(512, seed=4)[0]
-
-    rounds = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert rounds <= 8 * log2n(512)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -7,7 +7,8 @@ and O(log n)-tall in O(log n) rounds.
 
 import math
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import WARMUP_TREE
 from repro.primitives.binary_tree import (
     build_warmup_binary_tree,
     tree_children,
@@ -45,7 +46,7 @@ def figure_ascii(n: int = 8, seed: int = 0) -> str:
 
 def experiment() -> Experiment:
     rows = []
-    ratios = []
+    sweep = Series("n", WARMUP_TREE)
     for n in (8, 32, 128, 512, 2048):
         net = make_net(n, seed=1)
         root = run_protocol(net, build_warmup_binary_tree(net, "wb"))
@@ -53,33 +54,21 @@ def experiment() -> Experiment:
         height = tree_height(net, "wb", root)
         spanning = sorted(nodes) == sorted(net.node_ids)
         binary = all(len(tree_children(net, "wb", v)) <= 2 for v in net.node_ids)
-        ratio = net.rounds / log2n(n)
-        ratios.append(ratio)
+        ratio = sweep.add(n, net.rounds, n=n)
         rows.append(
             [n, net.rounds, f"{ratio:.2f}", height,
              math.ceil(math.log2(max(2, n))) + 1, spanning and binary]
         )
-    shape = flat_or_decreasing(ratios) and all(r[-1] for r in rows)
     return Experiment(
         exp_id="FIG-1",
         claim="warm-up balanced binary tree: O(log n) rounds, height O(log n)",
         headers=["n", "rounds", "rounds/log2(n)", "height", "height bound", "valid"],
         rows=rows,
-        shape_holds=shape,
+        shape_holds=all(r[-1] for r in rows),
+        series=[sweep],
         notes=(
             "The 8-node example reproduces the text's adoption process "
-            "(root 1 adopts 2 and 3, etc.); rounds/log2(n) stays flat."
+            "(root 1 adopts 2 and 3, etc.)."
         ),
     )
 
-
-def test_fig1_binary_tree(benchmark):
-    def run():
-        net = make_net(256, seed=1)
-        run_protocol(net, build_warmup_binary_tree(net, "wb"))
-        return net.rounds
-
-    rounds = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert rounds <= 6 * log2n(256)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -68,13 +68,3 @@ def experiment() -> Experiment:
         "the tree is 1(r)->5->(3,7)->(2,4,6,8).",
     )
 
-
-def test_fig2_bbst(benchmark):
-    def run():
-        net = make_net(8, seed=0)
-        run_protocol(net, build_bbst(net))
-        return net.rounds
-
-    benchmark.pedantic(run, rounds=5, iterations=1)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -2,7 +2,8 @@
 
 import math
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import THEOREM_1
 from repro.primitives.bbst import build_bbst
 from repro.primitives.protocol import ns_state, run_protocol
 
@@ -23,31 +24,22 @@ def measure(n: int, seed: int = 1):
 
 
 def experiment() -> Experiment:
-    rows, ratios = [], []
+    rows = []
+    sweep = Series("n", THEOREM_1)
     for n in (8, 32, 128, 512, 2048, 4096):
         rounds, height, count = measure(n)
         bound = math.ceil(math.log2(n)) + 1
-        ratio = rounds / log2n(n)
-        ratios.append(ratio)
+        ratio = sweep.add(n, rounds, n=n)
         rows.append([n, rounds, f"{ratio:.2f}", height, bound, count == n and height <= bound])
-    shape = flat_or_decreasing(ratios) and all(r[-1] for r in rows)
     return Experiment(
         exp_id="T-1",
         claim="BBST (structure 𝓛 + controlled BFS) in O(log n) rounds, "
         "height <= ceil(log n)+1, inorder == Gk",
         headers=["n", "rounds", "rounds/log2(n)", "height", "bound", "valid"],
         rows=rows,
-        shape_holds=shape,
-        notes="rounds/log2(n) flat (~5): the hidden constant covers level "
-        "construction (1 round/level) plus the two-round BFS sweep per level.",
+        shape_holds=all(r[-1] for r in rows),
+        series=[sweep],
+        notes="The hidden constant covers level construction (1 round/level) "
+        "plus the two-round BFS sweep per level.",
     )
 
-
-def test_thm01_bbst(benchmark):
-    def run():
-        return measure(512, seed=2)[0]
-
-    rounds = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert rounds <= 8 * log2n(512)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -2,7 +2,8 @@
 
 import random
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import THEOREM_3
 from repro.primitives.protocol import run_protocol
 from repro.primitives.sorting import distributed_sort
 
@@ -18,34 +19,25 @@ def measure(n: int, seed: int = 5, value_range: int = None):
 
 
 def experiment() -> Experiment:
-    rows, ratios = [], []
+    rows = []
+    sweep = Series("n", THEOREM_3)
     for n in (8, 16, 32, 64, 128, 256, 512):
         rounds, valid = measure(n)
-        ratio = rounds / log2n(n) ** 3
-        ratios.append(ratio)
+        ratio = sweep.add(n, rounds, n=n)
         rows.append([n, rounds, f"{ratio:.2f}", valid])
     # Duplicate-heavy input (stress for the median splits).
+    duplicates = Series("3 distinct keys", THEOREM_3)
     rounds_dup, valid_dup = measure(128, seed=6, value_range=3)
     rows.append(["128 (3 distinct keys)", rounds_dup,
-                 f"{rounds_dup / log2n(128) ** 3:.2f}", valid_dup])
-    shape = flat_or_decreasing(ratios) and all(r[-1] for r in rows)
+                 f"{duplicates.add(128, rounds_dup, n=128):.2f}", valid_dup])
     return Experiment(
         exp_id="T-3",
         claim="sorted path via recursive-median mergesort in O(log^3 n) rounds",
         headers=["n", "rounds", "rounds/log2(n)^3", "valid"],
         rows=rows,
-        shape_holds=shape,
-        notes="rounds/log^3 n decreases from ~5 to ~2.5 across the sweep — "
-        "the measured exponent is if anything below the bound (merge "
+        shape_holds=all(r[-1] for r in rows),
+        series=[sweep, duplicates],
+        notes="The measured exponent is if anything below the bound (merge "
         "recursions shrink by 3/4 per level, often faster).",
     )
 
-
-def test_thm03_sorting(benchmark):
-    def run():
-        return measure(128, seed=7)[0]
-
-    rounds = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert rounds <= 8 * log2n(128) ** 3
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -1,6 +1,7 @@
 """T-4: global broadcast and global aggregation in O(log n) rounds."""
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import THEOREM_4
 from repro.primitives.bbst import build_bbst
 from repro.primitives.broadcast import global_aggregate, global_broadcast
 from repro.primitives.protocol import ns_state, run_protocol
@@ -33,30 +34,20 @@ def measure(n: int, seed: int = 8):
 
 
 def experiment() -> Experiment:
-    rows, ratios = [], []
+    rows = []
+    sweep = Series("n", THEOREM_4)
     for n in (8, 32, 128, 512, 2048):
         bc, agg, valid = measure(n)
-        ratio = (bc + agg) / log2n(n)
-        ratios.append(ratio)
+        ratio = sweep.add(n, bc + agg, n=n)
         rows.append([n, bc, agg, f"{ratio:.2f}", valid])
-    shape = flat_or_decreasing(ratios) and all(r[-1] for r in rows)
     return Experiment(
         exp_id="T-4",
         claim="global broadcast and aggregation in O(log n) rounds",
         headers=["n", "broadcast rounds", "aggregation rounds",
                  "(bc+agg)/log2(n)", "valid"],
         rows=rows,
-        shape_holds=shape,
+        shape_holds=all(r[-1] for r in rows),
+        series=[sweep],
         notes="Leader -> root handoff + one tree sweep each way.",
     )
 
-
-def test_thm04_broadcast_agg(benchmark):
-    def run():
-        bc, agg, _ = measure(512, seed=9)
-        return bc + agg
-
-    rounds = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert rounds <= 8 * log2n(512)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -1,6 +1,7 @@
 """T-5: global collection of k tokens in O(k + log n) rounds."""
 
-from common import Experiment, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import THEOREM_5
 from repro.primitives.bbst import build_bbst
 from repro.primitives.collection import global_collect
 from repro.primitives.protocol import run_protocol
@@ -33,37 +34,27 @@ def experiment() -> Experiment:
     rows = []
     ok = True
     # Sweep k at fixed n: cost should be ~ c1*k + c2*log n.
-    n = 256
-    k_rounds = {}
+    k_sweep = Series("k", THEOREM_5)
     for k in (2, 8, 32, 128):
-        rounds, valid = measure(n, k)
-        k_rounds[k] = rounds
+        rounds, valid = measure(256, k)
         ok &= valid
-        rows.append([f"n={n}", k, rounds, f"{rounds / (k + log2n(n)):.2f}", valid])
+        rows.append(["n=256", k, rounds,
+                     f"{k_sweep.add(k, rounds, n=256, k=k):.2f}", valid])
     # Sweep n at fixed k.
-    for n2 in (32, 128, 512):
-        rounds, valid = measure(n2, 16)
+    n_sweep = Series("n", THEOREM_5)
+    for n in (32, 128, 512):
+        rounds, valid = measure(n, 16)
         ok &= valid
-        rows.append([f"n={n2}", 16, rounds, f"{rounds / (16 + log2n(n2)):.2f}", valid])
-    # Linearity in k: quadrupling k must not inflate cost superlinearly.
-    linear = k_rounds[128] <= 4 * max(1, k_rounds[32]) + 8 * log2n(n)
-    shape = ok and linear
+        rows.append([f"n={n}", 16, rounds,
+                     f"{n_sweep.add(n, rounds, n=n, k=16):.2f}", valid])
     return Experiment(
         exp_id="T-5",
         claim="global collection of k tokens in O(k + log n) rounds",
         headers=["n", "k", "rounds", "rounds/(k+log n)", "valid"],
         rows=rows,
-        shape_holds=shape,
+        shape_holds=ok,
+        series=[k_sweep, n_sweep],
         notes="Pipelined ascent batches several tokens per edge per round, "
-        "so the measured constant is < 1; growth in k is (sub)linear.",
+        "so the measured constant is < 1.",
     )
 
-
-def test_thm05_collection(benchmark):
-    def run():
-        return measure(256, 64, seed=11)[0]
-
-    rounds = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert rounds <= 4 * (64 + log2n(256))
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

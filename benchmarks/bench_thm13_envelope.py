@@ -62,14 +62,3 @@ def experiment() -> Experiment:
         "stay within the 2x envelope, usually far below it.",
     )
 
-
-def test_thm13_envelope(benchmark):
-    def run():
-        seq = near_graphic_perturbation(
-            random_graphic_sequence(32, 0.3, seed=9), bumps=8, seed=9
-        )
-        return measure(seq, seed=21)[2]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

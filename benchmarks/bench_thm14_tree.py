@@ -1,6 +1,7 @@
 """T-14: tree realization in O(log^3 n) rounds (Algorithm 4)."""
 
-from common import Experiment, flat_or_decreasing, log2n, make_net
+from common import Experiment, Series, make_net
+from repro.ncc.metrics import THEOREM_14
 from repro.core.tree_realization import realize_tree
 from repro.validation import check_tree
 from repro.workloads import (
@@ -22,14 +23,15 @@ def measure(seq, seed: int = 22):
 
 
 def experiment() -> Experiment:
-    rows, ratios = [], []
+    rows = []
     ok = True
+    sweep = Series("n", THEOREM_14)
+    shapes = Series("star, caterpillar", THEOREM_14)
     for n in (16, 32, 64, 128, 256):
         seq = random_tree_sequence(n, seed=n)
         result, valid = measure(seq)
         ok &= valid
-        ratio = result.stats.rounds / log2n(n) ** 3
-        ratios.append(ratio)
+        ratio = sweep.add(n, result.stats.rounds, n=n)
         rows.append([f"random tree n={n}", result.stats.rounds,
                      f"{ratio:.2f}", result.diameter, valid])
     for label, seq in (
@@ -39,26 +41,15 @@ def experiment() -> Experiment:
         result, valid = measure(seq)
         ok &= valid
         rows.append([label, result.stats.rounds,
-                     f"{result.stats.rounds / log2n(64) ** 3:.2f}",
+                     f"{shapes.add(64, result.stats.rounds, n=64):.2f}",
                      result.diameter, valid])
-    shape = ok and flat_or_decreasing(ratios)
     return Experiment(
         exp_id="T-14",
         claim="implicit tree realization in O(log^3 n) rounds (sort-dominated)",
         headers=["workload", "rounds", "rounds/log2(n)^3", "diameter", "valid"],
         rows=rows,
-        shape_holds=shape,
-        notes="One sort + prefix sums + claim-collect + range multicast; "
-        "rounds/log^3 n is flat-to-decreasing.",
+        shape_holds=ok,
+        series=[sweep, shapes],
+        notes="One sort + prefix sums + claim-collect + range multicast.",
     )
 
-
-def test_thm14_tree(benchmark):
-    def run():
-        seq = random_tree_sequence(128, seed=5)
-        return measure(seq, seed=23)[0].stats.rounds
-
-    rounds = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert rounds <= 10 * log2n(128) ** 3
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -79,12 +79,3 @@ def experiment() -> Experiment:
         "never exceeds the caterpillar's diameter.",
     )
 
-
-def test_thm16_min_diameter_tree(benchmark):
-    def run():
-        seq = random_tree_sequence(64, seed=7)
-        return realize(seq, "min_diameter", seed=25).diameter
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

@@ -14,8 +14,9 @@ details; see ``repro/core/approximate.py``).  Three shapes to verify:
 3. **repair rounds shrink error geometrically.**
 """
 
-from common import Experiment, log2n, make_net
+from common import Experiment, Series, make_net
 from repro.core.approximate import approximate_degree_realization
+from repro.ncc.metrics import APPROXIMATE
 from repro.validation import check_explicit, check_simple
 from repro.workloads import (
     concentrated_sequence,
@@ -35,23 +36,34 @@ def measure(seq, seed=40, repair=0):
     return result
 
 
+def row(label, seq, result, predicted, repairs, sweep=None, x=None):
+    """One table row; given a sweep, its simulated rounds ÷ bound go to it
+    at ``x``."""
+    stats = result.stats
+    ratio = "-"
+    if sweep is not None:
+        n, m, delta = len(seq), sum(seq) // 2, max(seq)
+        ratio = f"{sweep.add(x, stats.simulated_rounds, n=n, m=m, delta=delta):.2f}"
+    return [label, stats.rounds, stats.simulated_rounds, stats.charged_rounds,
+            ratio, result.l1_error, predicted,
+            f"{result.relative_error:.3f}", repairs]
+
+
 def experiment() -> Experiment:
     rows = []
     ok = True
 
     # Shape 1: Δ sweep at fixed n — rounds nearly flat (vs Alg 3's Δ phases).
-    delta_rounds = {}
+    delta_sweep = Series("Δ", APPROXIMATE)
     for d in (4, 8, 16):
         seq = regular_sequence(64, d)
         result = measure(seq)
-        delta_rounds[d] = result.stats.rounds
         predicted = sum(x * x for x in seq) / max(1, sum(seq) // 2)
-        rows.append([f"regular d={d}, n=64", result.stats.rounds,
-                     result.l1_error, f"{predicted:.0f}",
-                     f"{result.relative_error:.3f}", 0])
-    ok &= delta_rounds[16] <= 2.0 * delta_rounds[4]
+        rows.append(row(f"regular d={d}, n=64", seq, result, f"{predicted:.0f}",
+                        0, delta_sweep, d))
 
     # Shape 2: error tracks the collision prediction across workloads.
+    others = Series("other inputs", APPROXIMATE)
     for label, seq in (
         ("power-law n=64", power_law_sequence(64, seed=8)),
         ("concentrated k=10, n=64", concentrated_sequence(64, 10, seed=8)),
@@ -62,40 +74,36 @@ def experiment() -> Experiment:
         result = measure(seq)
         predicted = sum(x * x for x in seq) / max(1, sum(seq) // 2)
         ok &= result.l1_error <= 4 * predicted + 8
-        rows.append([label, result.stats.rounds, result.l1_error,
-                     f"{predicted:.0f}", f"{result.relative_error:.3f}", 0])
+        rows.append(row(label, seq, result, f"{predicted:.0f}", 0, others, 64))
 
-    # Shape 3: repair rounds shrink the error monotonically.
+    # Shape 3: repair rounds shrink the error monotonically.  A row with r
+    # repairs runs the realizer 1 + r times, so only r = 0 is judged
+    # against the bound of one run.
     errors = []
     for repair in (0, 1, 3):
-        result = measure(regular_sequence(64, 8), seed=41, repair=repair)
+        seq = regular_sequence(64, 8)
+        result = measure(seq, seed=41, repair=repair)
         errors.append(result.l1_error)
-        rows.append([f"regular d=8 + {repair} repairs", result.stats.rounds,
-                     result.l1_error, "-", f"{result.relative_error:.3f}",
-                     repair])
+        rows.append(row(f"regular d=8 + {repair} repairs", seq, result, "-",
+                        repair, None if repair else others, 64))
     ok &= errors[-1] <= errors[0] and errors[1] <= errors[0]
 
     return Experiment(
         exp_id="X-A3",
         claim="Õ(1)-phase approximate degree realization (reconstruction): "
         "constant phases, error ~ Σd²/m, geometric repair",
-        headers=["workload", "rounds", "L1 error", "predicted Σd²/m",
-                 "relative error", "repairs"],
+        headers=["workload", "rounds", "simulated", "charged",
+                 "simulated/(m/n+Δ/log n+log n)", "L1 error",
+                 "predicted Σd²/m", "relative error", "repairs"],
         rows=rows,
         shape_holds=ok,
+        series=[delta_sweep, others],
         notes="One sort + three Theorem-8 collections realize the sequence "
-        "explicitly in a constant number of phases; the measured shortfall "
-        "follows the birthday-collision prediction and repair passes "
-        "remove it geometrically.  Evades no lower bound: token load is "
-        "still Ω(m/n + Δ/log n) as Theorems 19/20 require.",
+        "explicitly in a constant number of phases; the sort is charged "
+        "(see X-A2), so the rule fits the simulated rounds; a row with r "
+        "repairs runs the realizer 1 + r times, so only r = 0 is judged.  "
+        "The measured shortfall follows the birthday-collision prediction "
+        "and repair passes remove it geometrically.  Evades no lower bound: "
+        "token load is still Ω(m/n + Δ/log n) as Theorems 19/20 require.",
     )
 
-
-def test_xa3_approximate(benchmark):
-    def run():
-        return measure(regular_sequence(64, 6), seed=42).stats.rounds
-
-    rounds = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert rounds <= 40 * log2n(64) ** 3
-    exp = experiment()
-    assert exp.shape_holds, exp.render()

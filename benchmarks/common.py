@@ -2,24 +2,80 @@
 
 from __future__ import annotations
 
+import math
+import statistics
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 sys.setrecursionlimit(200_000)
 
-from repro.analysis.tables import format_table
 from repro.ncc.config import NCCConfig, Variant
-from repro.ncc.metrics import log2n
+from repro.ncc.metrics import Bound
 from repro.ncc.network import Network
 from repro.primitives.bbst import build_indexed_path
 from repro.primitives.path_ops import build_undirected_path
 from repro.primitives.protocol import run_protocol
 
+#: The verdict rule's one slack, shared by every paper experiment: a
+#: sweep's least-squares slope of ln(rounds ÷ bound) against ln(driving
+#: parameter) may not exceed it.  It lies above every slope of the series
+#: the earlier per-table rules judged (the largest, +0.076, is T-12's n
+#: sweep) and below the smallest slope of those series multiplied by
+#: log2 n (+0.182, FIG-1), so one log factor more than a bound fails.
+EPSILON = 0.125
+
+
+@dataclass
+class Series:
+    """One sweep of a table: rounds ÷ its theorem's bound, row by row,
+    against the parameter the sweep drives."""
+
+    label: str
+    bound: Bound
+    points: List[Tuple[float, float]] = field(default_factory=list)
+
+    def add(self, x: float, rounds: float, **instance) -> float:
+        """Record one row, ``rounds`` at driving parameter ``x``; returns
+        its rounds ÷ bound."""
+        ratio = rounds / self.bound(**instance)
+        self.points.append((x, ratio))
+        return ratio
+
+    def slope(self) -> Optional[float]:
+        """The log-log least-squares slope; None below two distinct ``x``."""
+        if len({x for x, _ in self.points}) < 2:
+            return None
+        return statistics.linear_regression(
+            [math.log(x) for x, _ in self.points],
+            [math.log(ratio) for _, ratio in self.points],
+        ).slope
+
+    def peak(self) -> float:
+        return max((ratio for _, ratio in self.points), default=0.0)
+
+    def holds(self) -> bool:
+        """The verdict rule: slope at most ε, no row above the ceiling."""
+        slope = self.slope()
+        return (slope is None or slope <= EPSILON) and self.peak() <= self.bound.ceiling
+
+    def summary(self) -> str:
+        slope = self.slope()
+        trend = "" if slope is None else f"slope {slope:+.3f}, "
+        return (
+            f"{self.label}: {trend}max {self.peak():.3g} "
+            f"(ceiling {self.bound.ceiling:g}, {self.bound.cite})"
+        )
+
 
 @dataclass
 class Experiment:
-    """One reproduced table/figure: id, claim, data, and a verdict."""
+    """One reproduced table/figure: id, claim, data, and a verdict.
+
+    ``shape_holds`` covers the table's checks other than round bounds
+    (validity, approximation factors, ...); each of ``series`` must also
+    pass the verdict rule.
+    """
 
     exp_id: str
     claim: str
@@ -27,9 +83,16 @@ class Experiment:
     rows: List[Sequence]
     shape_holds: bool
     notes: str = ""
+    series: Sequence[Series] = ()
+
+    @property
+    def reproduced(self) -> bool:
+        return self.shape_holds and all(s.holds() for s in self.series)
 
     def render(self) -> str:
-        verdict = "REPRODUCED" if self.shape_holds else "SHAPE MISMATCH"
+        verdict = "REPRODUCED" if self.reproduced else "SHAPE MISMATCH"
+        rule = "; ".join(s.summary() for s in self.series)
+        judged = f"Rounds ÷ bound — {rule}. " if rule else ""
         table = format_table(self.headers, self.rows)
         out = [
             f"### {self.exp_id} — {self.claim}",
@@ -38,10 +101,29 @@ class Experiment:
             table,
             "```",
             "",
-            f"**Verdict: {verdict}.** {self.notes}".rstrip(),
+            f"**Verdict: {verdict}.** {judged}{self.notes}".rstrip(),
             "",
         ]
         return "\n".join(out)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Render a fixed-width text table."""
+    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cells):
+        line = "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
+        lines.append(line)
+        if idx == 0:
+            lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
+    return "\n".join(lines)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    return str(value)
 
 
 def make_net(n: int, seed: int = 0, **overrides) -> Network:
@@ -65,12 +147,3 @@ def indexed_net(n: int, seed: int = 0, ns: str = "ip") -> Network:
 
     run_protocol(net, proto())
     return net
-
-
-def flat_or_decreasing(series: Sequence[float], slack: float = 1.4) -> bool:
-    """Shape check shared by the round-complexity experiments."""
-    if len(series) < 2:
-        return True
-    first = series[0]
-    last = series[-1]
-    return last <= slack * max(first, 1e-9)

@@ -1,10 +1,10 @@
 """Benchmark harness plumbing.
 
 Each ``bench_*.py`` module exposes ``experiment()`` returning an
-:class:`common.Experiment` (headers + rows + a shape verdict); the pytest
-benchmarks time one representative configuration and assert the verdict,
-while ``run_experiments.py`` executes every module's full sweep and
-renders EXPERIMENTS.md.
+:class:`common.Experiment` (headers + rows + a verdict);
+``run_experiments.py`` executes every module's full sweep and renders
+EXPERIMENTS.md.  The timed benchmarks also hold a pytest-benchmark
+wrapper that times one representative configuration.
 """
 
 import os

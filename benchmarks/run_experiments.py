@@ -14,8 +14,9 @@ with the committed EXPERIMENTS.md without writing a file.
 
 ``--smoke`` runs a one-scale subset (the engine-throughput replay, the
 end-to-end protocol wall-clock, the serve chaos drive, plus one cheap
-protocol sweep) and writes to temporary files — a CI-sized check that
-the harness still executes end to end.
+protocol sweep) and, given no output path, writes to a temporary
+directory that it removes when the run ends — a CI-sized check that the
+harness still executes end to end.
 
 ``--check`` is the benchmark regression guard: it re-measures the
 engine, protocol and multiprocess benchmarks and compares them against
@@ -30,7 +31,8 @@ comparable hardware.  The serve stack's timing is perfbench's (see
 other record are pinned in tier-1 by ``tests/test_bench_invariants.py``.
 
 The driver exits nonzero if any experiment *raises* or reports a shape
-mismatch, so CI can trust it.
+mismatch, so CI can trust it.  T-6/7/8's committed verdict is a shape
+mismatch, so a full run exits 1 until it is mended.
 
 ``BENCH_engine.json`` (fast-vs-reference engine replay throughput) and
 ``BENCH_protocol.json`` (end-to-end protocol wall-clock through the
@@ -44,11 +46,15 @@ import importlib
 import json
 import os
 import sys
+import tempfile
 import time
 import traceback
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 sys.setrecursionlimit(200_000)
+
+from common import EPSILON
+from repro.primitives.sorting import CHARGED_SORT_CONSTANT
 
 #: The paper experiments: deterministic tables, checked byte for byte
 #: against the committed EXPERIMENTS.md by ``check_experiments.py``.
@@ -103,6 +109,34 @@ We match the paper's *shape* (who wins, scaling exponents, approximation
 factors), not wall-clock constants: the substrate is a simulator, not the
 authors' testbed (the paper reports no experiments of its own — this
 harness turns every bound into a measurement).
+
+**Verdict rule.**  A table with a round claim divides its rounds by the
+theorem's bound, written once in `src/repro/ncc/metrics.py` with every
+term and the polylog the Õ hides spelled out.  For each sweep of the
+table, the least-squares slope of ln(rounds ÷ bound) against ln(the
+parameter the sweep drives) must be at most ε = {epsilon:g}, one constant
+for every experiment, and no row's rounds ÷ bound may exceed the
+theorem's ceiling (its hidden constant).  Each verdict line prints every
+sweep's slope and maximum.  Where charged sort rounds are most of a row
+(T-11, T-18, T-19/T-20, X-A3), the table prints simulated and charged
+rounds apart and the rule reads the simulated ones.
+
+**Deviations from the paper's model and constants.**
+
+- *Charged sorting.*  Sweeps with `fidelity="charged"` sort in one step
+  and charge ⌈{charge:g}·log₂³n⌉ rounds, Theorem 3's bound times a
+  calibrated constant that exceeds every full-fidelity sort measured
+  (X-A2).
+- *X-A3 is a reconstruction.*  The preprint announces an Õ(1)-round
+  approximate realizer without its details; `src/repro/core/approximate.py`
+  builds one from the paper's primitives, and X-A3's bound is that
+  module's.
+- *Max-flow validation is partial.*  Connectivity thresholds are checked
+  by pairwise max-flow only at n ≤ 64 in T-17 and n ≤ 48 in T-18; the
+  larger rows of T-17 read True without that check, and T-18's n = 96 row
+  checks explicitness only.
+- *Algorithm 3 counts its terminating phase*, the one that broadcasts
+  δ = 0 and stops; X-A1 subtracts it to compare star-removal work.
 
 Four benchmarks also track the *implementation* across PRs (the serve
 stack's throughput and latency are measured by `perfbench/`, not here):
@@ -410,9 +444,9 @@ def run_modules(modules):
             continue
         elapsed = time.time() - started
         sections.append(exp.render())
-        verdict = "reproduced" if exp.shape_holds else "SHAPE MISMATCH"
+        verdict = "reproduced" if exp.reproduced else "SHAPE MISMATCH"
         summary_rows.append(f"| {exp.exp_id} | {exp.claim} | {verdict} |")
-        if not exp.shape_holds:
+        if not exp.reproduced:
             failures += 1
         print(f"[{exp.exp_id:>9}] {verdict:>14}  ({elapsed:.1f}s)")
     return summary_rows, sections, failures, errors
@@ -423,7 +457,10 @@ def render(summary_rows, sections) -> str:
     summary = "\n".join(
         ["| experiment | claim | verdict |", "|---|---|---|"] + summary_rows
     )
-    return HEADER.format(summary=summary) + "\n".join(sections)
+    header = HEADER.format(
+        summary=summary, epsilon=EPSILON, charge=CHARGED_SORT_CONSTANT
+    )
+    return header + "\n".join(sections)
 
 
 def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
@@ -469,8 +506,10 @@ def main(out_path: str = "EXPERIMENTS.md", smoke: bool = False) -> int:
     return 1 if (failures or errors) else 0
 
 
-if __name__ == "__main__":
-    args = [a for a in sys.argv[1:]]
+def cli(argv) -> int:
+    """Run the command line ``argv`` (the arguments after the program
+    name); returns the exit code."""
+    args = list(argv)
     smoke = "--smoke" in args
     check = "--check" in args
     args = [a for a in args if a != "--smoke" and a != "--check"]
@@ -481,30 +520,26 @@ if __name__ == "__main__":
             tolerance = float(args[at + 1])
         except (IndexError, ValueError):
             print("usage: --tolerance FRACTION (e.g. --tolerance 0.15)")
-            raise SystemExit(2)
+            return 2
         del args[at : at + 2]
-    if check:
-        # --smoke --check shares one process: the smoke sweep warms the
-        # benchmark result caches, so the guard re-uses its measurements
-        # instead of running the tracked suites twice.
-        rc = 0
-        if smoke:
-            import tempfile
-
-            smoke_target = os.path.join(
-                tempfile.mkdtemp(prefix="repro-smoke-"), "EXPERIMENTS.md"
-            )
-            rc = main(smoke_target, smoke=True)
-        raise SystemExit(rc or check_against_committed(tolerance))
-    if args:
-        target = args[0]
-    elif smoke:
-        import tempfile
-
-        target = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "EXPERIMENTS.md")
-    else:
-        target = os.path.join(
+    if smoke and (check or not args):
+        # A smoke run with no output path writes to a temporary directory,
+        # removed when the run ends.  --smoke --check shares one process:
+        # the smoke sweep warms the benchmark result caches, so the guard
+        # re-uses its measurements instead of running the tracked suites
+        # twice.
+        with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
+            rc = main(os.path.join(tmp, "EXPERIMENTS.md"), smoke=True)
+        if rc or not check:
+            return rc
+    elif not check:
+        target = args[0] if args else os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "EXPERIMENTS.md",
         )
-    raise SystemExit(main(target, smoke=smoke))
+        return main(target, smoke=smoke)
+    return check_against_committed(tolerance)
+
+
+if __name__ == "__main__":
+    raise SystemExit(cli(sys.argv[1:]))

@@ -11,12 +11,12 @@ A production-grade Python library implementing the paper's full stack:
   primitives);
 * :mod:`repro.core` — the paper's contributions: distributed degree
   realization (implicit/explicit/approximate), tree realizations, and
-  connectivity-threshold realizations, plus the Section 7 lower bounds;
+  connectivity-threshold realizations (their round bounds, and the
+  Section 7 lower bounds, are entries of :mod:`repro.ncc.metrics`);
 * :mod:`repro.sequential` — the classical baselines (Erdős–Gallai,
   Havel–Hakimi, greedy trees, Frank–Chou);
-* :mod:`repro.workloads`, :mod:`repro.validation`, :mod:`repro.analysis`
-  — instance generators, networkx-based independent validation, and
-  the benchmark harness's table formatting.
+* :mod:`repro.workloads`, :mod:`repro.validation` — instance generators
+  and networkx-based independent validation.
 
 Quickstart::
 
@@ -40,7 +40,6 @@ from repro.core import (
     ConnectivityResult,
     RealizationResult,
     TreeResult,
-    degree_lower_bounds,
     realize_connectivity_ncc0,
     realize_connectivity_ncc1,
     realize_degree_sequence,
@@ -62,7 +61,6 @@ __all__ = [
     "TreeResult",
     "Variant",
     "__version__",
-    "degree_lower_bounds",
     "erdos_gallai_check",
     "havel_hakimi",
     "is_graphic",

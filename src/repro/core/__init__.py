@@ -4,8 +4,10 @@
 * :mod:`repro.core.explicit` — explicit conversion (Theorem 12);
 * :mod:`repro.core.envelope` — upper-envelope realization (Theorem 13);
 * :mod:`repro.core.tree_realization` — Algorithms 4/5 (Theorems 14/16);
-* :mod:`repro.core.connectivity` — Theorems 17/18 (Algorithm 6);
-* :mod:`repro.core.lower_bounds` — Theorems 19/20 as measurable bounds.
+* :mod:`repro.core.connectivity` — Theorems 17/18 (Algorithm 6).
+
+The round bounds of these theorems, and the Section 7 lower bounds
+(Theorems 19/20), are entries of :mod:`repro.ncc.metrics`.
 """
 
 from repro.core.result import (
@@ -41,21 +43,15 @@ from repro.core.connectivity import (
     realize_connectivity_ncc0,
     realize_connectivity_ncc1,
 )
-from repro.core.lower_bounds import (
-    DegreeLowerBounds,
-    degree_lower_bounds,
-)
 
 __all__ = [
     "ApproxRealizationResult",
     "ConnectivityResult",
-    "DegreeLowerBounds",
     "RealizationResult",
     "TreeResult",
     "StubPairing",
     "approximate_degree_realization",
     "connectivity_lower_bound",
-    "degree_lower_bounds",
     "degree_realization_protocol",
     "envelope_discrepancy",
     "envelope_holds",

@@ -30,7 +30,7 @@ Approximation error (measured, never hidden): a node's realized degree
 falls short of its demand by one per *self-pair* (both stubs of a pair in
 its own interval) and per *parallel pair* (duplicate partner, collapsed
 by simple-graph dedup).  With the pseudorandom pairing the expected
-shortfall is ``O(d_v^2 / m)`` per node; the T-A3 bench tracks it.
+shortfall is ``O(d_v^2 / m)`` per node; the X-A3 bench tracks it.
 """
 
 from __future__ import annotations

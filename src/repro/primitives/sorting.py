@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
+from repro.ncc.metrics import THEOREM_3
 from repro.ncc.network import Network
 from repro.primitives.bbst import build_bbst, build_levels, controlled_bfs
 from repro.primitives.path_ops import build_undirected_path
@@ -55,10 +56,10 @@ from repro.primitives.protocol import (
 )
 from repro.primitives.traversal import annotate_index, report_to_root
 
-#: Charged-mode round constant: rounds = ceil(CHARGED_SORT_CONSTANT * log2(n)^3).
-#: Calibrated so charged costs upper-bound full-fidelity measurements on the
-#: overlap range (full runs measure ~4-8 * log^3 n; see the fidelity ablation
-#: bench, which asserts dominance).
+#: Charged-mode round constant: rounds = ceil(CHARGED_SORT_CONSTANT * THEOREM_3),
+#: Theorem 3's bound being log2(n)^3.  Calibrated so charged costs upper-bound
+#: full-fidelity measurements on the overlap range (full runs measure ~4-8 *
+#: log^3 n; see the fidelity ablation bench, which asserts dominance).
 CHARGED_SORT_CONSTANT = 12.0
 
 
@@ -635,8 +636,9 @@ def distributed_sort(
             if i > 0:
                 net.grant_knowledge(v, order[i - 1])
                 net.grant_knowledge(order[i - 1], v)
-        log_n = max(1.0, math.log2(max(2, len(scope))))
-        net.charge(math.ceil(CHARGED_SORT_CONSTANT * log_n**3), reason="sort")
+        net.charge(
+            math.ceil(CHARGED_SORT_CONSTANT * THEOREM_3(n=len(scope))), reason="sort"
+        )
         return ns, order
     if fidelity != "full":
         raise ValueError(f"unknown fidelity {fidelity!r}")

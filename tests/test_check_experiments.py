@@ -10,6 +10,7 @@ the timed sections back in and compares.
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -71,3 +72,22 @@ def test_a_changed_paper_table_fails_and_is_named(monkeypatch, capsys):
 def test_a_paper_experiment_missing_from_the_run_fails(monkeypatch, capsys):
     assert _check(monkeypatch, drop=("T-18",)) == 1
     assert "T-18, X-ENG, X-PROTO, X-MP, X-SERVE (expected 4)" in capsys.readouterr().out
+
+
+def test_smoke_runs_leave_no_temporary_directory(monkeypatch, tmp_path):
+    """``--smoke`` without an output path writes into a temporary
+    directory, with or without ``--check``, and removes it."""
+    written = []
+
+    def main(out_path, smoke=False):
+        Path(out_path).write_text("smoke\n")
+        written.append((Path(out_path).parent.parent, smoke))
+        return 0
+
+    monkeypatch.setattr(run_experiments, "main", main)
+    monkeypatch.setattr(run_experiments, "check_against_committed", lambda tol: 0)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_experiments.cli(["--smoke"]) == 0
+    assert run_experiments.cli(["--smoke", "--check", "--tolerance", "0.6"]) == 0
+    assert written == [(tmp_path, True), (tmp_path, True)]
+    assert not list(tmp_path.glob("repro-smoke-*"))

@@ -10,10 +10,8 @@ from repro import NCCConfig, Network, Variant
 from repro.core.degree_realization import realize_degree_sequence
 from repro.core.explicit import realize_degree_sequence_explicit
 from repro.core.envelope import envelope_holds, realize_envelope
-from repro.core.lower_bounds import degree_lower_bounds
 from repro.core.tree_realization import realize_tree
 from repro.core.connectivity import realize_connectivity_ncc0, realize_connectivity_ncc1
-from repro.ncc.metrics import polylog
 from repro.sequential import havel_hakimi, is_graphic
 from repro.sequential.havel_hakimi import degree_sequence_of
 from repro.validation import (
@@ -145,14 +143,6 @@ class TestEndToEndScenarios:
         assert result.realized
         graph = nx.Graph(result.edges)
         assert nx.is_tree(graph)
-
-    def test_lower_bound_tightness_on_real_run(self):
-        """Theorems 19/20: measured rounds / lower bound <= polylog."""
-        seq = regular_sequence(16, 5)
-        net = make_net(16, seed=10)
-        result = realize_degree_sequence_explicit(net, dict(zip(net.node_ids, seq)))
-        bounds = degree_lower_bounds(seq, recv_cap=net.recv_cap)
-        assert result.stats.ratio_to(bounds.explicit_rounds) <= 256 * polylog(16, 4)
 
 
 class TestSeedStability:

@@ -10,9 +10,8 @@ degree and tree case) must answer with a fixed
 before the table replaced the per-kind branches of ``_run_request``.
 
 The import test runs in a fresh interpreter: serving a request of every
-kind, running every CLI realizer subcommand and importing
-:mod:`repro.analysis` and the benchmark harness's ``common`` module must
-load neither networkx nor numpy.  Nothing in the repository needs numpy;
+kind, running every CLI realizer subcommand and importing the benchmark
+harness's ``common`` module must load neither networkx nor numpy.  Nothing in the repository needs numpy;
 networkx is what the examples, the harness and the tests use to check a
 realized overlay (:mod:`repro.validation`).
 """
@@ -124,7 +123,7 @@ finally:
     executor.close()
 for argv in json.loads(sys.argv[2]):
     assert main(argv) == 0, argv
-import common, repro.analysis
+import common
 print(json.dumps(sorted(m for m in ("networkx", "numpy") if m in sys.modules)))
 """
 

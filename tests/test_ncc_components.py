@@ -14,7 +14,8 @@ from repro.ncc.knowledge import (
     path_knowledge,
     random_tree_knowledge,
 )
-from repro.ncc.metrics import RoundStats, log2n, polylog
+from repro.ncc import metrics
+from repro.ncc.metrics import Bound, RoundStats, log2n, polylog
 
 
 class TestIdSpace:
@@ -153,3 +154,50 @@ class TestMetrics:
         assert log2n(2) == 1.0
         assert polylog(16, 2) == pytest.approx(16.0)
         assert log2n(1) == 1.0
+
+
+#: Each entry of the bound table at one hand-computed instance.
+BOUND_PINS = {
+    "WARMUP_TREE": (dict(n=256), 8.0),
+    "THEOREM_1": (dict(n=1024), 10.0),
+    "COROLLARY_2": (dict(n=8), 3.0),
+    "THEOREM_3": (dict(n=16), 64.0),  # log2(16)^3
+    "THEOREM_4": (dict(n=32), 5.0),
+    "THEOREM_5": (dict(n=256, k=8), 16.0),  # k + log n = 8 + 8
+    "THEOREM_6": (dict(n=64, load=128, local=12), 10.0),  # 2 + 12/6 + 6
+    "THEOREM_7": (dict(n=256, load=512, local=4), 10.5),  # 2 + 4/8 + 8
+    "THEOREM_8": (dict(n=16, load=32, local=8), 8.0),  # 2 + 8/4 + 4
+    "THEOREM_11": (dict(n=16, m=9, delta=8), 192.0),  # min(3, 8) * 4^3
+    "THEOREM_12": (dict(n=64, m=256, delta=12), 12.0),  # 4 + 12/6 + 6
+    "THEOREM_14": (dict(n=32), 125.0),  # 5^3
+    "THEOREM_17": (dict(n=4096), 12.0),
+    "THEOREM_18": (dict(n=16, delta=3), 192.0),  # 3 * 4^3
+    "APPROXIMATE": (dict(n=256, m=1024, delta=16), 14.0),  # 4 + 16/8 + 8
+    "THEOREM_19": (dict(n=64, delta=24), 4.0),  # 24/6
+    "THEOREM_20_SQRT_M": (dict(n=16, m=64), 2.0),  # 8/4
+    "THEOREM_20_REGULAR": (dict(delta=7), 7.0),
+}
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("name", sorted(BOUND_PINS))
+    def test_entry_at_a_hand_computed_instance(self, name):
+        instance, rounds = BOUND_PINS[name]
+        entry = getattr(metrics, name)
+        assert entry(**instance) == pytest.approx(rounds, rel=1e-12)
+        assert entry.cite and entry.ceiling > 0
+
+    def test_every_entry_is_pinned(self):
+        entries = {k for k, v in vars(metrics).items() if isinstance(v, Bound)}
+        assert entries == set(BOUND_PINS)
+
+    def test_small_n_clamps_the_logarithm(self):
+        # log2n(1) is 1, so a one-node instance still gets a positive bound.
+        assert metrics.THEOREM_19(n=1, delta=2) == 2.0
+        assert metrics.THEOREM_3(n=1) == 1.0
+
+    def test_the_sort_charge_is_a_multiple_of_theorem_3(self):
+        from repro.primitives.sorting import CHARGED_SORT_CONSTANT
+
+        assert math.ceil(CHARGED_SORT_CONSTANT * metrics.THEOREM_3(n=64)) == 2592
+        assert CHARGED_SORT_CONSTANT >= metrics.THEOREM_3.ceiling

@@ -15,8 +15,9 @@ from repro.core.result import (
     overlay_edges,
     record_edge,
 )
+from repro.ncc import metrics
 from repro.ncc.message import Message, msg
-from repro.ncc.metrics import RoundStats, polylog
+from repro.ncc.metrics import Bound, RoundStats
 from repro.sequential.envelope import discrepancy
 from repro.validation.overlay import holders_of
 
@@ -24,7 +25,7 @@ from tests.conftest import make_net
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
-from common import flat_or_decreasing  # noqa: E402
+from common import EPSILON, Series  # noqa: E402
 
 
 def _stats(n=8):
@@ -121,33 +122,107 @@ class TestMessageHelpers:
         assert msg("k", data=(None,)).words(64) == 1
 
 
-class TestFlatOrDecreasing:
-    """The verdict rule of FIG-1, T-1, C-2, T-3, T-4, T-14 and T-17: the
-    last ratio may exceed the first by at most the 1.4x slack."""
+#: A bound of one round, so a row's rounds are its rounds ÷ bound.
+UNIT = Bound("unit", lambda: 1.0, ceiling=4.0)
 
-    @pytest.mark.parametrize(
-        "series, holds",
-        [
-            ([], True),
-            ([3.0], True),
-            ([2.0, 2.0, 2.0], True),
-            ([4.0, 3.0, 1.0], True),
-            ([1.0, 1.3, 1.4], True),
-            ([1.0, 1.3, math.nextafter(1.4, 2.0)], False),
-        ],
-        ids=["empty", "one", "flat", "falling", "at-slack", "above-slack"],
-    )
-    def test_verdict(self, series, holds):
-        assert flat_or_decreasing(series) is holds
 
-    NS = [16, 64, 256, 1024]
+def _series(points):
+    series = Series("x", UNIT)
+    for x, rounds in points:
+        series.add(x, rounds)
+    return series
 
-    def test_polylog_rounds_read_flat(self):
-        rounds = [int(5 * math.log2(n) ** 2) for n in self.NS]
-        assert flat_or_decreasing([r / polylog(n, 2) for n, r in zip(self.NS, rounds)])
 
-    def test_linear_rounds_read_growing(self):
-        assert not flat_or_decreasing([n / polylog(n, 1) for n in self.NS])
+class TestVerdictRule:
+    """The one rule of every paper experiment: a sweep's log-log slope of
+    rounds ÷ bound is at most ε, and no row exceeds its ceiling."""
+
+    def test_empty_sweep_holds(self):
+        series = _series([])
+        assert series.slope() is None and series.peak() == 0.0
+        assert series.holds()
+
+    def test_one_point_has_no_slope_but_meets_the_ceiling(self):
+        assert _series([(64, 3.0)]).slope() is None
+        assert _series([(64, 3.0)]).holds()
+        assert not _series([(64, 5.0)]).holds()
+
+    def test_rows_at_one_parameter_have_no_slope(self):
+        series = _series([(64, 1.0), (64, 3.0)])
+        assert series.slope() is None and series.holds()
+
+    def test_slope_at_epsilon_holds_and_above_fails(self):
+        # ratio 2 at x = 2**8 over ratio 1 at x = 1: slope exactly 1/8.
+        x = 2.0 ** round(1 / EPSILON)
+        assert _series([(1, 1.0), (x, 2.0)]).slope() == EPSILON
+        assert _series([(1, 1.0), (x, 2.0)]).holds()
+        above = _series([(1, 1.0), (x, math.nextafter(2.0, 3.0))])
+        assert above.slope() > EPSILON and not above.holds()
+
+    def test_row_at_ceiling_holds_and_above_fails(self):
+        assert _series([(1, 1.0), (2, 1.0), (4, UNIT.ceiling)]).peak() == UNIT.ceiling
+        assert _series([(1, UNIT.ceiling), (2, 1.0)]).holds()
+        assert not _series([(1, math.nextafter(UNIT.ceiling, 5.0)), (2, 1.0)]).holds()
+
+    def test_ratio_is_rounds_over_the_entry(self):
+        series = Series("n", metrics.THEOREM_1)
+        assert series.add(256, 24, n=256) == 3.0
+        assert series.points == [(256, 3.0)]
+
+
+#: The seven series ``flat_or_decreasing`` judged before the rule, as
+#: committed to EXPERIMENTS.md: ``(entry, n values, rounds)``.
+COMMITTED = {
+    "FIG-1": (metrics.WARMUP_TREE, [8, 32, 128, 512, 2048], [9, 13, 17, 21, 25]),
+    "T-1": (metrics.THEOREM_1, [8, 32, 128, 512, 2048, 4096], [10, 16, 22, 28, 34, 37]),
+    "C-2": (metrics.COROLLARY_2, [8, 32, 128, 512, 2048], [12, 20, 28, 36, 44]),
+    "T-3": (
+        metrics.THEOREM_3,
+        [8, 16, 32, 64, 128, 256, 512],
+        [117, 270, 509, 787, 1230, 1774, 2473],
+    ),
+    "T-4": (metrics.THEOREM_4, [8, 32, 128, 512, 2048], [8, 12, 16, 20, 24]),
+    "T-14": (metrics.THEOREM_14, [16, 32, 64, 128, 256], [319, 575, 968, 1494, 2136]),
+    "T-17": (metrics.THEOREM_17, [16, 64, 256, 1024], [29, 43, 57, 71]),
+}
+
+
+class TestRulePower:
+    """The rule passes the committed tables and fails them with one more
+    log factor, or with T-18's flood regression planted."""
+
+    @staticmethod
+    def _committed(exp_id, factor=lambda n: 1):
+        bound, ns, rounds = COMMITTED[exp_id]
+        series = Series("n", bound)
+        for n, r in zip(ns, rounds):
+            series.add(n, r * factor(n), n=n)
+        return series
+
+    @pytest.mark.parametrize("exp_id", sorted(COMMITTED))
+    def test_committed_series_pass(self, exp_id):
+        assert self._committed(exp_id).holds()
+
+    @pytest.mark.parametrize("exp_id", sorted(COMMITTED))
+    def test_one_more_log_factor_fails(self, exp_id):
+        grown = self._committed(exp_id, factor=math.log2)
+        assert grown.slope() > EPSILON and not grown.holds()
+
+    DELTAS = [2, 4, 8, 16]
+
+    def _t18(self, simulated):
+        series = Series("Δ", metrics.THEOREM_18)
+        for delta, rounds in zip(self.DELTAS, simulated):
+            series.add(delta, rounds, n=48, delta=delta)
+        return series
+
+    def test_t18_simulated_rounds_pass(self):
+        assert self._t18([122, 203, 400, 852]).holds()
+
+    def test_t18_planted_flood_regression_fails(self):
+        # Δ² idle rounds after each of the flood's Δ steps.
+        planted = self._t18([130, 267, 912, 4948])
+        assert planted.slope() > EPSILON and not planted.holds()
 
 
 class TestStatsArithmetic:

@@ -1,14 +1,15 @@
-"""Tests for workload generators, validation checks and analysis utilities."""
+"""Tests for workload generators, validation checks and the harness's
+table formatting."""
 
 import math
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import format_table
-from repro.core.lower_bounds import degree_lower_bounds
 from repro.sequential import is_graphic, is_tree_realizable
 from repro.validation.graph_checks import (
     check_connectivity_thresholds,
@@ -37,6 +38,10 @@ from repro.workloads import (
     uniform_rho,
 )
 from repro.workloads.degree_sequences import repair_to_graphic
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from common import format_table  # noqa: E402
 
 
 class TestDegreeWorkloads:
@@ -159,23 +164,3 @@ class TestAnalysis:
         lines = text.splitlines()
         assert "n" in lines[0] and "rounds" in lines[0]
         assert len(lines) == 4
-
-
-class TestLowerBounds:
-    def test_values(self):
-        bounds = degree_lower_bounds([4, 4, 4, 4], recv_cap=8)
-        assert bounds.max_degree == 4
-        assert bounds.m == 8
-        assert bounds.explicit_rounds == pytest.approx(0.5)
-        assert bounds.implicit_regular_rounds == 4.0
-        assert bounds.implicit_sqrt_m_rounds == pytest.approx(math.sqrt(8) / 8)
-
-    def test_odd_total_floors_the_edge_count(self):
-        bounds = degree_lower_bounds([3, 2, 2], recv_cap=4)
-        assert bounds.m == 3
-        assert bounds.implicit_sqrt_m_rounds == pytest.approx(math.sqrt(3) / 4)
-
-    def test_empty_sequence_and_zero_cap(self):
-        bounds = degree_lower_bounds([], recv_cap=0)
-        assert (bounds.n, bounds.m, bounds.max_degree, bounds.recv_cap) == (0, 0, 0, 1)
-        assert bounds.explicit_rounds == bounds.implicit_sqrt_m_rounds == 0.0
