@@ -8,10 +8,13 @@ from repro.workloads import bimodal_rho, power_law_rho, uniform_rho
 
 
 def measure(n, values, seed=26, validate=True):
+    """Realize ``values`` on an NCC1 network of ``n`` nodes.  Returns
+    ``(result, valid)``; ``valid`` is None when the max-flow check is
+    skipped (``validate=False``)."""
     net = make_ncc1(n, seed=seed)
     rho = dict(zip(net.node_ids, values))
     result = realize_connectivity_ncc1(net, rho)
-    valid = True
+    valid = None
     if validate:
         valid = check_connectivity_thresholds(result.edges, rho, list(net.node_ids))
     return result, valid
@@ -26,13 +29,17 @@ def experiment() -> Experiment:
     shapes = Series("bimodal, power-law", THEOREM_17)
     # n sweep at fixed demands: rounds must be O(log n)-flat ("Õ(1)").
     for n in (16, 64, 256, 1024):
+        # Pairwise max-flow is too slow above n = 64; the verdict reads
+        # only the rows it checked.
         result, valid = measure(n, uniform_rho(n, 3), validate=(n <= 64))
-        ok &= valid
+        if valid is not None:
+            ok &= valid
         ratios.append(result.approximation_ratio)
         rows.append([f"uniform ρ=3, n={n}", result.stats.rounds,
                      f"{sweep.add(n, result.stats.rounds, n=n):.2f}",
                      result.num_edges, result.lower_bound_edges,
-                     f"{result.approximation_ratio:.2f}", valid])
+                     f"{result.approximation_ratio:.2f}",
+                     "unchecked" if valid is None else valid])
     # Demand sweep at fixed n: rounds independent of ρ.
     for value in (1, 6, 12):
         result, valid = measure(32, uniform_rho(32, value))
@@ -62,7 +69,8 @@ def experiment() -> Experiment:
         shape_holds=shape,
         series=[sweep, demands, shapes],
         notes="Rounds = one aggregation + one broadcast (independent of ρ); "
-        "edge ratio never exceeds 2 and pairwise max-flow validates every "
-        "threshold (validation limited to n<=64 for runtime).",
+        "edge ratio never exceeds 2; pairwise max-flow checks every "
+        "threshold up to n = 64 (runtime), so the n = 256 and n = 1024 "
+        "rows read unchecked and the verdict leaves them out.",
     )
 

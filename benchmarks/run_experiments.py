@@ -133,8 +133,8 @@ rounds apart and the rule reads the simulated ones.
   module's.
 - *Max-flow validation is partial.*  Connectivity thresholds are checked
   by pairwise max-flow only at n ≤ 64 in T-17 and n ≤ 48 in T-18; the
-  larger rows of T-17 read True without that check, and T-18's n = 96 row
-  checks explicitness only.
+  larger rows of T-17 read unchecked, and T-18's n = 96 row checks
+  explicitness only.
 - *Algorithm 3 counts its terminating phase*, the one that broadcasts
   δ = 0 and stops; X-A1 subtracts it to compare star-removal work.
 

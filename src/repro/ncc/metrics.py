@@ -48,8 +48,14 @@ class RoundStats:
         return out
 
     def ratio_to(self, bound: float) -> float:
-        """rounds / bound — the bound-normalised cost."""
-        return self.rounds / max(1.0, bound)
+        """rounds / bound — the bound-normalised cost.
+
+        A bound below one round (Theorem 19's Δ/log n when Δ < log2 n)
+        divides as it is; a bound of zero or less has no ratio.
+        """
+        if bound <= 0:
+            raise ValueError(f"a round bound must be positive, got {bound}")
+        return self.rounds / bound
 
 
 def log2n(n: int) -> float:

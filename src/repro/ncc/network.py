@@ -126,18 +126,14 @@ class Network:
         # no duplicate O(knowledge) copy at construction.
         self.custom_knowledge = knowledge is not None
         self._initial_known: Optional[Dict[int, frozenset]] = None
-        if knowledge is None:
-            knowledge = knowledge_for_variant(self.ids.ids, config.variant)
-        else:
+        if knowledge is not None:
+            # Knowing yourself is implicit; self-entries are normalised
+            # away (the engines rely on dst never appearing in known[dst]).
             self._initial_known = {
                 v: frozenset(u for u in knowledge.get(v, ()) if u != v)
                 for v in self.ids.ids
             }
-        # Knowing yourself is implicit; self-entries are normalised away
-        # (the engines rely on dst never appearing in known[dst]).
-        self.known: Dict[int, set] = {
-            v: {u for u in knowledge.get(v, ()) if u != v} for v in self.ids.ids
-        }
+        self.known: KnowledgeGraph = self._pristine_knowledge()
         self.mem: Dict[int, Dict[str, Any]] = {v: {} for v in self.ids.ids}
         self.rng = random.Random(config.seed ^ 0x9E3779B9)
 
@@ -198,16 +194,7 @@ class Network:
         so they are deliberately retained.  Returns ``self`` so pools can
         ``push(net.reset())``.
         """
-        if self._initial_known is not None:  # custom knowledge graph
-            self.known = {
-                v: set(initial) for v, initial in self._initial_known.items()
-            }
-        else:
-            knowledge = knowledge_for_variant(self.ids.ids, self.config.variant)
-            self.known = {
-                v: {u for u in knowledge.get(v, ()) if u != v}
-                for v in self.ids.ids
-            }
+        self.known = self._pristine_knowledge()
         self.mem = {v: {} for v in self.ids.ids}
         self.rng = random.Random(self.config.seed ^ 0x9E3779B9)
         self.rounds = 0
@@ -224,6 +211,18 @@ class Network:
         self.round_observer = None
         self.engine.reset()
         return self
+
+    def _pristine_knowledge(self) -> KnowledgeGraph:
+        """A fresh copy of the initial knowledge graph.
+
+        A custom graph is copied from its retained frozensets; the
+        default ``Gk`` is re-derived from ``(ids, variant)``, which for
+        NCC1 is one view per node over a single ID set (O(n), see
+        :class:`~repro.ncc.knowledge.CompleteView`).
+        """
+        if self._initial_known is not None:
+            return {v: set(initial) for v, initial in self._initial_known.items()}
+        return knowledge_for_variant(self.ids.ids, self.config.variant)
 
     # ------------------------------------------------------------------ #
     # Topology / identity helpers                                        #

@@ -643,12 +643,6 @@ def distributed_sort(
     if fidelity != "full":
         raise ValueError(f"unknown fidelity {fidelity!r}")
 
-    # Drop any membership bookkeeping a previous sort left under this
-    # namespace (callers may reuse an explicit ns on the same network).
-    cache = _members_cache(net)
-    for key in [k for k in cache if k[0] == ns]:
-        del cache[key]
-
     tree_ns = fresh_ns("st")
     if members is None:
         tree_head = yield from build_undirected_path(net, tree_ns)
@@ -665,10 +659,16 @@ def distributed_sort(
         tree_head = head
     levels = yield from build_levels(net, tree_ns, scope)
     root = yield from controlled_bfs(net, tree_ns, scope, tree_head, levels)
-    final_run = yield from _sort_subtree(net, ns, tree_ns, root)
-
-    order = list(_run_members(net, ns, final_run))
-    cache.pop((ns, final_run.head), None)
+    try:
+        final_run = yield from _sort_subtree(net, ns, tree_ns, root)
+        order = list(_run_members(net, ns, final_run))
+    finally:
+        # The run bookkeeping lives on the network, which a pool reuses:
+        # drop all of this sort's entries however it ends, so none
+        # outlives it (and a later sort may reuse ``ns``).
+        cache = _members_cache(net)
+        for key in [k for k in cache if k[0] == ns]:
+            del cache[key]
     if len(order) != len(scope):
         raise ProtocolError(f"sort lost nodes: {len(order)} of {len(scope)}")
     return ns, order

@@ -1,12 +1,12 @@
 """The warm-network pool: lease/release of reusable :class:`Network`\\ s.
 
 Constructing a :class:`~repro.ncc.network.Network` re-derives the ID
-space, the initial knowledge graph ``Gk`` and (for NCC1) the complete
-knowledge sets on every request.  The pool amortizes that by leasing
-*warm* instances: a released network is :meth:`~Network.reset` back to
-its pristine post-construction state (a verified bit-identical contract,
-see ``tests/test_service_pool.py``) and parked for the next request with
-the same ``(n, config)``.
+space and the initial knowledge graph ``Gk`` (for NCC1, one view per
+node over a shared ID set) on every request.  The pool amortizes that
+by leasing *warm* instances: a released network is
+:meth:`~Network.reset` back to its pristine post-construction state (a
+verified bit-identical contract, see ``tests/test_service_pool.py``) and
+parked for the next request with the same ``(n, config)``.
 
 The pool key is ``(n, NCCConfig)`` — the config is a frozen dataclass,
 so the fingerprint covers the variant, the caps, the enforcement mode,
@@ -41,9 +41,9 @@ class NetworkPool:
         beyond that, released instances are discarded.
     max_total_idle:
         Cap on idle networks across *all* keys, so memory stays bounded
-        for long-lived services even under key-diverse traffic (NCC1
-        networks hold O(n²) knowledge).  When exceeded, the pool evicts
-        from the longest-idle key first.
+        for long-lived services even under key-diverse traffic (a parked
+        network holds O(n) state, NCC1's complete knowledge included).
+        When exceeded, the pool evicts from the longest-idle key first.
     """
 
     def __init__(self, max_idle_per_key: int = 4, max_total_idle: int = 64) -> None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.degree_realization import realize_degree_sequence
 from repro.core.tree_realization import realize_tree
 from repro.ncc.config import EnforcementMode, NCCConfig, Variant
-from repro.ncc.errors import NCCError, UnknownRecipientError
+from repro.ncc.errors import NCCError, ProtocolError, UnknownRecipientError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
 from repro.primitives.bbst import build_bbst
@@ -401,6 +401,44 @@ class TestKnowledgeEdgeCases:
             } == {dst: [("hi", src, (1,))]}
             outcomes[engine] = (
                 net.stats(),
+                {v: frozenset(s) for v, s in net.known.items()},
+            )
+        assert_all_match_reference(outcomes)
+
+    @pytest.mark.parametrize(
+        "case,raises",
+        [
+            ("self-send", ProtocolError),
+            ("outside-id", UnknownRecipientError),
+            # Knowledge gating passes (the payload taught the ID), and
+            # delivery finds no such node: no typed error covers it.
+            ("learned-outside-id", KeyError),
+        ],
+    )
+    def test_ncc1_rejections_match_reference(self, case, raises):
+        """NCC1 knowledge is a view per node over one shared ID set
+        (``repro.ncc.knowledge.CompleteView``); a round it rejects must
+        fail on every engine as on the reference, with the same partial
+        state and knowledge."""
+        outside = 10**12  # above every ID of a 12-node network
+        outcomes = {}
+        for engine, net in nets_for(12, 3, variant=Variant.NCC1).items():
+            a, b, c = net.node_ids[:3]
+            if case == "self-send":
+                sends = [(a, b, msg("ok")), (c, c, msg("loop"))]
+            elif case == "outside-id":
+                sends = [(a, b, msg("ok")), (c, outside, msg("lost"))]
+            else:
+                net.step([(a, b, msg("id", ids=(outside,)))])
+                assert net.knows(b, outside) and not net.knows(a, outside)
+                sends = [(b, outside, msg("lost"))]
+            with pytest.raises(raises) as raised:
+                net.step(sends)
+            outcomes[engine] = (
+                type(raised.value),
+                str(raised.value),
+                net.stats(),
+                net.pending_deferred(),
                 {v: frozenset(s) for v, s in net.known.items()},
             )
         assert_all_match_reference(outcomes)

@@ -126,6 +126,78 @@ class TestKnowledgeGraphs:
         assert path_knowledge((7,)) == {7: set()}
 
 
+#: (ids, owner) for n = 1, 2 and 12: the first, a middle and the last ID.
+VIEW_CASES = [
+    (ids, owner)
+    for ids in ((7,), (7, 3), tuple(range(110, -10, -10)))
+    for owner in sorted({ids[0], ids[len(ids) // 2], ids[-1]})
+]
+
+#: IDs from outside every network above: an int, one beyond 64 bits and
+#: a string (a payload may carry any hashable).
+OUTSIDE = (999, 2**70, "not-an-id")
+
+
+class TestCompleteView:
+    """NCC1 knowledge is one view per node over a shared ID set; it must
+    read as the materialized ``set(ids) - {owner}`` did."""
+
+    @staticmethod
+    def _agree(view, materialized):
+        for x in (*materialized, *OUTSIDE, -1, view.owner):
+            assert (x in view) == (x in materialized)
+        assert len(view) == len(materialized)
+        assert len(list(view)) == len(materialized)
+        assert set(view) == materialized
+        assert view == materialized and materialized == view
+        assert view <= materialized and materialized <= view
+        assert frozenset(view) == frozenset(materialized)
+
+    @pytest.mark.parametrize("ids,owner", VIEW_CASES)
+    def test_reads_like_the_materialized_set(self, ids, owner):
+        view = complete_knowledge(ids)[owner]
+        assert owner not in view
+        self._agree(view, set(ids) - {owner})
+        assert view != set(ids) and not view >= set(ids)
+
+    @pytest.mark.parametrize("ids,owner", VIEW_CASES)
+    def test_network_ids_and_the_owner_change_nothing(self, ids, owner):
+        view = complete_knowledge(ids)[owner]
+        for x in ids:
+            view.add(x)
+            view.discard(x)
+        view.update(ids)
+        view.update([owner])
+        view.discard(owner)
+        self._agree(view, set(ids) - {owner})
+        assert view.extra == set()
+
+    @pytest.mark.parametrize("ids,owner", VIEW_CASES)
+    def test_outside_ids_are_learned_then_forgotten(self, ids, owner):
+        view = complete_knowledge(ids)[owner]
+        materialized = set(ids) - {owner}
+        view.add(OUTSIDE[0])
+        materialized.add(OUTSIDE[0])
+        self._agree(view, materialized)
+        # As the fast engine learns: one update of senders and payload
+        # IDs, then the owner discarded.
+        view.update([owner, *ids, OUTSIDE[1], OUTSIDE[2]])
+        view.discard(owner)
+        materialized.update(OUTSIDE)
+        self._agree(view, materialized)
+        for x in OUTSIDE:
+            view.discard(x)
+            materialized.discard(x)
+            self._agree(view, materialized)
+        assert view.extra == set()
+
+    def test_views_share_one_id_set(self):
+        known = complete_knowledge((5, 6, 7))
+        assert len({id(view.ids) for view in known.values()}) == 1
+        known[5].add(99)
+        assert 99 not in known[6]
+
+
 class TestMetrics:
     def _stats(self, n=64, rounds=36):
         return RoundStats(
@@ -136,7 +208,17 @@ class TestMetrics:
     def test_ratio_to(self):
         stats = self._stats(rounds=100)
         assert stats.ratio_to(50) == pytest.approx(2.0)
-        assert stats.ratio_to(0.0) == 100.0  # a zero bound divides by 1
+        for bound in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                stats.ratio_to(bound)
+
+    def test_ratio_to_a_bound_below_one_round(self):
+        """Theorem 19 at n = 64, Δ = 4 bounds 2/3 of a round; 414 rounds
+        are 621 times that, as T-19's table divides them."""
+        stats = self._stats(n=64, rounds=414)
+        bound = metrics.THEOREM_19(n=64, delta=4)
+        assert bound == pytest.approx(2 / 3)
+        assert stats.ratio_to(bound) == pytest.approx(621.0)
 
     def test_ratio_to_log_n(self):
         stats = self._stats(n=64, rounds=36)

@@ -22,8 +22,11 @@ from repro.core.tree_realization import realize_tree
 from repro.ncc.config import EnforcementMode, NCCConfig, Variant
 from repro.ncc.message import msg
 from repro.ncc.network import Network
+from repro.primitives import sorting
 from repro.primitives.protocol import run_protocol
 from repro.primitives.sorting import distributed_sort
+from repro.service.api import RealizationRequest
+from repro.service.executor import lease_and_run
 from repro.service.pool import NetworkPool
 from repro.workloads import random_graphic_sequence, random_tree_sequence
 
@@ -244,6 +247,33 @@ class TestNetworkPool:
         with pool.network(20, config) as net:
             pooled = run_degree(net)
         assert pooled == run_degree(Network(20, config))
+
+    def test_full_fidelity_sorts_leave_no_run_bookkeeping(self):
+        """A full-fidelity sort keeps run-membership entries on its
+        network while it runs (``sorting._run_cache``); none may outlive
+        it, whether it finishes or a round budget cuts it off, or a
+        pooled network collects them request after request."""
+        pool = NetworkPool()
+        degrees = [3, 3, 2, 2, 2, 2, 1, 1] * 2
+        payloads = [
+            {"kind": "degree_implicit", "degrees": degrees},
+            {"kind": "degree_explicit", "degrees": degrees, "seed": 1},
+            {"kind": "connectivity", "rho": degrees, "seed": 2},
+            {"kind": "approximate", "degrees": degrees, "seed": 3},
+            {"kind": "degree_implicit", "degrees": degrees, "seed": 4,
+             "max_rounds": 150},
+        ]
+        codes = [
+            lease_and_run(
+                RealizationRequest.from_dict({**payload, "sort_fidelity": "full"}),
+                pool,
+            ).error_code
+            for payload in payloads
+        ]
+        assert codes == [None] * 4 + ["BUDGET_EXCEEDED"]
+        parked = [net for stack in pool._idle.values() for net in stack]
+        assert len(parked) == len(payloads)
+        assert [len(sorting._run_cache.get(net, ())) for net in parked] == [0] * 5
 
     def test_concurrent_lease_return_contention(self):
         """Hammer lease/release from many threads across several keys.
